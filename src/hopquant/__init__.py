@@ -18,7 +18,6 @@ from .errors import (
     HopquantError,
     IntegratorAccuracyError,
     KernelSymmetryError,
-    KrylovConvergenceError,
     MassRequiredError,
     ReflectionSymmetryError,
 )
@@ -54,7 +53,6 @@ from .gauge_ham import (
 from .linop import (
     SparseHermitianOperator,
     eigs_extremal,
-    matvec_partitioned,
     propagate,
 )
 from .particle import (

@@ -29,14 +29,6 @@ class IntegratorAccuracyError(HopquantError):
     """Time propagation drifted outside the requested norm tolerance."""
 
 
-class KrylovConvergenceError(HopquantError):
-    """Krylov propagation failed to converge within the iteration budget."""
-
-    def __init__(self, message, error_estimate=None):
-        super().__init__(message)
-        self.error_estimate = error_estimate
-
-
 class EigenConvergenceError(HopquantError):
     """Extremal eigensolver exceeded its iteration cap; carries residual norms."""
 

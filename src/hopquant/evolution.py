@@ -30,7 +30,7 @@ class EvolveResult:
 
 
 def evolve(source, psi, dt, steps, t0=None, hbar=1.0, method="auto",
-           drift_tol=NORM_DRIFT_TOL, propagate_tol=1e-12):
+           drift_tol=NORM_DRIFT_TOL):
     """Propagate ``psi`` through ``steps`` intervals of length ``dt``.
 
     ``source`` is a prebuilt Hermitian operator or a HoppingKernel; a
@@ -53,8 +53,7 @@ def evolve(source, psi, dt, steps, t0=None, hbar=1.0, method="auto",
             step_op = build_particle_hamiltonian(kernel, t=t_mid)
         else:
             step_op = op
-        v = linop.propagate(step_op, v, dt, hbar=hbar, method=method,
-                            tol=propagate_tol)
+        v = linop.propagate(step_op, v, dt, hbar=hbar, method=method)
         if norm0 > 0:
             drift = max(drift, abs(np.linalg.norm(v) - norm0) / norm0)
     if drift > drift_tol:

@@ -1,15 +1,14 @@
 """Sparse Hermitian operators: matvec, unitary propagation, extremal eigenpairs.
 
 Small dimensions go through exact dense eigendecompositions; everything above
-the cutoff uses reorthogonalized Lanczos (propagation) or ARPACK (eigenpairs).
+the cutoff uses scipy's ``expm_multiply`` (propagation) or ARPACK (eigenpairs).
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
-from .errors import EigenConvergenceError, HermiticityError, KrylovConvergenceError
+from .errors import EigenConvergenceError, HermiticityError
 
 DENSE_CUTOFF = 4096
 HERMITICITY_TOL = 1e-12
@@ -61,73 +60,13 @@ class SparseHermitianOperator:
         return self._eig
 
 
-def matvec_partitioned(op, v, parts):
-    """Apply ``op`` to ``v`` in row blocks, as a concurrent matvec would.
-
-    Results agree with the unpartitioned product up to floating-point
-    summation order only.
-    """
-    n = op.dimension
-    edges = np.linspace(0, n, parts + 1).astype(int)
-    out = np.empty(n, dtype=np.result_type(op.matrix.dtype, v.dtype))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out[lo:hi] = op.matrix[lo:hi, :] @ v
-    return out
-
-
-def _lanczos_step(matvec, v, tau, hbar, max_dim, tol):
-    """One Krylov step of exp(-i*tau*H/hbar) @ v.
-
-    Returns (result, converged, error_estimate). Full reorthogonalization
-    keeps the basis clean; the result norm equals ||v|| by construction.
-    """
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0.0:
-        return v.copy(), True, 0.0
-    basis = [v / beta0]
-    alphas, betas = [], []
-    w = matvec(basis[0])
-    alphas.append(np.real(np.vdot(basis[0], w)))
-    w = w - alphas[0] * basis[0]
-    estimate = np.inf
-    for j in range(1, max_dim):
-        b = np.linalg.norm(w)
-        if b < 1e-14 * (abs(alphas[0]) + 1.0):
-            # happy breakdown: Krylov space is exact
-            y = _tridiag_expm_column(alphas, betas, tau, hbar)
-            return beta0 * np.stack(basis, axis=1) @ y, True, 0.0
-        betas.append(b)
-        q = w / b
-        # full reorthogonalization against the stored basis
-        for u in basis:
-            q = q - np.vdot(u, q) * u
-        q = q / np.linalg.norm(q)
-        basis.append(q)
-        w = matvec(q) - b * basis[j - 1]
-        a = np.real(np.vdot(q, w))
-        alphas.append(a)
-        w = w - a * q
-        if j >= 2 or j == max_dim - 1:
-            y = _tridiag_expm_column(alphas, betas, tau, hbar)
-            estimate = abs(betas[-1] * y[-1]) * beta0 * abs(tau) / hbar
-            if estimate <= tol:
-                return beta0 * np.stack(basis, axis=1) @ y, True, estimate
-    y = _tridiag_expm_column(alphas, betas, tau, hbar)
-    return beta0 * np.stack(basis, axis=1) @ y, False, estimate
-
-
-def _tridiag_expm_column(alphas, betas, tau, hbar):
-    w, q = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
-    phases = np.exp(-1j * w * tau / hbar)
-    return q @ (phases * q[0].conj())
-
-
-def propagate(op, v, t, hbar=1.0, method="auto", dense_cutoff=DENSE_CUTOFF,
-              tol=1e-12, max_krylov=40, max_substeps=4096):
+def propagate(op, v, t, hbar=1.0, method="auto", dense_cutoff=DENSE_CUTOFF):
     """Unitary propagation exp(-i*H*t/hbar) @ v.
 
-    ``method`` is "dense" (exact eigendecomposition), "krylov" (Lanczos with
-    adaptive substepping), or "auto" (dense up to ``dense_cutoff``).
+    ``method`` is "dense" (exact eigendecomposition, cached on ``op``),
+    "krylov" (scipy's ``expm_multiply``, a truncated Taylor polynomial in H
+    applied to ``v``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488),
+    or "auto" (dense up to ``dense_cutoff``, otherwise "krylov").
     """
     op.require_hermitian()
     v = np.asarray(v, dtype=complex)
@@ -140,25 +79,7 @@ def propagate(op, v, t, hbar=1.0, method="auto", dense_cutoff=DENSE_CUTOFF,
         return q @ (np.exp(-1j * w * t / hbar) * (q.conj().T @ v))
     if method != "krylov":
         raise ValueError(f"unknown propagation method {method!r}")
-    nsub = 1
-    last_estimate = None
-    while nsub <= max_substeps:
-        tau = t / nsub
-        w = v
-        ok = True
-        for _ in range(nsub):
-            w, converged, last_estimate = _lanczos_step(
-                op.matvec, w, tau, hbar, max_krylov, tol / nsub)
-            if not converged:
-                ok = False
-                break
-        if ok:
-            return w
-        nsub *= 2
-    raise KrylovConvergenceError(
-        f"Krylov propagation did not converge within {max_substeps} substeps",
-        error_estimate=last_estimate,
-    )
+    return spla.expm_multiply((-1j * t / hbar) * op.matrix, v)
 
 
 def eigs_extremal(op, k, dense_cutoff=DENSE_CUTOFF, residual_tol=1e-8,

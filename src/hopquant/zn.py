@@ -198,15 +198,31 @@ def plaquette_field(config):
     return PlaquetteField(lattice=lat, values=vals)
 
 
+# --- symmetries as link maps ------------------------------------------------
+# Each symmetry is defined once, as a link map in the format documented at
+# ``permutation_from_link_map``, which applies it to the whole basis;
+# ``_apply_link_map`` applies it to one configuration.
+
+def _apply_link_map(config, assignments):
+    new = np.empty_like(config.values)
+    for dest, (src, sign, shift) in assignments.items():
+        new[dest] = sign * config.values[src] + shift
+    return LinkConfig(config.lattice, new)
+
+
+def _gauge_link_map(lattice, g):
+    g = _gauge_array(lattice, g)
+    assignments = {}
+    for idx, (s, k) in enumerate(lattice.links):
+        head = lattice.shift_site(s, k)
+        delta = int(g[lattice.site_index(head)] - g[lattice.site_index(s)])
+        assignments[idx] = (idx, 1, delta)
+    return assignments
+
+
 def apply_gauge(config, g):
     """Relabel links by l'(s,k) = l(s,k) + g(s+k) - g(s) mod N."""
-    lat = config.lattice
-    g = _gauge_array(lat, g)
-    new = config.values.copy()
-    for idx, (s, k) in enumerate(lat.links):
-        head = lat.shift_site(s, k)
-        new[idx] += g[lat.site_index(head)] - g[lat.site_index(s)]
-    return LinkConfig(lat, new)
+    return _apply_link_map(config, _gauge_link_map(config.lattice, g))
 
 
 def _gauge_array(lattice, g):
@@ -223,9 +239,13 @@ def _gauge_array(lattice, g):
     return arr
 
 
+def _charge_link_map(lattice):
+    return {idx: (idx, -1, 0) for idx in range(lattice.n_links)}
+
+
 def charge_conjugate(config):
     """Negate every link value mod N; an involution for all N."""
-    return LinkConfig(config.lattice, -config.values)
+    return _apply_link_map(config, _charge_link_map(config.lattice))
 
 
 def _parity_center(lattice, s0):
@@ -237,28 +257,29 @@ def _parity_center(lattice, s0):
     return np.round(twice).astype(np.int64)
 
 
+def _parity_link_map(lattice, s0):
+    twice = _parity_center(lattice, s0)
+    assignments = {}
+    for idx, (s, k) in enumerate(lattice.links):
+        src = twice - np.asarray(s, dtype=np.int64)
+        src[k] -= 1
+        if lattice.boundary == "periodic":
+            src = src % np.asarray(lattice.dims)
+        key = (tuple(int(c) for c in src), k)
+        if key not in lattice._link_index:
+            raise HopquantError(
+                f"parity image of link ({s}, {k}) is not a link of this lattice")
+        assignments[idx] = (lattice._link_index[key], -1, 0)
+    return assignments
+
+
 def parity_transform(config, s0):
     """Point reflection about s0 combined with negation.
 
     Link (s, k) receives -l(2*s0 - s - e_k, k). On open lattices the source
     link must exist, otherwise an error is raised.
     """
-    lat = config.lattice
-    twice = _parity_center(lat, s0)
-    new = np.empty_like(config.values)
-    for idx, (s, k) in enumerate(lat.links):
-        src = twice - np.asarray(s, dtype=np.int64)
-        src[k] -= 1
-        if lat.boundary == "periodic":
-            src = src % np.asarray(lat.dims)
-        elif np.any(src < 0) or np.any(src >= np.asarray(lat.dims)):
-            raise HopquantError(
-                f"parity image of link ({s}, {k}) leaves the open lattice")
-        key = (tuple(int(c) for c in src), k)
-        if key not in lat._link_index:
-            raise HopquantError(f"parity image link {key} does not exist")
-        new[idx] = -config.values[lat._link_index[key]]
-    return LinkConfig(lat, new)
+    return _apply_link_map(config, _parity_link_map(config.lattice, s0))
 
 
 def wrap_plaquette(p, n):
@@ -303,13 +324,7 @@ def permutation_from_link_map(lattice, assignments):
 
 
 def gauge_permutation(lattice, g):
-    g = _gauge_array(lattice, g)
-    assignments = {}
-    for idx, (s, k) in enumerate(lattice.links):
-        head = lattice.shift_site(s, k)
-        delta = int(g[lattice.site_index(head)] - g[lattice.site_index(s)])
-        assignments[idx] = (idx, 1, delta)
-    return permutation_from_link_map(lattice, assignments)
+    return permutation_from_link_map(lattice, _gauge_link_map(lattice, g))
 
 
 def site_generator_permutations(lattice, sites=None):
@@ -324,25 +339,11 @@ def site_generator_permutations(lattice, sites=None):
 
 
 def charge_conjugation_permutation(lattice):
-    assignments = {idx: (idx, -1, 0) for idx in range(lattice.n_links)}
-    return permutation_from_link_map(lattice, assignments)
+    return permutation_from_link_map(lattice, _charge_link_map(lattice))
 
 
 def parity_permutation(lattice, s0):
-    twice = _parity_center(lattice, s0)
-    assignments = {}
-    for idx, (s, k) in enumerate(lattice.links):
-        src = twice - np.asarray(s, dtype=np.int64)
-        src[k] -= 1
-        if lattice.boundary == "periodic":
-            src = src % np.asarray(lattice.dims)
-        elif np.any(src < 0) or np.any(src >= np.asarray(lattice.dims)):
-            raise HopquantError("parity center incompatible with open lattice")
-        key = (tuple(int(c) for c in src), k)
-        if key not in lattice._link_index:
-            raise HopquantError(f"parity image link {key} does not exist")
-        assignments[idx] = (lattice._link_index[key], -1, 0)
-    return permutation_from_link_map(lattice, assignments)
+    return permutation_from_link_map(lattice, _parity_link_map(lattice, s0))
 
 
 def link_shift_permutation(lattice, direction, step=1):

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from hopquant import linop
 from hopquant.errors import HermiticityError
-from hopquant.linop import SparseHermitianOperator, eigs_extremal, matvec_partitioned, propagate
+from hopquant.linop import SparseHermitianOperator, eigs_extremal, propagate
 
 
 def random_hermitian(n, rng, density=0.1):
@@ -58,18 +58,23 @@ def test_propagate_eigenvector_phase():
     op = random_hermitian(24, rng)
     w, q = op.dense_eig()
     v = q[:, 3]
-    out = propagate(op, v, 1.7)
-    assert np.abs(out - np.exp(-1j * w[3] * 1.7) * v).max() < 1e-12
+    for method in ("dense", "krylov"):
+        out = propagate(op, v, 1.7, method=method)
+        assert np.abs(out - np.exp(-1j * w[3] * 1.7) * v).max() < 1e-12
 
 
 def test_propagate_matches_expm():
     rng = np.random.default_rng(7)
     op = random_hermitian(30, rng, density=0.3)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    expected = expm(-1j * 0.9 * op.to_dense()) @ v
-    for method in ("dense", "krylov"):
-        out = propagate(op, v, 0.9, method=method)
-        assert np.linalg.norm(out - expected) < 1e-10
+    # "auto" with a cutoff below the dimension takes the sparse path
+    methods = [dict(method="dense"), dict(method="krylov"),
+               dict(method="auto", dense_cutoff=10)]
+    for vec in (v, np.zeros(30)):
+        expected = expm(-1j * 0.9 * op.to_dense()) @ vec
+        for kwargs in methods:
+            out = propagate(op, vec, 0.9, **kwargs)
+            assert np.linalg.norm(out - expected) < 1e-10
 
 
 def test_propagate_unitary_and_semigroup():
@@ -88,9 +93,10 @@ def test_propagate_hbar_scaling():
     rng = np.random.default_rng(9)
     op = random_hermitian(16, rng)
     v = rng.standard_normal(16) + 0j
-    a = propagate(op, v, 1.0, hbar=2.0)
-    b = propagate(op, v, 0.5, hbar=1.0)
-    assert np.linalg.norm(a - b) < 1e-12
+    for method in ("dense", "krylov"):
+        a = propagate(op, v, 1.0, hbar=2.0, method=method)
+        b = propagate(op, v, 0.5, hbar=1.0, method=method)
+        assert np.linalg.norm(a - b) < 1e-12
 
 
 def test_eigs_circulant_closed_form():
@@ -131,12 +137,3 @@ def test_eigs_degenerate_pair_found():
     overlap = v.conj().T @ v
     assert np.abs(overlap - np.eye(2)).max() < 1e-10
 
-
-def test_partitioned_matvec_matches():
-    rng = np.random.default_rng(13)
-    op = random_hermitian(97, rng, density=0.2)
-    v = rng.standard_normal(97) + 1j * rng.standard_normal(97)
-    full = op.matvec(v)
-    for parts in (2, 3, 7):
-        split = matvec_partitioned(op, v, parts)
-        assert np.abs(split - full).max() < 1e-12 * max(1.0, np.abs(full).max())
