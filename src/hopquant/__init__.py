@@ -87,13 +87,11 @@ from .zn import (
     InvariantSubspace,
     LinkConfig,
     LinkLattice,
-    PlaquetteField,
     apply_gauge,
     charge_conjugate,
     flux_from_plaquette,
     parity_transform,
     plaquette,
-    plaquette_field,
     project_gauge_invariant,
     wrap_plaquette,
 )

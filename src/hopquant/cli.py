@@ -30,8 +30,6 @@ def _add_common(parser):
                         help="directory for report.json and CSV tables")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the [run] seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallel studies")
 
 
 def build_parser():
@@ -89,8 +87,7 @@ def main(argv=None):
             cfg.sections.setdefault("spectrum", {})["count"] = str(args.count)
             cfg.locations.setdefault("spectrum", {})
         name = _experiment_name(args, cfg)
-        report = run_experiment(name, cfg, seed=args.seed, tol=tol,
-                                threads=args.threads)
+        report = run_experiment(name, cfg, seed=args.seed, tol=tol)
     except ConfigError as exc:
         print(f"hopquant: config error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,6 +1,5 @@
 """Time evolution of lattice wavefunctions and continuum-limit studies."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,13 +189,13 @@ def _run_spacing(problem, a, hbar, charge, fine=None):
     return float(err)
 
 
-def convergence_study(problem, spacings, threads=1):
+def convergence_study(problem, spacings):
     """Errors against the reference over a ladder of spacings.
 
     The reference is the problem's analytic solution when given, otherwise a
     run at half the finest spacing restricted to the coarser grids (which
-    must then nest). Spacings run as independent jobs; non-monotone error
-    tables are flagged in the report rather than raised.
+    must then nest). Non-monotone error tables are flagged in the report
+    rather than raised.
     """
     spacings = sorted((float(a) for a in spacings), reverse=True)
     if len(spacings) < 3:
@@ -205,12 +204,7 @@ def convergence_study(problem, spacings, threads=1):
     fine = None
     if problem.reference is None:
         fine = _final_state(problem, spacings[-1] / 2.0, hbar, charge)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = list(pool.map(
-                lambda a: _run_spacing(problem, a, hbar, charge, fine), spacings))
-    else:
-        errors = [_run_spacing(problem, a, hbar, charge, fine) for a in spacings]
+    errors = [_run_spacing(problem, a, hbar, charge, fine) for a in spacings]
     order = fit_order(spacings, errors)
     monotone = all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     return ConvergenceReport(spacings=list(spacings), errors=errors, order=order,

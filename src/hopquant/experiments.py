@@ -159,7 +159,7 @@ def _site_rows(grid, fields):
 
 # --- particle experiments ----------------------------------------------------
 
-def run_particle_validate(cfg, seed, tol, threads):
+def run_particle_validate(cfg, seed, tol):
     cfg.validate_schema({"grid": _GRID_KEYS, "kernel": _KERNEL_KEYS,
                          "run": _BASE_RUN_KEYS})
     rng = np.random.default_rng(seed)
@@ -184,7 +184,7 @@ def run_particle_validate(cfg, seed, tol, threads):
     return report
 
 
-def run_particle_extract(cfg, seed, tol, threads):
+def run_particle_extract(cfg, seed, tol):
     cfg.validate_schema({"grid": _GRID_KEYS, "kernel": _KERNEL_KEYS,
                          "run": _BASE_RUN_KEYS})
     rng = np.random.default_rng(seed)
@@ -210,7 +210,7 @@ def run_particle_extract(cfg, seed, tol, threads):
     return report
 
 
-def run_particle_evolve(cfg, seed, tol, threads):
+def run_particle_evolve(cfg, seed, tol):
     cfg.validate_schema({"grid": _GRID_KEYS, "kernel": _KERNEL_KEYS,
                          "state": _STATE_KEYS, "run": _BASE_RUN_KEYS,
                          "evolve": {"dt", "steps", "drift_tol"}})
@@ -235,7 +235,7 @@ def run_particle_evolve(cfg, seed, tol, threads):
     return report
 
 
-def run_particle_converge(cfg, seed, tol, threads):
+def run_particle_converge(cfg, seed, tol):
     cfg.validate_schema({
         "run": _BASE_RUN_KEYS,
         "converge": {"problem", "spacings", "duration", "domain", "x0", "sigma",
@@ -265,7 +265,7 @@ def run_particle_converge(cfg, seed, tol, threads):
             duration=cfg.getfloat("converge", "duration", default=2.0),
             sigma=cfg.getfloat("converge", "sigma", default=1.0))
     min_order = cfg.getfloat("converge", "min_order", default=1.0)
-    study = convergence_study(problem, spacings, threads=threads)
+    study = convergence_study(problem, spacings)
     report = Report("particle-converge", seed, cfg.resolved())
     report.results["order"] = study.order
     report.results["monotone"] = study.monotone
@@ -279,7 +279,7 @@ def run_particle_converge(cfg, seed, tol, threads):
 
 # --- gauge experiments -------------------------------------------------------
 
-def run_gauge_build(cfg, seed, tol, threads):
+def run_gauge_build(cfg, seed, tol):
     cfg.validate_schema({"gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS,
                          "run": _BASE_RUN_KEYS})
     lattice = _lattice_from_config(cfg)
@@ -297,7 +297,7 @@ def run_gauge_build(cfg, seed, tol, threads):
     return report
 
 
-def run_gauge_symcheck(cfg, seed, tol, threads):
+def run_gauge_symcheck(cfg, seed, tol):
     cfg.validate_schema({"gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS,
                          "run": _BASE_RUN_KEYS,
                          "symcheck": {"probes", "probe_tol"}})
@@ -320,7 +320,7 @@ def run_gauge_symcheck(cfg, seed, tol, threads):
     return report
 
 
-def run_gauge_spectrum(cfg, seed, tol, threads):
+def run_gauge_spectrum(cfg, seed, tol):
     cfg.validate_schema({"gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS,
                          "run": _BASE_RUN_KEYS, "spectrum": {"count"}})
     lattice = _lattice_from_config(cfg)
@@ -338,7 +338,7 @@ def run_gauge_spectrum(cfg, seed, tol, threads):
     return report
 
 
-def run_gauge_compare_ks(cfg, seed, tol, threads):
+def run_gauge_compare_ks(cfg, seed, tol):
     cfg.validate_schema({
         "gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS, "run": _BASE_RUN_KEYS,
         "compare": {"n_list", "count", "require_trend", "zero_magnetic_tol"},
@@ -377,7 +377,7 @@ def run_gauge_compare_ks(cfg, seed, tol, threads):
     return report
 
 
-def run_gauge_constants(cfg, seed, tol, threads):
+def run_gauge_constants(cfg, seed, tol):
     cfg.validate_schema({
         "gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS, "run": _BASE_RUN_KEYS,
         "constants": {"n", "spacing", "identity_tol"},
@@ -457,7 +457,7 @@ def bundled_config_names():
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
-def run_experiment(name, cfg, seed=None, tol=None, threads=1):
+def run_experiment(name, cfg, seed=None, tol=None):
     if name not in REGISTRY:
         raise ConfigError(f"unknown experiment {name!r}; "
                           f"known: {', '.join(sorted(REGISTRY))}")
@@ -466,4 +466,4 @@ def run_experiment(name, cfg, seed=None, tol=None, threads=1):
     if tol is None:
         tol = cfg.getfloat("run", "tolerance", default=DEFAULT_TOL)
     fn, _ = REGISTRY[name]
-    return fn(cfg, seed, tol, threads)
+    return fn(cfg, seed, tol)

@@ -101,11 +101,14 @@ def _plaquette_values(lattice, digits):
     return vals
 
 
-def build_gauge_hamiltonian(lattice, spec, cap=DIMENSION_CAP, tol=1e-12):
-    """Assemble the strictly off-diagonal one-link-move Hamiltonian.
+def _assemble_link_moves(lattice, link_amplitudes, diagonal=None,
+                         cap=DIMENSION_CAP, tol=1e-12):
+    """Certified Hamiltonian of one-link moves plus an optional diagonal.
 
-    Raises ``HermiticityError`` ("spec violates unitary hopping") when the
-    supplied amplitude pair is not Hermitian-compatible.
+    ``link_amplitudes(l_idx, digits, plaq)`` gives the (raise, lower) pair of
+    link ``l_idx`` for every configuration, as arrays or scalars;
+    ``diagonal(plaq)`` gives the diagonal. ``digits`` and ``plaq`` hold the
+    link and plaquette values of every basis configuration.
     """
     dim = lattice.hilbert_dim
     if dim > cap:
@@ -116,32 +119,44 @@ def build_gauge_hamiltonian(lattice, spec, cap=DIMENSION_CAP, tol=1e-12):
     plaq = _plaquette_values(lattice, digits)
     idx = np.arange(dim, dtype=np.int64)
     rows, cols, data = [], [], []
+    if diagonal is not None:
+        rows.append(idx)
+        cols.append(idx)
+        data.append(diagonal(plaq))
     for l_idx in range(lattice.n_links):
+        d = digits[l_idx]
+        weight = n ** l_idx
+        for step, amp in zip((+1, -1), link_amplitudes(l_idx, digits, plaq)):
+            rows.append(idx)
+            cols.append(idx + (((d + step) % n) - d) * weight)
+            data.append(np.broadcast_to(np.asarray(amp), (dim,)))
+    data = np.concatenate(data)
+    if np.isrealobj(data) or np.abs(data.imag).max() == 0.0:
+        data = data.real.astype(float, copy=False)
+    mat = sp.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(dim, dim))
+    return SparseHermitianOperator(mat, check=True, tol=tol)
+
+
+def build_gauge_hamiltonian(lattice, spec, cap=DIMENSION_CAP, tol=1e-12):
+    """Assemble the strictly off-diagonal one-link-move Hamiltonian.
+
+    Raises ``HermiticityError`` ("spec violates unitary hopping") when the
+    supplied amplitude pair is not Hermitian-compatible.
+    """
+    def link_amplitudes(l_idx, digits, plaq):
         adj = lattice.link_adjacency(l_idx)
         if adj:
             pv = np.stack([plaq[p] for p, _ in adj]).astype(float)
             signs = np.array([sg for _, sg in adj], dtype=float)
         else:
-            pv = np.zeros((0, dim))
+            pv = np.zeros((0, lattice.hilbert_dim))
             signs = np.zeros(0)
-        up, down = spec.amplitudes(lattice, l_idx, pv, signs,
-                                   link_values=digits[l_idx])
-        up = np.broadcast_to(np.asarray(up), (dim,))
-        down = np.broadcast_to(np.asarray(down), (dim,))
-        d = digits[l_idx]
-        weight = n ** l_idx
-        col_up = idx + (((d + 1) % n) - d) * weight
-        col_down = idx + (((d - 1) % n) - d) * weight
-        rows.extend([idx, idx])
-        cols.extend([col_up, col_down])
-        data.extend([up, down])
-    data = np.concatenate(data)
-    if np.isrealobj(data) or np.abs(data.imag).max() == 0.0:
-        data = data.real.astype(float)
-    mat = sp.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(dim, dim))
+        return spec.amplitudes(lattice, l_idx, pv, signs,
+                               link_values=digits[l_idx])
+
     try:
-        return SparseHermitianOperator(mat, check=True, tol=tol)
+        return _assemble_link_moves(lattice, link_amplitudes, cap=cap, tol=tol)
     except HermiticityError as exc:
         raise HermiticityError(
             f"spec violates unitary hopping: {exc}", defect=exc.defect) from exc
@@ -154,33 +169,15 @@ def reference_ks_hamiltonian(lattice, electric, magnetic, cap=DIMENSION_CAP,
     H = electric * sum_links (2 - raise - lower)
       + magnetic * sum_plaquettes (1 - cos(2 pi p / N)).
     """
-    dim = lattice.hilbert_dim
-    if dim > cap:
-        raise HilbertDimensionError(
-            f"configuration space of dimension {dim} exceeds cap {cap}")
-    n = lattice.n
-    digits = _config_digits(lattice)
-    plaq = _plaquette_values(lattice, digits)
-    idx = np.arange(dim, dtype=np.int64)
-    rows, cols, data = [], [], []
-    diag = np.full(dim, 2.0 * electric * lattice.n_links)
-    for p in plaq:
-        diag = diag + magnetic * 2.0 * np.sin(np.pi * p / n) ** 2
-    rows.append(idx)
-    cols.append(idx)
-    data.append(diag)
-    hop = np.full(dim, -electric)
-    for l_idx in range(lattice.n_links):
-        d = digits[l_idx]
-        weight = n ** l_idx
-        for step in (+1, -1):
-            rows.append(idx)
-            cols.append(idx + (((d + step) % n) - d) * weight)
-            data.append(hop)
-    mat = sp.coo_matrix((np.concatenate(data),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(dim, dim))
-    return SparseHermitianOperator(mat, check=True, tol=tol)
+    def diagonal(plaq):
+        diag = np.full(lattice.hilbert_dim, 2.0 * electric * lattice.n_links)
+        for p in plaq:
+            diag = diag + magnetic * 2.0 * np.sin(np.pi * p / lattice.n) ** 2
+        return diag
+
+    return _assemble_link_moves(
+        lattice, lambda l_idx, digits, plaq: (-electric, -electric),
+        diagonal=diagonal, cap=cap, tol=tol)
 
 
 # --- symmetry checks ---------------------------------------------------------
@@ -223,7 +220,7 @@ def allowed_parity_centers(lattice):
     for twice in product(*(range(2 * L) for L in lattice.dims)):
         s0 = tuple(c / 2.0 for c in twice)
         try:
-            zn.parity_permutation(lattice, s0)
+            zn._parity_link_map(lattice, s0)
         except HopquantError:
             continue
         centers.append(s0)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import HopquantError
 
@@ -156,9 +157,6 @@ class LinkConfig:
             idx = idx * self.lattice.n + int(v)
         return idx
 
-    def get(self, s, k):
-        return int(self.values[self.lattice.link_index(s, k)])
-
     def __eq__(self, other):
         return (isinstance(other, LinkConfig)
                 and self.lattice is other.lattice
@@ -174,28 +172,6 @@ def plaquette(config, s, i, k):
     total = sum(sign * config.values[l_idx]
                 for l_idx, sign in lat.plaquette_links(s, i, k))
     return int(total) % lat.n
-
-
-@dataclass
-class PlaquetteField:
-    """All plaquette values of one configuration, stored mod N."""
-
-    lattice: LinkLattice
-    values: np.ndarray
-
-    def wrapped(self):
-        return wrap_plaquette(self.values, self.lattice.n)
-
-    def flux(self, hbar=1.0, charge=1.0):
-        return flux_from_plaquette(self.values, self.lattice.n,
-                                   self.lattice.spacing, hbar=hbar, charge=charge)
-
-
-def plaquette_field(config):
-    lat = config.lattice
-    vals = np.array([plaquette(config, s, i, k) for s, i, k in lat.plaquettes],
-                    dtype=np.int64)
-    return PlaquetteField(lattice=lat, values=vals)
 
 
 # --- symmetries as link maps ------------------------------------------------
@@ -398,24 +374,10 @@ def project_gauge_invariant(lattice, sites=None):
                                  labels=np.arange(dim, dtype=np.int64),
                                  orbit_sizes=np.ones(dim, dtype=np.int64))
     gens = site_generator_permutations(lattice, sites)
-    rep = np.arange(dim, dtype=np.int64)
-    # orbit minimum as fixed point of rep[i] <- min(rep[i], rep[sigma(i)])
-    changed = True
-    while changed:
-        changed = False
-        for sigma in gens:
-            inv = np.empty_like(sigma)
-            inv[sigma] = np.arange(dim)
-            for perm in (sigma, inv):
-                new = np.minimum(rep, rep[perm])
-                if not np.array_equal(new, rep):
-                    rep = new
-                    changed = True
-        # propagate within chains: rep of rep
-        new = rep[rep]
-        if not np.array_equal(new, rep):
-            rep = new
-            changed = True
-    reps, labels, counts = np.unique(rep, return_inverse=True, return_counts=True)
-    return InvariantSubspace(dimension=reps.size, labels=labels,
-                             orbit_sizes=counts)
+    # orbits are the connected components of the graph joining j to sigma(j)
+    rows = np.tile(np.arange(dim, dtype=np.int64), len(gens))
+    graph = sp.coo_matrix((np.ones(rows.size, dtype=np.int8),
+                           (rows, np.concatenate(gens))), shape=(dim, dim))
+    count, labels = connected_components(graph, directed=False)
+    return InvariantSubspace(dimension=count, labels=labels.astype(np.int64),
+                             orbit_sizes=np.bincount(labels))

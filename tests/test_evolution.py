@@ -255,13 +255,6 @@ def test_convergence_harmonic_coherent_period():
     assert study.order > 1.8
 
 
-def test_convergence_runs_parallel_jobs():
-    study1 = convergence_study(free_gaussian_problem(), [0.2, 0.1, 0.05])
-    study2 = convergence_study(free_gaussian_problem(), [0.2, 0.1, 0.05],
-                               threads=3)
-    assert np.allclose(study1.errors, study2.errors, rtol=1e-12)
-
-
 def test_convergence_fine_grid_reference():
     from dataclasses import replace
 

@@ -155,6 +155,41 @@ def test_open_cube_symmetries():
     assert report.parity <= 1e-12
 
 
+def _link_move_oracle(lat, electric, magnetic):
+    """Dense hopping and reference Hamiltonians, one configuration at a time."""
+    n, dim = lat.n, lat.hilbert_dim
+    hop = np.zeros((dim, dim))
+    ref = np.zeros((dim, dim))
+    for j in range(dim):
+        config = zn.LinkConfig.from_index(lat, j)
+        pvals = [zn.plaquette(config, *pl) for pl in lat.plaquettes]
+        ref[j, j] = 2.0 * electric * lat.n_links + magnetic * sum(
+            1.0 - np.cos(2.0 * np.pi * p / n) for p in pvals)
+        for l_idx in range(lat.n_links):
+            for step in (+1, -1):
+                values = config.values.copy()
+                values[l_idx] += step
+                target = zn.LinkConfig(lat, values).index
+                # adjacent plaquettes halfway along the move
+                mid = [pvals[p] + 0.5 * step * sign
+                       for p, sign in lat.link_adjacency(l_idx)]
+                hop[j, target] += -electric + magnetic / 8.0 * sum(
+                    1.0 - np.cos(2.0 * np.pi * m / n) for m in mid)
+                ref[j, target] += -electric
+    return hop, ref
+
+
+def test_link_move_builders_match_configuration_oracle():
+    # at N=2 raise and lower reach the same configuration and must add up
+    for lat in (single_link(2), single_plaquette(2), single_plaquette(3),
+                LinkLattice((2, 2), 2, boundary="periodic")):
+        hop, ref = _link_move_oracle(lat, 1.3, 0.8)
+        op_hop = build_gauge_hamiltonian(lat, MaxwellPreset(1.3, 0.8))
+        op_ref = reference_ks_hamiltonian(lat, 1.3, 0.8)
+        assert np.abs(op_hop.to_dense() - hop).max() <= 1e-12
+        assert np.abs(op_ref.to_dense() - ref).max() <= 1e-12
+
+
 # --- symmetries -------------------------------------------------------------------
 
 def test_maxwell_preset_commutes_with_everything():

@@ -11,7 +11,6 @@ from hopquant import (
     flux_from_plaquette,
     parity_transform,
     plaquette,
-    plaquette_field,
     project_gauge_invariant,
     wrap_plaquette,
 )
