@@ -276,12 +276,19 @@ def flux_from_plaquette(p, n, spacing, hbar=1.0, charge=1.0):
 
 # --- permutation representations over the full configuration basis ---------
 
-def _digit(lattice, link_idx, indices):
-    return (indices // lattice.n ** link_idx) % lattice.n
+def _basis_grid_shape(lattice):
+    """The basis as a C-ordered grid: link k is axis ``n_links - 1 - k``.
+
+    Raveling the grid gives the little-endian index sum_k value_k * N**k.
+    """
+    return (lattice.n,) * lattice.n_links
 
 
-def _link_weight(lattice, link_idx):
-    return lattice.n ** link_idx
+def _along_link(lattice, link_idx, table):
+    """``table[value of link link_idx]`` broadcastable over the basis grid."""
+    shape = [1] * lattice.n_links
+    shape[lattice.n_links - 1 - link_idx] = lattice.n
+    return np.reshape(table, shape)
 
 
 def permutation_from_link_map(lattice, assignments):
@@ -290,13 +297,12 @@ def permutation_from_link_map(lattice, assignments):
     ``assignments`` maps each destination link index to (source link index,
     sign, shift): new value = sign * old[source] + shift mod N.
     """
-    dim = lattice.hilbert_dim
-    idx = np.arange(dim, dtype=np.int64)
-    sigma = np.zeros(dim, dtype=np.int64)
+    n = lattice.n
+    values = np.arange(n, dtype=np.int64)
+    sigma = np.zeros(_basis_grid_shape(lattice), dtype=np.int64)
     for dest, (src, sign, shift) in assignments.items():
-        d = _digit(lattice, src, idx)
-        sigma += ((sign * d + shift) % lattice.n) * _link_weight(lattice, dest)
-    return sigma
+        sigma += _along_link(lattice, src, ((sign * values + shift) % n) * n ** dest)
+    return sigma.reshape(-1)
 
 
 def gauge_permutation(lattice, g):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hopquant import (
     CallableResponseSpec,
     LinkLattice,
     MaxwellPreset,
+    SparseHermitianOperator,
     build_gauge_hamiltonian,
     compare_to_reference,
     extract_continuum_constants,
@@ -242,6 +244,46 @@ def test_projected_sector_invariant_under_hamiltonian():
     inside = basis @ (basis.T @ hb)
     leak = (hb - inside).tocoo()
     assert (np.abs(leak.data).max() if leak.nnz else 0.0) <= 1e-12
+
+
+def test_exact_commutator_matches_dense_oracle():
+    # a non-involutive sigma tells P from P^T, which C and P generators cannot
+    rng = np.random.default_rng(12)
+    dim, nnz = 200, 2000
+    sigma = rng.permutation(dim)
+    assert not np.array_equal(sigma[sigma], np.arange(dim))
+    perm = np.zeros((dim, dim))
+    perm[sigma, np.arange(dim)] = 1.0
+    data = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    h = sp.csr_matrix((data, (rng.integers(0, dim, nnz), rng.integers(0, dim, nnz))),
+                      shape=(dim, dim))
+    op = SparseHermitianOperator(h, check=False)
+    dense = h.toarray()
+    expected = np.abs(dense @ perm - perm @ dense).max()
+    assert expected > 1e-3
+    assert abs(commutator_norm(op, sigma) - expected) <= 1e-14
+    # constant on the cycles of sigma plus a multiple of P: commutes exactly
+    labels = np.arange(dim)
+    for _ in range(dim):
+        labels = np.minimum(labels, labels[sigma])
+    diag = rng.standard_normal(dim)[labels]
+    dense = np.diag(diag) + (0.3 - 0.7j) * perm
+    op = SparseHermitianOperator(sp.csr_matrix(dense), check=False)
+    assert np.abs(dense @ perm - perm @ dense).max() == 0.0
+    assert commutator_norm(op, sigma) == 0.0
+
+
+def test_commutator_rejects_non_permutation():
+    lat = single_plaquette(2)
+    op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    dim = lat.hilbert_dim
+    repeated = np.arange(dim)
+    repeated[1] = 0
+    for sigma in (np.arange(dim - 1), repeated, np.arange(dim) + 1,
+                  np.arange(dim, dtype=float)):
+        for probes in (0, 2):
+            with pytest.raises(ValueError, match="not a permutation"):
+                commutator_norm(op, sigma, probes=probes)
 
 
 def test_spectrum_invariant_under_global_direction_shift():

@@ -16,6 +16,7 @@ from hopquant import (
 )
 from hopquant import zn
 from hopquant.errors import HopquantError
+from hopquant.gauge_ham import allowed_parity_centers
 
 
 def single_plaquette(n=3):
@@ -246,6 +247,29 @@ def test_permutations_agree_with_config_transforms():
             if k == 1:
                 shifted[l_idx] += 1
         assert sigma_s[index] == LinkConfig(lat, shifted).index
+
+
+@pytest.mark.parametrize("dims, n, boundary", [((2, 2, 2), 2, "open"),
+                                               ((3, 2), 3, "periodic")])
+def test_permutations_agree_with_config_transforms_off_square(dims, n, boundary):
+    # unequal extents and 3D keep a wrong link-to-axis order from cancelling
+    lat = LinkLattice(dims, n, boundary=boundary)
+    rng = np.random.default_rng(46)
+    g = {s: int(rng.integers(0, n)) for s in lat.sites}
+    centers = allowed_parity_centers(lat)
+    assert centers
+    raised = lat.n_links - 2
+    checks = [(zn.gauge_permutation(lat, g), lambda c: apply_gauge(c, g)),
+              (zn.single_link_raise_permutation(lat, raised, step=2),
+               lambda c: LinkConfig(lat, c.values + 2 * (np.arange(lat.n_links) == raised)))]
+    checks += [(zn.parity_permutation(lat, s0), lambda c, s0=s0: parity_transform(c, s0))
+                for s0 in centers]
+    indices = np.concatenate([[0, lat.hilbert_dim - 1],
+                              rng.integers(0, lat.hilbert_dim, size=40)])
+    for sigma, transform in checks:
+        for index in indices:
+            config = LinkConfig.from_index(lat, int(index))
+            assert sigma[index] == transform(config).index
 
 
 def test_projection_no_sites_is_full_space():
