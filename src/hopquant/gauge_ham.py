@@ -7,6 +7,7 @@ evaluating it halfway between the two configurations an elementary move
 connects, which preserves charge conjugation and parity exactly.
 """
 
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -26,6 +27,11 @@ from .evolution import fit_order
 from .linop import SparseHermitianOperator
 
 DIMENSION_CAP = 2 ** 24
+# Peak memory of one link-move assembly beyond the CSR it returns, per basis
+# state: plaquette and link values, amplitudes and the spec's temporaries.
+# tracemalloc measured 48-89 bytes for the Maxwell preset on 2D and 3D
+# lattices from a single link to 2x2 periodic N=5 and 3x3 periodic N=2.
+ASSEMBLY_BYTES_PER_STATE = 96
 
 
 class GaugeHoppingSpec:
@@ -85,63 +91,138 @@ class CallableResponseSpec(GaugeHoppingSpec):
         return self.fn(np.asarray(pvals, dtype=float), n)
 
 
-def _config_digits(lattice):
-    # Adding onto a zero grid frees one dim-length temporary per link; the
-    # first such free lifts glibc's dynamic mmap threshold, so later
-    # dim-length arrays reuse heap pages. Copying a broadcast view frees
-    # nothing and raised the peak RSS of a build and then a reference build
-    # (2x2 periodic, N=5) from 573 to 591 MiB.
-    grid = zn._basis_grid_shape(lattice)
-    values = np.arange(lattice.n, dtype=np.int64)
-    return [(np.zeros(grid, dtype=np.int64) + zn._along_link(lattice, k, values)).reshape(-1)
-            for k in range(lattice.n_links)]
+def _physical_memory_bytes():
+    """Installed memory as reported by ``os.sysconf``; None where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
-def _plaquette_values(lattice, digits):
+def _link_digits(lattice, l_idx):
+    """The value of link ``l_idx`` in every basis configuration."""
+    along = zn._along_link(lattice, l_idx, np.arange(lattice.n, dtype=np.int64))
+    return np.broadcast_to(along, zn._basis_grid_shape(lattice)).reshape(-1)
+
+
+def _plaquette_values(lattice):
+    """Every plaquette's value in every basis configuration, in [0, N).
+
+    Each of the four link terms is reduced mod N first, so their sum fits
+    the smallest unsigned type holding 4 (N - 1). Cast to float before any
+    float arithmetic: numpy 1.x would compute uint8 * float in float16.
+    """
+    n = lattice.n
+    dtype = np.min_scalar_type(4 * (n - 1))
     vals = []
     for s, i, k in lattice.plaquettes:
-        total = np.zeros(lattice.hilbert_dim, dtype=np.int64)
+        total = np.zeros(zn._basis_grid_shape(lattice), dtype=dtype)
         for l_idx, sign in lattice.plaquette_links(s, i, k):
-            total = total + sign * digits[l_idx]
-        vals.append(np.mod(total, lattice.n))
+            table = (sign * np.arange(n)) % n
+            total += zn._along_link(lattice, l_idx, table.astype(dtype))
+        vals.append(np.mod(total, dtype.type(n), out=total).reshape(-1))
     return vals
+
+
+def _amplitude(amp, dim):
+    amp = np.asarray(amp)
+    return np.broadcast_to(amp.astype(np.result_type(amp, float), copy=False), (dim,))
+
+
+def _widen(data, *amps):
+    """``data`` as complex once an amplitude has a nonzero imaginary part."""
+    if not np.iscomplexobj(data) and any(
+            np.iscomplexobj(amp) and np.any(amp.imag) for amp in amps):
+        return data.astype(complex)
+    return data
+
+
+def _store(data, j, amp):
+    data[:, j] = amp if np.iscomplexobj(data) else np.real(amp)
 
 
 def _assemble_link_moves(lattice, link_amplitudes, diagonal=None,
                          cap=DIMENSION_CAP, tol=1e-12):
     """Certified Hamiltonian of one-link moves plus an optional diagonal.
 
-    ``link_amplitudes(l_idx, digits, plaq)`` gives the (raise, lower) pair of
-    link ``l_idx`` for every configuration, as arrays or scalars;
-    ``diagonal(plaq)`` gives the diagonal. ``digits`` and ``plaq`` hold the
-    link and plaquette values of every basis configuration.
+    ``link_amplitudes(l_idx, link_values, plaq)`` gives the (raise, lower)
+    pair of link ``l_idx`` for every configuration, as arrays or scalars;
+    ``diagonal(plaq)`` gives the diagonal. ``link_values`` holds the value of
+    that link and ``plaq`` the plaquette values in every basis configuration.
+
+    Every row holds m entries at computable columns: a raise and a lower per
+    link (at N=2 both reach the same configuration and are summed into one
+    entry), plus the diagonal. They are written straight into the CSR arrays.
+    No two moves from one configuration share a column, and lowering undoes
+    raising, so max|H - H^H| is the largest |raise(c) - conj(lower(c + e_l))|
+    over configurations and links, or |d - conj(d)| on the diagonal.
+
+    Raises ``HilbertDimensionError``, before allocating anything of the
+    basis size, when the dimension exceeds ``cap`` or when the estimated
+    peak (the CSR of real amplitudes plus ``ASSEMBLY_BYTES_PER_STATE`` per
+    basis state) exceeds the installed physical memory.
     """
     dim = lattice.hilbert_dim
     if dim > cap:
         raise HilbertDimensionError(
             f"configuration space of dimension {dim} exceeds cap {cap}")
     n = lattice.n
-    digits = _config_digits(lattice)
-    plaq = _plaquette_values(lattice, digits)
-    idx = np.arange(dim, dtype=np.int64)
-    rows, cols, data = [], [], []
+    steps = (+1,) if n == 2 else (+1, -1)
+    m = len(steps) * lattice.n_links + (diagonal is not None)
+    nnz = dim * m
+    index_dtype = np.dtype(np.int32 if nnz <= np.iinfo(np.int32).max else np.int64)
+    estimate = (nnz * (index_dtype.itemsize + 8) + (dim + 1) * index_dtype.itemsize
+                + ASSEMBLY_BYTES_PER_STATE * dim)
+    memory = _physical_memory_bytes()
+    if memory is not None and estimate > memory:
+        raise HilbertDimensionError(
+            f"assembling dimension {dim} needs about {estimate / 2 ** 30:.2f} GiB, "
+            f"more than the {memory / 2 ** 30:.2f} GiB of physical memory")
+
+    grid = zn._basis_grid_shape(lattice)
+    plaq = _plaquette_values(lattice)
+    index = np.arange(dim, dtype=index_dtype).reshape(grid)
+    cols = np.empty((dim, m), dtype=index_dtype)
+    col_grid = cols.reshape(grid + (m,))
+    data = np.empty((dim, m))
+    defect = 0.0
+    j = 0
     if diagonal is not None:
-        rows.append(idx)
-        cols.append(idx)
-        data.append(diagonal(plaq))
+        diag = _amplitude(diagonal(plaq), dim)
+        col_grid[..., j] = index
+        data = _widen(data, diag)
+        _store(data, j, diag)
+        defect = float(np.abs(diag - np.conj(diag)).max())
+        j += 1
+    values = np.arange(n)
     for l_idx in range(lattice.n_links):
-        d = digits[l_idx]
-        weight = n ** l_idx
-        for step, amp in zip((+1, -1), link_amplitudes(l_idx, digits, plaq)):
-            rows.append(idx)
-            cols.append(idx + (((d + step) % n) - d) * weight)
-            data.append(np.broadcast_to(np.asarray(amp), (dim,)))
-    data = np.concatenate(data)
-    if np.isrealobj(data) or np.abs(data.imag).max() == 0.0:
-        data = data.real.astype(float, copy=False)
-    mat = sp.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(dim, dim))
-    return SparseHermitianOperator(mat, check=True, tol=tol)
+        up, down = (_amplitude(amp, dim) for amp in link_amplitudes(
+            l_idx, _link_digits(lattice, l_idx), plaq))
+        for k, step in enumerate(steps):
+            shift = (((values + step) % n) - values) * n ** l_idx
+            np.add(index, zn._along_link(lattice, l_idx, shift.astype(index_dtype)),
+                   out=col_grid[..., j + k])
+        raised = cols[:, j]
+        data = _widen(data, up, down)
+        if n == 2:
+            up = down = up + down
+        else:
+            _store(data, j + 1, down)
+        _store(data, j, up)
+        # H[c, raised[c]] = up[c] and H[raised[c], c] = down[raised[c]]
+        defect = max(defect, float(np.abs(up - np.conj(down[raised])).max()))
+        j += len(steps)
+
+    chunk = max(1, 2 ** 18 // m)  # rows sorted at a time, bounding the argsort buffer
+    for start in range(0, dim, chunk):
+        rows = slice(start, start + chunk)
+        order = np.argsort(cols[rows], axis=1)
+        cols[rows] = np.take_along_axis(cols[rows], order, axis=1)
+        data[rows] = np.take_along_axis(data[rows], order, axis=1)
+    indptr = np.arange(0, nnz + 1, m, dtype=index_dtype)
+    mat = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
+    mat.has_canonical_format = True
+    return SparseHermitianOperator._certified(mat, defect, tol)
 
 
 def build_gauge_hamiltonian(lattice, spec, cap=DIMENSION_CAP, tol=1e-12):
@@ -150,7 +231,7 @@ def build_gauge_hamiltonian(lattice, spec, cap=DIMENSION_CAP, tol=1e-12):
     Raises ``HermiticityError`` ("spec violates unitary hopping") when the
     supplied amplitude pair is not Hermitian-compatible.
     """
-    def link_amplitudes(l_idx, digits, plaq):
+    def link_amplitudes(l_idx, link_values, plaq):
         adj = lattice.link_adjacency(l_idx)
         if adj:
             pv = np.stack([plaq[p] for p, _ in adj]).astype(float)
@@ -158,8 +239,7 @@ def build_gauge_hamiltonian(lattice, spec, cap=DIMENSION_CAP, tol=1e-12):
         else:
             pv = np.zeros((0, lattice.hilbert_dim))
             signs = np.zeros(0)
-        return spec.amplitudes(lattice, l_idx, pv, signs,
-                               link_values=digits[l_idx])
+        return spec.amplitudes(lattice, l_idx, pv, signs, link_values=link_values)
 
     try:
         return _assemble_link_moves(lattice, link_amplitudes, cap=cap, tol=tol)
@@ -178,11 +258,11 @@ def reference_ks_hamiltonian(lattice, electric, magnetic, cap=DIMENSION_CAP,
     def diagonal(plaq):
         diag = np.full(lattice.hilbert_dim, 2.0 * electric * lattice.n_links)
         for p in plaq:
-            diag = diag + magnetic * 2.0 * np.sin(np.pi * p / lattice.n) ** 2
+            diag = diag + magnetic * 2.0 * np.sin(np.pi * p.astype(float) / lattice.n) ** 2
         return diag
 
     return _assemble_link_moves(
-        lattice, lambda l_idx, digits, plaq: (-electric, -electric),
+        lattice, lambda l_idx, link_values, plaq: (-electric, -electric),
         diagonal=diagonal, cap=cap, tol=tol)
 
 
@@ -209,7 +289,9 @@ def commutator_norm(op, sigma, probes=0, rng=None):
     H P - P H with their columns permuted, so it equals the max-norm of the
     commutator. Row i of P H P^T is row sigma^-1(i) of H with every column
     index c relabelled to sigma(c), so it takes one row gather and no
-    transpose.
+    transpose. The probe path applies the commutator to ``probes`` random
+    complex unit vectors as one block and returns the largest entry of the
+    results; a real H multiplies their real and imaginary parts separately.
     """
     h = op.matrix
     sigma = _require_permutation(sigma, op.dimension)
@@ -221,13 +303,20 @@ def commutator_norm(op, sigma, probes=0, rng=None):
         delta = sp.csr_matrix((rows.data, cols, rows.indptr), shape=h.shape) - h
         return float(np.abs(delta.data).max()) if delta.nnz else 0.0
     rng = rng or np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(probes):
+    block = np.empty((op.dimension, probes), dtype=complex)
+    for k in range(probes):
         v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
-        v /= np.linalg.norm(v)
-        r = h @ v[inv] - (h @ v)[inv]
-        worst = max(worst, float(np.abs(r).max()))
-    return worst
+        block[:, k] = v / np.linalg.norm(v)
+
+    def residual(x):
+        return h @ x[inv] - (h @ x)[inv]
+
+    if np.iscomplexobj(h.data):
+        r = residual(block)
+    else:
+        # the same products as with H upcast to complex, without that copy
+        r = residual(block.real.copy()) + 1j * residual(block.imag.copy())
+    return float(np.abs(r).max())
 
 
 def _require_permutation(sigma, dim):

@@ -32,6 +32,14 @@ class SparseHermitianOperator:
         if check:
             self.require_hermitian(tol)
 
+    @classmethod
+    def _certified(cls, matrix, defect, tol=HERMITICITY_TOL):
+        """Wrap a square CSR whose defect max|H - H^H| its builder measured."""
+        op = cls.__new__(cls)
+        op.matrix, op.hermiticity_defect, op._eig = matrix, defect, None
+        op.require_hermitian(tol)
+        return op
+
     @property
     def dimension(self):
         return self.matrix.shape[0]

@@ -1,5 +1,7 @@
 """Link-field Hamiltonians: build, symmetries, spectra, constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,7 +20,7 @@ from hopquant import (
     symmetry_commutator_norms,
     taylor_consistency_check,
 )
-from hopquant import zn
+from hopquant import gauge_ham, zn
 from hopquant.errors import (
     ChargeConjugationError,
     GroundStateSignError,
@@ -77,6 +79,20 @@ class UnpairedSpec(GaugeHoppingSpec):
     def amplitudes(self, lattice, link_idx, pvals, shift_signs, link_values=None):
         dim = pvals.shape[1] if pvals.ndim == 2 else 1
         return np.full(dim, 1.0), np.full(dim, 2.0)
+
+
+class PhaseSpec(GaugeHoppingSpec):
+    """Complex per-link phases on a link-value bias; ``skew`` unpairs them."""
+
+    def __init__(self, skew=0.0):
+        self.skew = skew
+
+    def amplitudes(self, lattice, link_idx, pvals, shift_signs, link_values=None):
+        d = np.asarray(link_values, dtype=float)
+        phase = np.exp(0.3j * (link_idx + 1))
+        up = -phase * (1.0 + 0.1 * np.cos(2 * np.pi * (d + 0.5) / lattice.n))
+        down = -np.conj(phase) * (1.0 + 0.1 * np.cos(2 * np.pi * (d - 0.5) / lattice.n))
+        return up, down * (1.0 + self.skew * 1j)
 
 
 # --- construction ---------------------------------------------------------------
@@ -192,6 +208,122 @@ def test_link_move_builders_match_configuration_oracle():
         assert np.abs(op_ref.to_dense() - ref).max() <= 1e-12
 
 
+def _coo_oracle(lat, link_amplitudes, diagonal=None):
+    """Link-move Hamiltonian from COO triplets, one dim-length block per move."""
+    n, dim = lat.n, lat.hilbert_dim
+    idx = np.arange(dim, dtype=np.int64)
+    digits = [(idx // n ** l_idx) % n for l_idx in range(lat.n_links)]
+    plaq = [np.mod(sum(sign * digits[l_idx] for l_idx, sign in lat.plaquette_links(*pl)), n)
+            for pl in lat.plaquettes]
+    rows, cols, data = [], [], []
+    if diagonal is not None:
+        rows.append(idx)
+        cols.append(idx)
+        data.append(diagonal(plaq))
+    for l_idx in range(lat.n_links):
+        d = digits[l_idx]
+        for step, amp in zip((+1, -1), link_amplitudes(l_idx, d, plaq)):
+            rows.append(idx)
+            cols.append(idx + (((d + step) % n) - d) * n ** l_idx)
+            data.append(np.broadcast_to(np.asarray(amp), (dim,)))
+    data = np.concatenate(data)
+    if np.isrealobj(data) or np.abs(data.imag).max() == 0.0:
+        data = data.real.astype(float)
+    return sp.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dim, dim)).tocsr()
+
+
+def _spec_oracle(lat, spec):
+    def link_amplitudes(l_idx, d, plaq):
+        adj = lat.link_adjacency(l_idx)
+        pv = (np.stack([plaq[p] for p, _ in adj]).astype(float) if adj
+              else np.zeros((0, lat.hilbert_dim)))
+        signs = np.array([sg for _, sg in adj], dtype=float)
+        return spec.amplitudes(lat, l_idx, pv, signs, link_values=d)
+    return _coo_oracle(lat, link_amplitudes)
+
+
+def _reference_oracle(lat, electric, magnetic):
+    def diagonal(plaq):
+        diag = np.full(lat.hilbert_dim, 2.0 * electric * lat.n_links)
+        for p in plaq:
+            diag = diag + magnetic * 2.0 * np.sin(np.pi * p / lat.n) ** 2
+        return diag
+    return _coo_oracle(lat, lambda l_idx, d, plaq: (-electric, -electric), diagonal)
+
+
+def _assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+ORACLE_LATTICES = [single_link(2), single_link(3), single_plaquette(2), single_plaquette(4),
+                   LinkLattice((2, 2), 2, boundary="periodic"),
+                   LinkLattice((2, 2), 3, boundary="periodic"),
+                   LinkLattice((2, 2, 2), 2, boundary="open")]
+
+
+def test_direct_csr_assembly_matches_coo_oracle():
+    # N=2 sums raise and lower into one entry; the single link is in no plaquette
+    specs = [MaxwellPreset(1.3, 0.8), LinkValueSpec(), PhaseSpec()]
+    for lat in ORACLE_LATTICES:
+        for spec in specs:
+            _assert_same_csr(build_gauge_hamiltonian(lat, spec).matrix,
+                             _spec_oracle(lat, spec))
+        _assert_same_csr(reference_ks_hamiltonian(lat, 1.3, 0.8).matrix,
+                         _reference_oracle(lat, 1.3, 0.8))
+
+
+def test_pairing_defect_equals_generic_defect():
+    # at N=2 the summed unpaired entries are Hermitian again
+    specs = [OddResponseSpec(electric=1.0, odd=0.2), LinkValueSpec(), SiteDependentSpec(),
+             PhaseSpec(), PhaseSpec(skew=1e-14), UnpairedSpec(), PhaseSpec(skew=1e-3)]
+    rejected = 0
+    for lat in ORACLE_LATTICES:
+        for spec in specs:
+            want = SparseHermitianOperator(_spec_oracle(lat, spec), check=False)
+            if want.hermiticity_defect <= 1e-12:
+                assert build_gauge_hamiltonian(lat, spec).hermiticity_defect \
+                    == want.hermiticity_defect
+                continue
+            with pytest.raises(HermiticityError, match="unitary hopping") as info:
+                build_gauge_hamiltonian(lat, spec)
+            assert info.value.defect == want.hermiticity_defect
+            rejected += 1
+    assert rejected >= len(ORACLE_LATTICES) + 3
+
+
+def test_oversize_assembly_fails_before_allocating(monkeypatch):
+    lat = LinkLattice((2, 2), 7, boundary="periodic")  # 7^8 = 5.8M, under the cap
+    assert lat.hilbert_dim < gauge_ham.DIMENSION_CAP
+    monkeypatch.setattr(gauge_ham, "_physical_memory_bytes", lambda: 2 ** 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HilbertDimensionError, match="GiB"):
+            build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+        with pytest.raises(HilbertDimensionError, match="GiB"):
+            reference_ks_hamiltonian(lat, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_assembly_peak_memory_bounded_by_csr():
+    lat = LinkLattice((2, 2), 4, boundary="periodic")
+    for build in (lambda: build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)),
+                  lambda: reference_ks_hamiltonian(lat, 1.0, 1.0)):
+        tracemalloc.start()
+        try:
+            op = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = op.matrix
+        assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
 # --- symmetries -------------------------------------------------------------------
 
 def test_maxwell_preset_commutes_with_everything():
@@ -209,6 +341,37 @@ def test_probe_mode_agrees_with_exact():
     report = symmetry_commutator_norms(op, lat, probes=5, seed=3)
     assert report.mode == "probes"
     assert report.gauge <= 1e-10
+
+
+def _probe_loop(op, sigma, probes, rng):
+    """Probe-mode norm one complex vector at a time, with H upcast per matvec."""
+    h, dim = op.matrix, op.dimension
+    inv = np.empty_like(sigma)
+    inv[sigma] = np.arange(dim)
+    worst = 0.0
+    for _ in range(probes):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        worst = max(worst, float(np.abs(h @ v[inv] - (h @ v)[inv]).max()))
+    return worst
+
+
+def test_probe_block_equals_per_vector_loop():
+    lat = LinkLattice((2, 2), 3, boundary="periodic")
+    sigma = zn.charge_conjugation_permutation(lat)
+    ops = [build_gauge_hamiltonian(lat, OddResponseSpec(electric=1.0, odd=0.2)),
+           build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)),
+           build_gauge_hamiltonian(lat, PhaseSpec())]
+    rng = np.random.default_rng(4)
+    dim = 300
+    h = sp.random(dim, dim, density=0.05, random_state=5, format="csr") \
+        + 1j * sp.random(dim, dim, density=0.05, random_state=6, format="csr")
+    ops.append(SparseHermitianOperator(h, check=False))
+    sigmas = [sigma] * 3 + [rng.permutation(dim)]
+    for seed, (op, s) in enumerate(zip(ops, sigmas)):
+        got = commutator_norm(op, s, probes=4, rng=np.random.default_rng(seed))
+        assert got == _probe_loop(op, s, 4, np.random.default_rng(seed))
+    assert commutator_norm(ops[0], sigma, probes=4) > 1e-3
 
 
 def test_link_value_spec_breaks_gauge():
