@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_tolerance
 from .errors import ConfigError, HopquantError
 from .experiments import list_experiments, run_experiment
 
@@ -75,10 +75,10 @@ def main(argv=None):
     env_tol = os.environ.get("HOPQUANT_TOL")
     if env_tol is not None:
         try:
-            tol = float(env_tol)
+            tol = parse_tolerance(env_tol)
         except ValueError:
-            print(f"hopquant: HOPQUANT_TOL={env_tol!r} is not a number",
-                  file=sys.stderr)
+            print(f"hopquant: HOPQUANT_TOL={env_tol!r} is not a finite "
+                  "non-negative number", file=sys.stderr)
             return EXIT_RUNTIME
 
     try:

@@ -5,6 +5,7 @@ per line, ``#`` comment lines. Unknown keys are rejected against the
 schema of the experiment being run; parse problems carry line/column.
 """
 
+import math
 import re
 
 from .errors import ConfigError
@@ -19,6 +20,14 @@ class _Required:
 
 
 REQUIRED = _Required()
+
+
+def parse_tolerance(raw):
+    """A tolerance from text: a finite, non-negative number, else ``ValueError``."""
+    value = float(raw)
+    if not 0.0 <= value < math.inf:  # also false for NaN
+        raise ValueError(raw)
+    return value
 
 
 class ExperimentConfig:
@@ -108,6 +117,10 @@ class ExperimentConfig:
 
     def getfloat(self, section, key, default=REQUIRED):
         return self._fetch(section, key, default, float, "number")
+
+    def gettolerance(self, section, key, default=REQUIRED):
+        return self._fetch(section, key, default, parse_tolerance,
+                           "finite non-negative number")
 
     def getbool(self, section, key, default=REQUIRED):
         def conv(s):

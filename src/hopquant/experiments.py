@@ -299,24 +299,19 @@ def run_gauge_build(cfg, seed, tol):
 
 def run_gauge_symcheck(cfg, seed, tol):
     cfg.validate_schema({"gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS,
-                         "run": _BASE_RUN_KEYS,
-                         "symcheck": {"probes", "probe_tol"}})
+                         "run": _BASE_RUN_KEYS})
     lattice = _lattice_from_config(cfg)
     spec = _spec_from_config(cfg)
-    probes = cfg.getint("symcheck", "probes", default=0)
-    norm_tol = cfg.getfloat("symcheck", "probe_tol", default=1e-10) \
-        if probes else tol
     op = gauge_ham.build_gauge_hamiltonian(lattice, spec, tol=tol)
-    result = gauge_ham.symmetry_commutator_norms(op, lattice, probes=probes,
-                                                 seed=seed)
+    result = gauge_ham.symmetry_commutator_norms(op, lattice)
     report = Report("gauge-symcheck", seed, cfg.resolved())
     report.results["mode"] = result.mode
     for label, value in (("gauge", result.gauge),
                          ("charge-conjugation", result.charge_conjugation),
                          ("parity", result.parity)):
         report.results[f"commutator_{label}"] = value
-        report.add_check(f"commutator-{label}", value <= norm_tol,
-                         value=value, tolerance=norm_tol)
+        report.add_check(f"commutator-{label}", value <= tol,
+                         value=value, tolerance=tol)
     return report
 
 
@@ -464,6 +459,6 @@ def run_experiment(name, cfg, seed=None, tol=None):
     if seed is None:
         seed = cfg.getint("run", "seed", default=0)
     if tol is None:
-        tol = cfg.getfloat("run", "tolerance", default=DEFAULT_TOL)
+        tol = cfg.gettolerance("run", "tolerance", default=DEFAULT_TOL)
     fn, _ = REGISTRY[name]
     return fn(cfg, seed, tol)

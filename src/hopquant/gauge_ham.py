@@ -280,43 +280,24 @@ class SymmetryReport:
         return max(self.gauge, self.charge_conjugation, self.parity)
 
 
-def commutator_norm(op, sigma, probes=0, rng=None):
-    """Max-norm of [H, P_sigma], exactly or via random-vector probes.
+def commutator_norm(op, sigma):
+    """Exact max-norm of [H, P_sigma].
 
     P_sigma maps basis vector e_j to e_sigma(j); ``sigma`` must be a
     permutation of ``range(op.dimension)``, otherwise ``ValueError``. The
-    exact path returns max|P H P^T - H|, which holds the entries of
-    H P - P H with their columns permuted, so it equals the max-norm of the
-    commutator. Row i of P H P^T is row sigma^-1(i) of H with every column
-    index c relabelled to sigma(c), so it takes one row gather and no
-    transpose. The probe path applies the commutator to ``probes`` random
-    complex unit vectors as one block and returns the largest entry of the
-    results; a real H multiplies their real and imaginary parts separately.
+    result is max|P H P^T - H|, which holds the entries of H P - P H with
+    their columns permuted, so it equals the max-norm of the commutator.
+    Row i of P H P^T is row sigma^-1(i) of H with every column index c
+    relabelled to sigma(c), so it takes one row gather and no transpose.
     """
     h = op.matrix
     sigma = _require_permutation(sigma, op.dimension)
     inv = np.empty_like(sigma)
     inv[sigma] = np.arange(sigma.size)
-    if probes <= 0:
-        rows = h[inv]
-        cols = sigma.astype(rows.indices.dtype, copy=False)[rows.indices]
-        delta = sp.csr_matrix((rows.data, cols, rows.indptr), shape=h.shape) - h
-        return float(np.abs(delta.data).max()) if delta.nnz else 0.0
-    rng = rng or np.random.default_rng(0)
-    block = np.empty((op.dimension, probes), dtype=complex)
-    for k in range(probes):
-        v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
-        block[:, k] = v / np.linalg.norm(v)
-
-    def residual(x):
-        return h @ x[inv] - (h @ x)[inv]
-
-    if np.iscomplexobj(h.data):
-        r = residual(block)
-    else:
-        # the same products as with H upcast to complex, without that copy
-        r = residual(block.real.copy()) + 1j * residual(block.imag.copy())
-    return float(np.abs(r).max())
+    rows = h[inv]
+    cols = sigma.astype(rows.indices.dtype, copy=False)[rows.indices]
+    delta = sp.csr_matrix((rows.data, cols, rows.indptr), shape=h.shape) - h
+    return float(np.abs(delta.data).max()) if delta.nnz else 0.0
 
 
 def _require_permutation(sigma, dim):
@@ -342,22 +323,25 @@ def allowed_parity_centers(lattice):
     return centers
 
 
-def symmetry_commutator_norms(op, lattice, centers=None, probes=0, seed=0):
-    """Max commutator norms of H with every gauge generator, C, and parity."""
-    rng = np.random.default_rng(seed)
+def symmetry_commutator_norms(op, lattice, centers=None):
+    """Exact max commutator norms of H with the gauge generators, C and parity.
+
+    ``gauge`` is the largest norm over the site generators, ``parity`` the
+    largest over ``centers`` (default: every allowed reflection center), each
+    from ``commutator_norm``; ``mode`` is always "exact".
+    """
     gauge = 0.0
     for sigma in zn.site_generator_permutations(lattice):
-        gauge = max(gauge, commutator_norm(op, sigma, probes=probes, rng=rng))
-    conj = commutator_norm(op, zn.charge_conjugation_permutation(lattice),
-                           probes=probes, rng=rng)
+        gauge = max(gauge, commutator_norm(op, sigma))
+    conj = commutator_norm(op, zn.charge_conjugation_permutation(lattice))
     if centers is None:
         centers = allowed_parity_centers(lattice)
     parity = 0.0
     for s0 in centers:
         sigma = zn.parity_permutation(lattice, s0)
-        parity = max(parity, commutator_norm(op, sigma, probes=probes, rng=rng))
+        parity = max(parity, commutator_norm(op, sigma))
     return SymmetryReport(gauge=gauge, charge_conjugation=conj, parity=parity,
-                          mode="probes" if probes > 0 else "exact")
+                          mode="exact")
 
 
 # --- spectra -----------------------------------------------------------------

@@ -80,13 +80,13 @@ def propagate(op, v, t, hbar=1.0, method="auto", dense_cutoff=DENSE_CUTOFF):
     v = np.asarray(v, dtype=complex)
     if method == "auto":
         method = "dense" if op.dimension <= dense_cutoff else "krylov"
+    if method not in ("dense", "krylov"):
+        raise ValueError(f"unknown propagation method {method!r}")
     if t == 0.0:
         return v.copy()
     if method == "dense":
         w, q = op.dense_eig()
         return q @ (np.exp(-1j * w * t / hbar) * (q.conj().T @ v))
-    if method != "krylov":
-        raise ValueError(f"unknown propagation method {method!r}")
     return spla.expm_multiply((-1j * t / hbar) * op.matrix, v)
 
 

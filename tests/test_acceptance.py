@@ -142,19 +142,15 @@ def test_criterion_4_norm_conservation():
 
 
 def test_criterion_5_gauge_c_p_invariance():
-    with criterion(5, "gauge/C/P commutators: exact <= 1e-12, probed <= 1e-10"):
+    with criterion(5, "gauge/C/P commutators: exact <= 1e-12 for N = 2, 3, 4"):
         start = time.monotonic()
         spec = MaxwellPreset(electric=1.0, magnetic=1.0)
-        for n in (2, 3):
+        for n in (2, 3, 4):
             lattice = LinkLattice((2, 2), n, boundary="periodic")
             op = build_gauge_hamiltonian(lattice, spec)
             report = symmetry_commutator_norms(op, lattice)
             assert report.max_norm <= 1e-12
-        lattice = LinkLattice((2, 2), 4, boundary="periodic")
         assert lattice.hilbert_dim == 65536
-        op = build_gauge_hamiltonian(lattice, spec)
-        report = symmetry_commutator_norms(op, lattice, probes=20, seed=11)
-        assert report.max_norm <= 1e-10
         assert time.monotonic() - start < 300.0
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,37 @@ def test_cli_tolerance_env_override(tmp_path, monkeypatch):
     assert main(["run", cfg, "--out", out]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["checks"][0]["tolerance"] == 1e-6
+
+
+def test_cli_rejects_non_finite_or_negative_env_tolerance(tmp_path, monkeypatch, capsys):
+    cfg = write(tmp_path, VALIDATE_CFG)
+    for raw in ("nan", "inf", "-1"):
+        monkeypatch.setenv("HOPQUANT_TOL", raw)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"HOPQUANT_TOL={raw!r} is not a finite non-negative number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_tolerance_key_rejects_non_finite_or_negative(tmp_path, capsys):
+    for raw in ("nan", "inf", "-1"):
+        text = VALIDATE_CFG.replace("seed = 3", f"seed = 3\ntolerance = {raw}")
+        with pytest.raises(ConfigError) as err:
+            run_experiment("particle-validate", ExperimentConfig.parse(text))
+        assert (err.value.line, err.value.col) == (5, 12)
+        cfg = write(tmp_path, text)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "tolerance" in capsys.readouterr().err
+
+
+def test_symcheck_section_rejected(tmp_path, capsys):
+    text = Path(bundled_config_path("gauge_symcheck_small.cfg")).read_text()
+    text += "\n[symcheck]\nprobes = 4\n"
+    line = text.splitlines().index("[symcheck]") + 1
+    cfg = write(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"unknown section [symcheck] (line {line}, col 1)" in err
 
 
 def test_cli_list_prints_registry(capsys):

@@ -53,6 +53,15 @@ def test_propagate_t0_is_identity():
     assert np.array_equal(propagate(op, v, 0.0), v)
 
 
+def test_propagate_rejects_unknown_method_at_any_time():
+    rng = np.random.default_rng(5)
+    op = random_hermitian(20, rng)
+    v = rng.standard_normal(20) + 0j
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="unknown propagation method 'bogus'"):
+            propagate(op, v, t, method="bogus")
+
+
 def test_propagate_eigenvector_phase():
     rng = np.random.default_rng(6)
     op = random_hermitian(24, rng)
