@@ -60,6 +60,8 @@ class ExperimentConfig:
                 raise ConfigError("entry outside any [section]", line=lineno, col=1)
             key, _, value = line.partition("=")
             key = key.strip()
+            # 1-based column of the value's first character
+            col = raw.index("=") + 2 + len(value) - len(value.lstrip())
             value = value.strip()
             if not key or not _KEY_RE.match(key):
                 raise ConfigError(f"malformed key {key!r}", line=lineno, col=1)
@@ -67,7 +69,7 @@ class ExperimentConfig:
                 raise ConfigError(f"duplicate key {key!r} in [{current}]",
                                   line=lineno, col=1)
             sections[current][key] = value
-            locations[current][key] = (lineno, raw.index("=") + 2)
+            locations[current][key] = (lineno, col)
         return cls(sections, locations, path=path)
 
     @classmethod

@@ -50,7 +50,7 @@ class GroundStateSignError(HopquantError):
 
 
 class HilbertDimensionError(HopquantError):
-    """Configuration-space dimension exceeds the configured memory cap."""
+    """A build's dimension exceeds its cap, or its estimated memory the installed memory."""
 
 
 class ConfigError(HopquantError):

@@ -75,14 +75,14 @@ def _divergence(components, grid):
     return div
 
 
-def continuum_residual(kernel, state, grid=None, t=None, hbar=1.0, charge=1.0):
+def continuum_residual(kernel, state, t=None, hbar=1.0, charge=1.0):
     """Relative L2 mismatch between H psi and the continuum right-hand side.
 
     The right-hand side uses the mass, potentials and background energy
     extracted from the kernel itself, with the derivatives of the analytic
     test state evaluated exactly.
     """
-    grid = grid or kernel.grid
+    grid = kernel.grid
     fields = extract_potentials(kernel, t=t, hbar=hbar, charge=charge)
     coords = grid.coordinates()
     psi = np.asarray(state.value(*coords), dtype=complex)

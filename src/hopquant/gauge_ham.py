@@ -7,7 +7,6 @@ evaluating it halfway between the two configurations an elementary move
 connects, which preserves charge conjugation and parity exactly.
 """
 
-import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,14 +23,8 @@ from .errors import (
     ReflectionSymmetryError,
 )
 from .evolution import fit_order
-from .linop import SparseHermitianOperator
 
 DIMENSION_CAP = 2 ** 24
-# Peak memory of one link-move assembly beyond the CSR it returns, per basis
-# state: plaquette and link values, amplitudes and the spec's temporaries.
-# tracemalloc measured 48-89 bytes for the Maxwell preset on 2D and 3D
-# lattices from a single link to 2x2 periodic N=5 and 3x3 periodic N=2.
-ASSEMBLY_BYTES_PER_STATE = 96
 
 
 class GaugeHoppingSpec:
@@ -91,14 +84,6 @@ class CallableResponseSpec(GaugeHoppingSpec):
         return self.fn(np.asarray(pvals, dtype=float), n)
 
 
-def _physical_memory_bytes():
-    """Installed memory as reported by ``os.sysconf``; None where unknown."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _link_digits(lattice, l_idx):
     """The value of link ``l_idx`` in every basis configuration."""
     along = zn._along_link(lattice, l_idx, np.arange(lattice.n, dtype=np.int64))
@@ -124,105 +109,33 @@ def _plaquette_values(lattice):
     return vals
 
 
-def _amplitude(amp, dim):
-    amp = np.asarray(amp)
-    return np.broadcast_to(amp.astype(np.result_type(amp, float), copy=False), (dim,))
-
-
-def _widen(data, *amps):
-    """``data`` as complex once an amplitude has a nonzero imaginary part."""
-    if not np.iscomplexobj(data) and any(
-            np.iscomplexobj(amp) and np.any(amp.imag) for amp in amps):
-        return data.astype(complex)
-    return data
-
-
-def _store(data, j, amp):
-    data[:, j] = amp if np.iscomplexobj(data) else np.real(amp)
-
-
-def _assemble_link_moves(lattice, link_amplitudes, diagonal=None,
-                         cap=DIMENSION_CAP, tol=1e-12):
+def _link_moves(lattice, link_amplitudes, diagonal=None, cap=DIMENSION_CAP,
+                tol=1e-12):
     """Certified Hamiltonian of one-link moves plus an optional diagonal.
 
     ``link_amplitudes(l_idx, link_values, plaq)`` gives the (raise, lower)
-    pair of link ``l_idx`` for every configuration, as arrays or scalars;
-    ``diagonal(plaq)`` gives the diagonal. ``link_values`` holds the value of
-    that link and ``plaq`` the plaquette values in every basis configuration.
-
-    Every row holds m entries at computable columns: a raise and a lower per
-    link (at N=2 both reach the same configuration and are summed into one
-    entry), plus the diagonal. They are written straight into the CSR arrays.
-    No two moves from one configuration share a column, and lowering undoes
-    raising, so max|H - H^H| is the largest |raise(c) - conj(lower(c + e_l))|
-    over configurations and links, or |d - conj(d)| on the diagonal.
-
-    Raises ``HilbertDimensionError``, before allocating anything of the
-    basis size, when the dimension exceeds ``cap`` or when the estimated
-    peak (the CSR of real amplitudes plus ``ASSEMBLY_BYTES_PER_STATE`` per
-    basis state) exceeds the installed physical memory.
+    pair of link ``l_idx``, the offsets +-1 on its axis of the basis grid, and
+    ``diagonal(plaq)`` the diagonal, as arrays or scalars. ``link_values`` and
+    ``plaq`` hold the values of that link and of every plaquette in each basis
+    configuration. Raises ``HilbertDimensionError`` above ``cap``.
     """
-    dim = lattice.hilbert_dim
-    if dim > cap:
+    if lattice.hilbert_dim > cap:
         raise HilbertDimensionError(
-            f"configuration space of dimension {dim} exceeds cap {cap}")
-    n = lattice.n
-    steps = (+1,) if n == 2 else (+1, -1)
-    m = len(steps) * lattice.n_links + (diagonal is not None)
-    nnz = dim * m
-    index_dtype = np.dtype(np.int32 if nnz <= np.iinfo(np.int32).max else np.int64)
-    estimate = (nnz * (index_dtype.itemsize + 8) + (dim + 1) * index_dtype.itemsize
-                + ASSEMBLY_BYTES_PER_STATE * dim)
-    memory = _physical_memory_bytes()
-    if memory is not None and estimate > memory:
-        raise HilbertDimensionError(
-            f"assembling dimension {dim} needs about {estimate / 2 ** 30:.2f} GiB, "
-            f"more than the {memory / 2 ** 30:.2f} GiB of physical memory")
-
-    grid = zn._basis_grid_shape(lattice)
-    plaq = _plaquette_values(lattice)
-    index = np.arange(dim, dtype=index_dtype).reshape(grid)
-    cols = np.empty((dim, m), dtype=index_dtype)
-    col_grid = cols.reshape(grid + (m,))
-    data = np.empty((dim, m))
-    defect = 0.0
-    j = 0
-    if diagonal is not None:
-        diag = _amplitude(diagonal(plaq), dim)
-        col_grid[..., j] = index
-        data = _widen(data, diag)
-        _store(data, j, diag)
-        defect = float(np.abs(diag - np.conj(diag)).max())
-        j += 1
-    values = np.arange(n)
+            f"configuration space of dimension {lattice.hilbert_dim} exceeds cap {cap}")
+    offsets = [np.zeros(lattice.n_links, dtype=int)] if diagonal is not None else []
     for l_idx in range(lattice.n_links):
-        up, down = (_amplitude(amp, dim) for amp in link_amplitudes(
-            l_idx, _link_digits(lattice, l_idx), plaq))
-        for k, step in enumerate(steps):
-            shift = (((values + step) % n) - values) * n ** l_idx
-            np.add(index, zn._along_link(lattice, l_idx, shift.astype(index_dtype)),
-                   out=col_grid[..., j + k])
-        raised = cols[:, j]
-        data = _widen(data, up, down)
-        if n == 2:
-            up = down = up + down
-        else:
-            _store(data, j + 1, down)
-        _store(data, j, up)
-        # H[c, raised[c]] = up[c] and H[raised[c], c] = down[raised[c]]
-        defect = max(defect, float(np.abs(up - np.conj(down[raised])).max()))
-        j += len(steps)
+        unit = np.eye(lattice.n_links, dtype=int)[zn._link_axis(lattice, l_idx)]
+        offsets += [unit, -unit]
 
-    chunk = max(1, 2 ** 18 // m)  # rows sorted at a time, bounding the argsort buffer
-    for start in range(0, dim, chunk):
-        rows = slice(start, start + chunk)
-        order = np.argsort(cols[rows], axis=1)
-        cols[rows] = np.take_along_axis(cols[rows], order, axis=1)
-        data[rows] = np.take_along_axis(data[rows], order, axis=1)
-    indptr = np.arange(0, nnz + 1, m, dtype=index_dtype)
-    mat = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
-    mat.has_canonical_format = True
-    return SparseHermitianOperator._certified(mat, defect, tol)
+    def amplitudes():
+        plaq = _plaquette_values(lattice)
+        if diagonal is not None:
+            yield diagonal(plaq)
+        for l_idx in range(lattice.n_links):
+            yield from link_amplitudes(l_idx, _link_digits(lattice, l_idx), plaq)
+
+    return linop._assemble_hopping(zn._basis_grid_shape(lattice), True, offsets,
+                                   amplitudes(), tol=tol)
 
 
 def build_gauge_hamiltonian(lattice, spec, cap=DIMENSION_CAP, tol=1e-12):
@@ -233,16 +146,12 @@ def build_gauge_hamiltonian(lattice, spec, cap=DIMENSION_CAP, tol=1e-12):
     """
     def link_amplitudes(l_idx, link_values, plaq):
         adj = lattice.link_adjacency(l_idx)
-        if adj:
-            pv = np.stack([plaq[p] for p, _ in adj]).astype(float)
-            signs = np.array([sg for _, sg in adj], dtype=float)
-        else:
-            pv = np.zeros((0, lattice.hilbert_dim))
-            signs = np.zeros(0)
+        pv = np.array([plaq[p] for p, _ in adj], dtype=float).reshape(-1, link_values.size)
+        signs = np.array([sg for _, sg in adj], dtype=float)
         return spec.amplitudes(lattice, l_idx, pv, signs, link_values=link_values)
 
     try:
-        return _assemble_link_moves(lattice, link_amplitudes, cap=cap, tol=tol)
+        return _link_moves(lattice, link_amplitudes, cap=cap, tol=tol)
     except HermiticityError as exc:
         raise HermiticityError(
             f"spec violates unitary hopping: {exc}", defect=exc.defect) from exc
@@ -261,7 +170,7 @@ def reference_ks_hamiltonian(lattice, electric, magnetic, cap=DIMENSION_CAP,
             diag = diag + magnetic * 2.0 * np.sin(np.pi * p.astype(float) / lattice.n) ** 2
         return diag
 
-    return _assemble_link_moves(
+    return _link_moves(
         lattice, lambda l_idx, link_values, plaq: (-electric, -electric),
         diagonal=diagonal, cap=cap, tol=tol)
 

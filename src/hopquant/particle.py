@@ -10,15 +10,9 @@ corresponding Hermitian operator, and extracts the emergent continuum data
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import (
-    DegenerateKernelError,
-    HermiticityError,
-    KernelSymmetryError,
-    MassRequiredError,
-)
-from .linop import SparseHermitianOperator
+from .errors import DegenerateKernelError, KernelSymmetryError, MassRequiredError
+from .linop import _assemble_hopping
 
 MAX_SUPPORT_RADIUS = 4
 UNITARITY_TOL = 1e-12
@@ -158,9 +152,8 @@ class HoppingKernel:
                     raise ValueError(f"kappa1 field for offset {n} has shape "
                                      f"{v.shape}, expected {grid.shape}")
         self.free_symmetric = bool(free_symmetric)
-        radius = max((max(abs(c) for c in n) for n in self.support), default=0)
-        if radius > max_radius:
-            raise ValueError(f"support radius {radius} exceeds maximum {max_radius}")
+        if self.radius > max_radius:
+            raise ValueError(f"support radius {self.radius} exceeds maximum {max_radius}")
         for n in self.support:
             if any(abs(c) >= L for c, L in zip(n, grid.dims)):
                 raise ValueError(f"offset {n} does not fit within grid {grid.dims}")
@@ -293,13 +286,13 @@ def _open_valid_slices(shape, n):
     return tuple(src), tuple(shifted)
 
 
-def validate_kernel_unitarity(kernel, grid=None, t=None, tol=UNITARITY_TOL):
+def validate_kernel_unitarity(kernel, t=None, tol=UNITARITY_TOL):
     """Check the probability-conservation constraint at every site and offset.
 
     On open grids, (site, offset) pairs whose partner site falls outside the
     lattice are skipped and counted separately.
     """
-    grid = grid or kernel.grid
+    grid = kernel.grid
     offsets = set(kernel.support)
     offsets.update(_neg(n) for n in kernel.support)
     max_violation = 0.0
@@ -338,34 +331,18 @@ def apply_kernel(kernel, values, t=None):
     return out
 
 
-def build_particle_hamiltonian(kernel, grid=None, t=None, tol=UNITARITY_TOL):
+def build_particle_hamiltonian(kernel, t=None, tol=UNITARITY_TOL):
     """Assemble the hopping operator as a sparse Hermitian matrix.
 
+    H[x, x + a*n] = kappa(x, n, t) for every offset n of the support.
     Raises ``HermiticityError`` when the kernel violates the conservation
-    constraint, which is equivalent to H losing hermiticity.
+    constraint, which is equivalent to H losing hermiticity, and
+    ``HilbertDimensionError`` when the build would not fit in memory.
     """
-    grid = grid or kernel.grid
-    idx = np.arange(grid.n_sites).reshape(grid.shape)
-    if not kernel.support:
-        return SparseHermitianOperator(
-            sp.csr_matrix((grid.n_sites, grid.n_sites), dtype=complex))
-    rows, cols, data = [], [], []
-    for n in kernel.support:
-        fld = kernel.field(n, t)
-        if grid.boundary == "periodic":
-            rows.append(idx.ravel())
-            cols.append(np.roll(idx, shift=_neg(n), axis=range(grid.ndim)).ravel())
-            data.append(fld.ravel())
-        else:
-            src, dst = _open_valid_slices(grid.shape, _neg(n))
-            rows.append(idx[src].ravel())
-            cols.append(idx[dst].ravel())
-            data.append(fld[src].ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_sites, grid.n_sites),
-    )
-    return SparseHermitianOperator(mat, check=True, tol=tol)
+    grid, support = kernel.grid, kernel.support
+    return _assemble_hopping(grid.shape, grid.boundary == "periodic", support,
+                             (kernel.field(n, t) for n in support),
+                             dtype=complex, tol=tol)
 
 
 @dataclass
@@ -417,10 +394,9 @@ def vacuum_energy(kernel):
     return float(total.real)
 
 
-def vector_potential_from_kernel(kernel, grid=None, mass=None, t=None,
-                                 hbar=1.0, charge=1.0):
+def vector_potential_from_kernel(kernel, mass=None, t=None, hbar=1.0, charge=1.0):
     """A_i(x) = (m a / (e hbar)) sum_n n_i Im kappa1(x, n, t)."""
-    grid = grid or kernel.grid
+    grid = kernel.grid
     if mass is None:
         if not kernel.free_symmetric:
             raise MassRequiredError("mass required first")
@@ -435,10 +411,10 @@ def vector_potential_from_kernel(kernel, grid=None, mass=None, t=None,
     return comps
 
 
-def scalar_potential_from_kernel(kernel, vector_potential, grid=None, mass=None,
-                                 t=None, hbar=1.0, charge=1.0):
+def scalar_potential_from_kernel(kernel, vector_potential, mass=None, t=None,
+                                 hbar=1.0, charge=1.0):
     """U(x) = E0 + sum_n Re kappa1(x, n, t) - (e^2/2m) A(x)^2."""
-    grid = grid or kernel.grid
+    grid = kernel.grid
     if mass is None:
         if not kernel.free_symmetric:
             raise MassRequiredError("mass required first")

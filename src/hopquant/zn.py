@@ -284,10 +284,15 @@ def _basis_grid_shape(lattice):
     return (lattice.n,) * lattice.n_links
 
 
+def _link_axis(lattice, link_idx):
+    """The axis of the basis grid that holds link ``link_idx``."""
+    return lattice.n_links - 1 - link_idx
+
+
 def _along_link(lattice, link_idx, table):
     """``table[value of link link_idx]`` broadcastable over the basis grid."""
     shape = [1] * lattice.n_links
-    shape[lattice.n_links - 1 - link_idx] = lattice.n
+    shape[_link_axis(lattice, link_idx)] = lattice.n
     return np.reshape(table, shape)
 
 
@@ -382,7 +387,7 @@ def project_gauge_invariant(lattice, sites=None):
     gens = site_generator_permutations(lattice, sites)
     # orbits are the connected components of the graph joining j to sigma(j)
     rows = np.tile(np.arange(dim, dtype=np.int64), len(gens))
-    graph = sp.coo_matrix((np.ones(rows.size, dtype=np.int8),
+    graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int8),
                            (rows, np.concatenate(gens))), shape=(dim, dim))
     count, labels = connected_components(graph, directed=False)
     return InvariantSubspace(dimension=count, labels=labels.astype(np.int64),

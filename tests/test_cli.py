@@ -197,11 +197,12 @@ def test_cli_rejects_non_finite_or_negative_env_tolerance(tmp_path, monkeypatch,
 
 
 def test_run_tolerance_key_rejects_non_finite_or_negative(tmp_path, capsys):
-    for raw in ("nan", "inf", "-1"):
-        text = VALIDATE_CFG.replace("seed = 3", f"seed = 3\ntolerance = {raw}")
+    for entry, col in (("tolerance = nan", 13), ("tolerance = inf", 13),
+                       ("tolerance = -1", 13), ("tolerance=nan", 11)):
+        text = VALIDATE_CFG.replace("seed = 3", f"seed = 3\n{entry}")
         with pytest.raises(ConfigError) as err:
             run_experiment("particle-validate", ExperimentConfig.parse(text))
-        assert (err.value.line, err.value.col) == (5, 12)
+        assert (err.value.line, err.value.col) == (5, col)
         cfg = write(tmp_path, text)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "tolerance" in capsys.readouterr().err

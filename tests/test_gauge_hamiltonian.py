@@ -8,19 +8,23 @@ import scipy.sparse as sp
 
 from hopquant import (
     CallableResponseSpec,
+    HoppingKernel,
+    LatticeGrid,
     LinkLattice,
     MaxwellPreset,
     SparseHermitianOperator,
     build_gauge_hamiltonian,
+    build_particle_hamiltonian,
     compare_to_reference,
     extract_continuum_constants,
     project_gauge_invariant,
+    random_unitary_kernel,
     reference_ks_hamiltonian,
     spectrum,
     symmetry_commutator_norms,
     taylor_consistency_check,
 )
-from hopquant import gauge_ham, zn
+from hopquant import gauge_ham, linop, zn
 from hopquant.errors import (
     ChargeConjugationError,
     GroundStateSignError,
@@ -297,13 +301,16 @@ def test_pairing_defect_equals_generic_defect():
 def test_oversize_assembly_fails_before_allocating(monkeypatch):
     lat = LinkLattice((2, 2), 7, boundary="periodic")  # 7^8 = 5.8M, under the cap
     assert lat.hilbert_dim < gauge_ham.DIMENSION_CAP
-    monkeypatch.setattr(gauge_ham, "_physical_memory_bytes", lambda: 2 ** 30)
+    kernel = HoppingKernel.nearest_neighbor(LatticeGrid((180, 180, 180), 1.0), 1.0)
+    monkeypatch.setattr(linop, "_physical_memory_bytes", lambda: 2 ** 30)
     tracemalloc.start()
     try:
         with pytest.raises(HilbertDimensionError, match="GiB"):
             build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
         with pytest.raises(HilbertDimensionError, match="GiB"):
             reference_ks_hamiltonian(lat, 1.0, 1.0)
+        with pytest.raises(HilbertDimensionError, match="GiB"):
+            build_particle_hamiltonian(kernel)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,8 +319,10 @@ def test_oversize_assembly_fails_before_allocating(monkeypatch):
 
 def test_assembly_peak_memory_bounded_by_csr():
     lat = LinkLattice((2, 2), 4, boundary="periodic")
+    kernel = random_unitary_kernel(LatticeGrid((32, 32, 32), 1.0), np.random.default_rng(5))
     for build in (lambda: build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)),
-                  lambda: reference_ks_hamiltonian(lat, 1.0, 1.0)):
+                  lambda: reference_ks_hamiltonian(lat, 1.0, 1.0),
+                  lambda: build_particle_hamiltonian(kernel)):
         tracemalloc.start()
         try:
             op = build()

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hopquant import (
     HoppingKernel,
     LatticeGrid,
+    SparseHermitianOperator,
     apply_kernel,
     build_particle_hamiltonian,
     gauge_shift_kernel,
@@ -42,6 +44,89 @@ def test_constraint_equivalent_to_hermiticity_both_directions():
         assert op.hermiticity_defect <= 1e-12
         with pytest.raises(HermiticityError):
             build_particle_hamiltonian(perturb_kernel(kernel, rng))
+
+
+def _coo_oracle(kernel, t=None):
+    """H[x, x + n] = kappa(x, n, t) from COO triplets, one block per offset."""
+    grid = kernel.grid
+    idx = np.arange(grid.n_sites).reshape(grid.shape)
+    rows, cols, data = [], [], []
+    for n in kernel.support:
+        fld = kernel.field(n, t)
+        if grid.boundary == "periodic":
+            rows.append(idx.ravel())
+            cols.append(np.roll(idx, shift=[-c for c in n], axis=range(grid.ndim)).ravel())
+            data.append(fld.ravel())
+        else:
+            src = tuple(slice(max(0, -c), L - max(0, c)) for c, L in zip(n, grid.dims))
+            dst = tuple(slice(s.start + c, s.stop + c) for s, c in zip(src, n))
+            rows.append(idx[src].ravel())
+            cols.append(idx[dst].ravel())
+            data.append(fld[src].ravel())
+    if not data:
+        return sp.csr_matrix((grid.n_sites, grid.n_sites), dtype=complex)
+    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(grid.n_sites, grid.n_sites)).tocsr()
+
+
+def _assert_same_csr(got, want, rtol=0.0):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        if name == "data" and rtol:
+            assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+        else:
+            assert np.array_equal(a, b), name
+
+
+def _oracle_kernels():
+    rng = np.random.default_rng(34)
+    for boundary in ("periodic", "open"):
+        for dims, reps in (((7,), [(1,), (2,)]),
+                           ((5, 4), [(1, 0), (0, 1), (1, -1)]),
+                           ((4, 3, 5), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])):
+            grid = LatticeGrid(dims, 0.5, boundary=boundary)
+            yield random_unitary_kernel(grid, rng, representatives=reps), None
+    # offsets that coincide on the periodic grid share one entry
+    for dims, reps in (((2,), [(1,)]), ((4,), [(2,), (1,)]), ((2, 3), [(1, 0), (1, 1)])):
+        grid = LatticeGrid(dims, 1.0)
+        yield random_unitary_kernel(grid, rng, representatives=reps), None
+    grid = LatticeGrid((6,), 1.0)
+    yield HoppingKernel(grid, kappa0={(1,): 1.0}), None  # unpaired
+    yield HoppingKernel(grid), None  # empty support
+    yield HoppingKernel(grid, kappa0={(1,): -0.5, (-1,): -0.5},
+                        kappa1=lambda t: {(0,): np.full(grid.shape, t, dtype=complex),
+                                          (1,): np.full(grid.shape, 1j * t)}), 0.7
+
+
+def test_direct_csr_assembly_matches_coo_oracle():
+    for kernel, t in _oracle_kernels():
+        op = build_particle_hamiltonian(kernel, t=t, tol=np.inf)
+        _assert_same_csr(op.matrix, _coo_oracle(kernel, t))
+    # four offsets meet on a 2x2 torus; scipy sums duplicates in no fixed order
+    kernel = random_unitary_kernel(LatticeGrid((2, 2), 1.0), np.random.default_rng(35),
+                                   representatives=[(1, 1), (1, -1)])
+    _assert_same_csr(build_particle_hamiltonian(kernel).matrix, _coo_oracle(kernel),
+                     rtol=1e-15)
+
+
+def test_pairing_defect_equals_generic_defect():
+    rng = np.random.default_rng(36)
+    kernels = []
+    for kernel, t in _oracle_kernels():
+        if t is None and kernel.support:  # the unpaired kernel is one of them
+            kernels += [kernel, perturb_kernel(kernel, rng)]
+    rejected = 0
+    for kernel in kernels:
+        want = SparseHermitianOperator(_coo_oracle(kernel), check=False).hermiticity_defect
+        if want <= 1e-12:
+            assert build_particle_hamiltonian(kernel).hermiticity_defect == want
+            continue
+        with pytest.raises(HermiticityError) as info:
+            build_particle_hamiltonian(kernel)
+        assert info.value.defect == want
+        rejected += 1
+    assert rejected > len(kernels) // 2
 
 
 def test_matrix_matches_direct_application():
