@@ -1,6 +1,6 @@
 """Time evolution of lattice wavefunctions and continuum-limit studies."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,21 +28,20 @@ class EvolveResult:
     dt: float
 
 
-def evolve(source, psi, dt, steps, t0=None, hbar=1.0, method="auto",
-           drift_tol=NORM_DRIFT_TOL):
+def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
     """Propagate ``psi`` through ``steps`` intervals of length ``dt``.
 
-    ``source`` is a prebuilt Hermitian operator or a HoppingKernel; a
+    ``source`` is a prebuilt Hermitian operator, whose clock starts at 0, or
+    a HoppingKernel, whose clock starts at ``kernel.grid.t``; a
     time-dependent kernel is rebuilt at each step midpoint. Raises
     ``IntegratorAccuracyError`` when the norm drifts beyond ``drift_tol``.
     """
     if isinstance(source, HoppingKernel):
         kernel = source
         op = None if kernel.time_dependent else build_particle_hamiltonian(kernel)
-        t0 = kernel.grid.t if t0 is None else t0
+        t0 = kernel.grid.t
     else:
-        kernel, op = None, source
-        t0 = 0.0 if t0 is None else t0
+        kernel, op, t0 = None, source, 0.0
     v = np.asarray(psi.values, dtype=complex).ravel()
     norm0 = np.linalg.norm(v)
     drift = 0.0
@@ -52,7 +51,7 @@ def evolve(source, psi, dt, steps, t0=None, hbar=1.0, method="auto",
             step_op = build_particle_hamiltonian(kernel, t=t_mid)
         else:
             step_op = op
-        v = linop.propagate(step_op, v, dt, hbar=hbar, method=method)
+        v = linop.propagate(step_op, v, dt, hbar=hbar)
         if norm0 > 0:
             drift = max(drift, abs(np.linalg.norm(v) - norm0) / norm0)
     if drift > drift_tol:
@@ -135,7 +134,6 @@ class ConvergenceReport:
     order: float
     monotone: bool
     problem: str = ""
-    details: dict = field(default_factory=dict)
 
 
 def fit_order(spacings, errors):

@@ -16,6 +16,7 @@ from .errors import EigenConvergenceError, HermiticityError, HilbertDimensionErr
 DENSE_CUTOFF = 4096
 HERMITICITY_TOL = 1e-12
 EIGS_SEED = 20240811
+RESIDUAL_TOL = 1e-8
 # Peak memory of one hopping assembly beyond the CSR it returns, per grid
 # point: the caller's amplitude inputs and the assembler's temporaries.
 # tracemalloc measured 24-101 bytes for both gauge builders on 2x2 periodic
@@ -174,30 +175,25 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     return SparseHermitianOperator._certified(mat, defect, tol)
 
 
-def propagate(op, v, t, hbar=1.0, method="auto", dense_cutoff=DENSE_CUTOFF):
+def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
     """Unitary propagation exp(-i*H*t/hbar) @ v.
 
-    ``method`` is "dense" (exact eigendecomposition, cached on ``op``),
-    "krylov" (scipy's ``expm_multiply``, a truncated Taylor polynomial in H
-    applied to ``v``; Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488),
-    or "auto" (dense up to ``dense_cutoff``, otherwise "krylov").
+    Up to ``dense_cutoff`` it uses the exact eigendecomposition, cached on
+    ``op``; above it scipy's ``expm_multiply``, a truncated Taylor polynomial
+    in H applied to ``v`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
+    488).
     """
     op.require_hermitian()
     v = np.asarray(v, dtype=complex)
-    if method == "auto":
-        method = "dense" if op.dimension <= dense_cutoff else "krylov"
-    if method not in ("dense", "krylov"):
-        raise ValueError(f"unknown propagation method {method!r}")
     if t == 0.0:
         return v.copy()
-    if method == "dense":
+    if op.dimension <= dense_cutoff:
         w, q = op.dense_eig()
         return q @ (np.exp(-1j * w * t / hbar) * (q.conj().T @ v))
     return spla.expm_multiply((-1j * t / hbar) * op.matrix, v)
 
 
-def eigs_extremal(op, k, dense_cutoff=DENSE_CUTOFF, residual_tol=1e-8,
-                  seed=EIGS_SEED, maxiter=None, ncv=None):
+def eigs_extremal(op, k, dense_cutoff=DENSE_CUTOFF, ncv=None):
     """Lowest ``k`` eigenpairs, ascending; residuals are checked per pair."""
     op.require_hermitian()
     n = op.dimension
@@ -207,11 +203,9 @@ def eigs_extremal(op, k, dense_cutoff=DENSE_CUTOFF, residual_tol=1e-8,
         w, q = op.dense_eig()
         values, vectors = w[:k].copy(), q[:, :k].copy()
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
+        v0 = np.random.default_rng(EIGS_SEED).standard_normal(n)
         try:
-            values, vectors = spla.eigsh(op.matrix, k=k, which="SA", v0=v0,
-                                         maxiter=maxiter, ncv=ncv)
+            values, vectors = spla.eigsh(op.matrix, k=k, which="SA", v0=v0, ncv=ncv)
         except spla.ArpackNoConvergence as exc:
             residuals = _residuals(op, exc.eigenvalues, exc.eigenvectors)
             raise EigenConvergenceError(
@@ -221,9 +215,9 @@ def eigs_extremal(op, k, dense_cutoff=DENSE_CUTOFF, residual_tol=1e-8,
         order = np.argsort(values)
         values, vectors = values[order], vectors[:, order]
     residuals = _residuals(op, values, vectors)
-    if residuals.size and residuals.max() > residual_tol:
+    if residuals.size and residuals.max() > RESIDUAL_TOL:
         raise EigenConvergenceError(
-            f"eigenpair residual {residuals.max():.3e} exceeds {residual_tol:.1e}",
+            f"eigenpair residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}",
             residuals=residuals,
         )
     return values, vectors

@@ -131,11 +131,11 @@ class HoppingKernel:
     site-dependent deviation (offset -> complex array of grid shape, or a
     callable t -> such a dict for time-dependent kernels). ``free_symmetric``
     declares that kappa0 is inversion symmetric and real, which the cubic
-    symmetry of a free particle forces.
+    symmetry of a free particle forces. Offsets must lie within
+    ``MAX_SUPPORT_RADIUS`` and fit within the grid, at every time used.
     """
 
-    def __init__(self, grid, kappa0=None, kappa1=None, free_symmetric=False,
-                 max_radius=MAX_SUPPORT_RADIUS):
+    def __init__(self, grid, kappa0=None, kappa1=None, free_symmetric=False):
         self.grid = grid
         self.kappa0 = {}
         for n, val in (kappa0 or {}).items():
@@ -152,8 +152,9 @@ class HoppingKernel:
                     raise ValueError(f"kappa1 field for offset {n} has shape "
                                      f"{v.shape}, expected {grid.shape}")
         self.free_symmetric = bool(free_symmetric)
-        if self.radius > max_radius:
-            raise ValueError(f"support radius {self.radius} exceeds maximum {max_radius}")
+        if self.radius > MAX_SUPPORT_RADIUS:
+            raise ValueError(f"support radius {self.radius} exceeds maximum "
+                             f"{MAX_SUPPORT_RADIUS}")
         for n in self.support:
             if any(abs(c) >= L for c, L in zip(n, grid.dims)):
                 raise ValueError(f"offset {n} does not fit within grid {grid.dims}")
@@ -174,20 +175,23 @@ class HoppingKernel:
     @property
     def support(self):
         """All offsets carrying amplitude at the reference time."""
-        keys = set(self.kappa0)
-        keys.update(self._kappa1_snapshot(self.grid.t))
-        return sorted(keys)
+        return sorted(set(self.kappa0).union(self._at(None)._kappa1))
 
     @property
     def radius(self):
         return max((max(abs(c) for c in n) for n in self.support), default=0)
 
-    def _kappa1_snapshot(self, t):
-        if self._kappa1_fn is not None:
-            t = self.grid.t if t is None else t
-            return {_normalize_offset(n, self.grid.ndim): np.asarray(v, dtype=complex)
-                    for n, v in self._kappa1_fn(t).items()}
-        return self._kappa1
+    def _at(self, t):
+        """This kernel with kappa1 fixed at ``t`` (None: the reference time).
+
+        A time-dependent kappa1 is called once, and the offsets and fields it
+        gives at ``t`` get the checks ``__init__`` gives a fixed kappa1.
+        """
+        if self._kappa1_fn is None:
+            return self
+        return HoppingKernel(self.grid, self.kappa0,
+                             self._kappa1_fn(self.grid.t if t is None else t),
+                             self.free_symmetric)
 
     def kappa0_value(self, n):
         return self.kappa0.get(_normalize_offset(n, self.grid.ndim), 0.0 + 0.0j)
@@ -195,7 +199,7 @@ class HoppingKernel:
     def kappa1_field(self, n, t=None):
         """Inhomogeneous part at offset ``n``; zeros if absent."""
         n = _normalize_offset(n, self.grid.ndim)
-        snap = self._kappa1_snapshot(t)
+        snap = self._at(t)._kappa1
         if n in snap:
             return snap[n]
         return np.zeros(self.grid.shape, dtype=complex)
@@ -229,13 +233,12 @@ class HoppingKernel:
         return cls.free(grid, kappa0)
 
 
-def random_unitary_kernel(grid, rng, representatives=None, scale=1.0,
-                          with_diagonal=True):
+def random_unitary_kernel(grid, rng, representatives=None, scale=1.0):
     """Random inhomogeneous kernel satisfying the conservation constraint.
 
     One free complex field is drawn per representative offset; the opposite
-    offset is fixed by kappa(x - a*n, n) = conj(kappa(x, -n)), and the
-    diagonal is real.
+    offset is fixed by kappa(x - a*n, n) = conj(kappa(x, -n)), and a real
+    diagonal field is drawn last.
     """
     if representatives is None:
         representatives = [tuple(1 if j == ax else 0 for j in range(grid.ndim))
@@ -247,14 +250,13 @@ def random_unitary_kernel(grid, rng, representatives=None, scale=1.0,
                        + 1j * rng.standard_normal(grid.shape))
         kappa1[n] = fwd
         kappa1[_neg(n)] = np.conj(np.roll(fwd, shift=n, axis=range(grid.ndim)))
-    if with_diagonal:
-        kappa1[(0,) * grid.ndim] = scale * rng.standard_normal(grid.shape).astype(complex)
+    kappa1[(0,) * grid.ndim] = scale * rng.standard_normal(grid.shape).astype(complex)
     return HoppingKernel(grid, kappa1=kappa1)
 
 
 def perturb_kernel(kernel, rng, epsilon=1e-3):
     """Break the conservation pairing by noising a single forward field."""
-    snap = dict(kernel._kappa1_snapshot(None))
+    snap = dict(kernel._at(None)._kappa1)
     offs = [n for n in snap if any(c != 0 for c in n)]
     n = offs[rng.integers(len(offs))] if offs else (0,) * kernel.grid.ndim
     noise = epsilon * (rng.standard_normal(kernel.grid.shape)
@@ -292,14 +294,14 @@ def validate_kernel_unitarity(kernel, t=None, tol=UNITARITY_TOL):
     On open grids, (site, offset) pairs whose partner site falls outside the
     lattice are skipped and counted separately.
     """
-    grid = kernel.grid
+    grid, kernel = kernel.grid, kernel._at(t)
     offsets = set(kernel.support)
     offsets.update(_neg(n) for n in kernel.support)
     max_violation = 0.0
     checked = skipped = 0
     for n in sorted(offsets):
-        fwd = kernel.field(n, t)
-        bwd = np.conj(kernel.field(_neg(n), t))
+        fwd = kernel.field(n)
+        bwd = np.conj(kernel.field(_neg(n)))
         if grid.boundary == "periodic":
             diff = np.abs(np.roll(fwd, shift=n, axis=range(grid.ndim)) - bwd)
             checked += diff.size
@@ -319,10 +321,10 @@ def validate_kernel_unitarity(kernel, t=None, tol=UNITARITY_TOL):
 
 def apply_kernel(kernel, values, t=None):
     """(H psi)(x) = sum_n kappa(x, n, t) psi(x + a*n) without building H."""
-    grid = kernel.grid
+    grid, kernel = kernel.grid, kernel._at(t)
     out = np.zeros(grid.shape, dtype=complex)
     for n in kernel.support:
-        fld = kernel.field(n, t)
+        fld = kernel.field(n)
         if grid.boundary == "periodic":
             out += fld * np.roll(values, shift=_neg(n), axis=range(grid.ndim))
         else:
@@ -339,9 +341,10 @@ def build_particle_hamiltonian(kernel, t=None, tol=UNITARITY_TOL):
     constraint, which is equivalent to H losing hermiticity, and
     ``HilbertDimensionError`` when the build would not fit in memory.
     """
-    grid, support = kernel.grid, kernel.support
+    grid, kernel = kernel.grid, kernel._at(t)
+    support = kernel.support
     return _assemble_hopping(grid.shape, grid.boundary == "periodic", support,
-                             (kernel.field(n, t) for n in support),
+                             (kernel.field(n) for n in support),
                              dtype=complex, tol=tol)
 
 
@@ -396,7 +399,7 @@ def vacuum_energy(kernel):
 
 def vector_potential_from_kernel(kernel, mass=None, t=None, hbar=1.0, charge=1.0):
     """A_i(x) = (m a / (e hbar)) sum_n n_i Im kappa1(x, n, t)."""
-    grid = kernel.grid
+    grid, kernel = kernel.grid, kernel._at(t)
     if mass is None:
         if not kernel.free_symmetric:
             raise MassRequiredError("mass required first")
@@ -404,7 +407,7 @@ def vector_potential_from_kernel(kernel, mass=None, t=None, hbar=1.0, charge=1.0
     pref = mass * grid.spacing / (charge * hbar)
     comps = [np.zeros(grid.shape) for _ in range(grid.ndim)]
     for n in kernel.support:
-        im = np.imag(kernel.kappa1_field(n, t))
+        im = np.imag(kernel.kappa1_field(n))
         for ax, c in enumerate(n):
             if c != 0:
                 comps[ax] += pref * c * im
@@ -414,14 +417,14 @@ def vector_potential_from_kernel(kernel, mass=None, t=None, hbar=1.0, charge=1.0
 def scalar_potential_from_kernel(kernel, vector_potential, mass=None, t=None,
                                  hbar=1.0, charge=1.0):
     """U(x) = E0 + sum_n Re kappa1(x, n, t) - (e^2/2m) A(x)^2."""
-    grid = kernel.grid
+    grid, kernel = kernel.grid, kernel._at(t)
     if mass is None:
         if not kernel.free_symmetric:
             raise MassRequiredError("mass required first")
         mass = mass_from_kernel(kernel, hbar=hbar).mass
     u = np.full(grid.shape, vacuum_energy(kernel))
     for n in kernel.support:
-        u = u + np.real(kernel.kappa1_field(n, t))
+        u = u + np.real(kernel.kappa1_field(n))
     a_sq = sum(a * a for a in vector_potential)
     return u - (charge ** 2 / (2.0 * mass)) * a_sq
 
@@ -507,7 +510,7 @@ def gauge_shift_kernel(kernel, chi, t=None, hbar=1.0, charge=1.0):
     This shifts the extracted vector potential by a discrete pure gradient
     and leaves the operator spectrum unchanged.
     """
-    grid = kernel.grid
+    grid, kernel = kernel.grid, kernel._at(t)
     chi = np.asarray(chi, dtype=float)
     if chi.shape != grid.shape:
         raise ValueError("chi must be a per-site field")
@@ -515,7 +518,7 @@ def gauge_shift_kernel(kernel, chi, t=None, hbar=1.0, charge=1.0):
     kappa1 = {}
     for n in kernel.support:
         shifted = np.roll(phase, shift=_neg(n), axis=range(grid.ndim))
-        full = kernel.field(n, t) * phase * np.conj(shifted)
+        full = kernel.field(n) * phase * np.conj(shifted)
         kappa1[n] = full - kernel.kappa0_value(n)
     return HoppingKernel(grid, kappa0=dict(kernel.kappa0), kappa1=kappa1,
                          free_symmetric=kernel.free_symmetric)

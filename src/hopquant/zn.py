@@ -333,20 +333,6 @@ def parity_permutation(lattice, s0):
     return permutation_from_link_map(lattice, _parity_link_map(lattice, s0))
 
 
-def link_shift_permutation(lattice, direction, step=1):
-    """Raise every link along one direction by ``step`` units."""
-    assignments = {}
-    for idx, (s, k) in enumerate(lattice.links):
-        assignments[idx] = (idx, 1, step if k == direction else 0)
-    return permutation_from_link_map(lattice, assignments)
-
-
-def single_link_raise_permutation(lattice, link_idx, step=1):
-    assignments = {idx: (idx, 1, step if idx == link_idx else 0)
-                   for idx in range(lattice.n_links)}
-    return permutation_from_link_map(lattice, assignments)
-
-
 # --- gauge-invariant subspace ----------------------------------------------
 
 @dataclass

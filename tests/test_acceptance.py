@@ -136,7 +136,7 @@ def test_criterion_4_norm_conservation():
         v /= np.linalg.norm(v)
         drift = 0.0
         for _ in range(1000):
-            v = linop.propagate(op, v, 0.02, method="krylov")
+            v = linop.propagate(op, v, 0.02, dense_cutoff=0)
             drift = max(drift, abs(np.linalg.norm(v) - 1.0))
         assert drift <= 1e-8
 

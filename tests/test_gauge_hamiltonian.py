@@ -148,9 +148,11 @@ def test_unpaired_amplitudes_rejected():
 
 
 def test_dimension_cap_enforced():
-    lat = LinkLattice((2, 2), 8, boundary="periodic")  # 8^8 = 16.7M
-    with pytest.raises(HilbertDimensionError):
-        build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0), cap=2 ** 20)
+    # 9^8 > 2^24 = DIMENSION_CAP; the cap, not the memory check, must raise
+    lat = LinkLattice((2, 2), 9, boundary="periodic")
+    assert lat.hilbert_dim > gauge_ham.DIMENSION_CAP
+    with pytest.raises(HilbertDimensionError, match="exceeds cap"):
+        build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
 
 
 def test_hermiticity_certificate_exact_for_preset():
@@ -422,7 +424,9 @@ def test_spectrum_invariant_under_global_direction_shift():
     lat = LinkLattice((2, 2), 3, boundary="periodic")
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
     for direction in range(2):
-        sigma = zn.link_shift_permutation(lat, direction)
+        sigma = zn.permutation_from_link_map(
+            lat, {idx: (idx, 1, 1 if k == direction else 0)
+                  for idx, (_, k) in enumerate(lat.links)})
         assert commutator_norm(op, sigma) <= 1e-12
 
 

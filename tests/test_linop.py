@@ -53,22 +53,13 @@ def test_propagate_t0_is_identity():
     assert np.array_equal(propagate(op, v, 0.0), v)
 
 
-def test_propagate_rejects_unknown_method_at_any_time():
-    rng = np.random.default_rng(5)
-    op = random_hermitian(20, rng)
-    v = rng.standard_normal(20) + 0j
-    for t in (0.0, 1.0):
-        with pytest.raises(ValueError, match="unknown propagation method 'bogus'"):
-            propagate(op, v, t, method="bogus")
-
-
 def test_propagate_eigenvector_phase():
     rng = np.random.default_rng(6)
     op = random_hermitian(24, rng)
     w, q = op.dense_eig()
     v = q[:, 3]
-    for method in ("dense", "krylov"):
-        out = propagate(op, v, 1.7, method=method)
+    for dense_cutoff in (op.dimension, 0):
+        out = propagate(op, v, 1.7, dense_cutoff=dense_cutoff)
         assert np.abs(out - np.exp(-1j * w[3] * 1.7) * v).max() < 1e-12
 
 
@@ -76,13 +67,11 @@ def test_propagate_matches_expm():
     rng = np.random.default_rng(7)
     op = random_hermitian(30, rng, density=0.3)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    # "auto" with a cutoff below the dimension takes the sparse path
-    methods = [dict(method="dense"), dict(method="krylov"),
-               dict(method="auto", dense_cutoff=10)]
+    # a cutoff below the dimension takes the expm_multiply path
     for vec in (v, np.zeros(30)):
         expected = expm(-1j * 0.9 * op.to_dense()) @ vec
-        for kwargs in methods:
-            out = propagate(op, vec, 0.9, **kwargs)
+        for dense_cutoff in (op.dimension, 0, 10):
+            out = propagate(op, vec, 0.9, dense_cutoff=dense_cutoff)
             assert np.linalg.norm(out - expected) < 1e-10
 
 
@@ -91,10 +80,11 @@ def test_propagate_unitary_and_semigroup():
     op = random_hermitian(40, rng)
     v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     v /= np.linalg.norm(v)
-    for method in ("dense", "krylov"):
-        out = propagate(op, v, 2.3, method=method)
+    for dense_cutoff in (op.dimension, 0):
+        out = propagate(op, v, 2.3, dense_cutoff=dense_cutoff)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
-        two_step = propagate(op, propagate(op, v, 0.7, method=method), 1.6, method=method)
+        two_step = propagate(op, propagate(op, v, 0.7, dense_cutoff=dense_cutoff), 1.6,
+                             dense_cutoff=dense_cutoff)
         assert np.linalg.norm(two_step - out) < 1e-9
 
 
@@ -102,9 +92,9 @@ def test_propagate_hbar_scaling():
     rng = np.random.default_rng(9)
     op = random_hermitian(16, rng)
     v = rng.standard_normal(16) + 0j
-    for method in ("dense", "krylov"):
-        a = propagate(op, v, 1.0, hbar=2.0, method=method)
-        b = propagate(op, v, 0.5, hbar=1.0, method=method)
+    for dense_cutoff in (op.dimension, 0):
+        a = propagate(op, v, 1.0, hbar=2.0, dense_cutoff=dense_cutoff)
+        b = propagate(op, v, 0.5, hbar=1.0, dense_cutoff=dense_cutoff)
         assert np.linalg.norm(a - b) < 1e-12
 
 

@@ -14,6 +14,7 @@ from hopquant import (
     kernel_from_potentials,
     perturb_kernel,
     random_unitary_kernel,
+    validate_kernel_unitarity,
 )
 from hopquant.errors import HermiticityError
 
@@ -153,6 +154,32 @@ def test_time_dependent_kernel_rebuild():
     h0 = build_particle_hamiltonian(kernel, t=0.0).to_dense()
     h1 = build_particle_hamiltonian(kernel, t=2.0).to_dense()
     assert np.abs((h1 - h0) - 2.0 * np.eye(6)).max() < 1e-14
+
+
+def test_time_dependent_kernel_offsets_taken_at_build_time():
+    # the +-1 pair carries amplitude only at t=1, and it breaks the pairing
+    grid = LatticeGrid((8,), 1.0)
+    calls = []
+
+    def kappa1(t):
+        calls.append(t)
+        if t == 0.0:
+            return {}
+        if t == 2.0:
+            return {(5,): np.ones(grid.shape)}
+        return {n: np.full(grid.shape, -0.5 + 0.25j) for n in ((1,), (-1,))}
+
+    kernel = HoppingKernel(grid, kappa0={(0,): 1.0}, kappa1=kappa1)
+    calls.clear()
+    op = build_particle_hamiltonian(kernel, t=1.0, tol=np.inf)
+    assert op.matrix.nnz == 24
+    assert op.hermiticity_defect == 0.5
+    assert calls == [1.0]
+    report = validate_kernel_unitarity(kernel, t=1.0)
+    assert not report.passed and report.max_violation == 0.5
+    assert validate_kernel_unitarity(kernel).passed
+    with pytest.raises(ValueError, match="exceeds maximum"):
+        build_particle_hamiltonian(kernel, t=2.0)
 
 
 def test_gauge_shift_preserves_spectrum():

@@ -112,7 +112,8 @@ def test_shift_covariance_commutes_with_gauge():
     lat = single_plaquette(n=3)
     rng = np.random.default_rng(43)
     for link in range(lat.n_links):
-        raise_map = zn.single_link_raise_permutation(lat, link)
+        raise_map = zn.permutation_from_link_map(
+            lat, {idx: (idx, 1, 1 if idx == link else 0) for idx in range(lat.n_links)})
         g = rng.integers(0, 3, lat.n_sites)
         gauge_map = zn.gauge_permutation(lat, g)
         assert np.array_equal(raise_map[gauge_map], gauge_map[raise_map])
@@ -236,7 +237,8 @@ def test_permutations_agree_with_config_transforms():
     sigma_g = zn.gauge_permutation(lat, g)
     sigma_c = zn.charge_conjugation_permutation(lat)
     sigma_p = zn.parity_permutation(lat, (0.5, 0.0))
-    sigma_s = zn.link_shift_permutation(lat, 1)
+    sigma_s = zn.permutation_from_link_map(
+        lat, {idx: (idx, 1, 1 if k == 1 else 0) for idx, (_, k) in enumerate(lat.links)})
     for index in rng.integers(0, lat.hilbert_dim, size=40):
         config = LinkConfig.from_index(lat, int(index))
         assert sigma_g[index] == apply_gauge(config, g).index
@@ -260,7 +262,8 @@ def test_permutations_agree_with_config_transforms_off_square(dims, n, boundary)
     assert centers
     raised = lat.n_links - 2
     checks = [(zn.gauge_permutation(lat, g), lambda c: apply_gauge(c, g)),
-              (zn.single_link_raise_permutation(lat, raised, step=2),
+              (zn.permutation_from_link_map(
+                  lat, {idx: (idx, 1, 2 if idx == raised else 0) for idx in range(lat.n_links)}),
                lambda c: LinkConfig(lat, c.values + 2 * (np.arange(lat.n_links) == raised)))]
     checks += [(zn.parity_permutation(lat, s0), lambda c, s0=s0: parity_transform(c, s0))
                 for s0 in centers]
