@@ -10,7 +10,7 @@ import sys
 
 from .config import ExperimentConfig, parse_tolerance
 from .errors import ConfigError, HopquantError
-from .experiments import list_experiments, run_experiment
+from .experiments import REGISTRY, SECTORS, list_experiments, run_experiment
 
 EXIT_PASS = 0
 EXIT_RUNTIME = 1
@@ -42,26 +42,19 @@ def build_parser():
 
     sub.add_parser("list", help="list bundled experiments")
 
-    particle = sub.add_parser("particle", help="single-particle studies")
-    psub = particle.add_subparsers(dest="subcommand", required=True)
-    for name in ("validate", "extract", "evolve", "converge"):
-        _add_common(psub.add_parser(name))
-
-    gauge = sub.add_parser("gauge", help="link-field studies")
-    gsub = gauge.add_subparsers(dest="subcommand", required=True)
-    for name in ("build", "symcheck", "spectrum", "compare-ks", "constants"):
-        p = gsub.add_parser(name)
+    sectors = {}
+    for name in REGISTRY:
+        sector, _, action = name.partition("-")
+        if sector not in sectors:
+            sectors[sector] = sub.add_parser(sector, help=SECTORS[sector]) \
+                .add_subparsers(dest="subcommand", required=True)
+        p = sectors[sector].add_parser(action)
+        p.set_defaults(experiment=name)
         _add_common(p)
-        if name == "spectrum":
+        if name == "gauge-spectrum":
             p.add_argument("--count", type=int, default=None,
                            help="number of low eigenvalues")
     return parser
-
-
-def _experiment_name(args, cfg):
-    if args.command == "run":
-        return cfg.getstr("run", "experiment")
-    return f"{args.command}-{args.subcommand}"
 
 
 def main(argv=None):
@@ -85,8 +78,8 @@ def main(argv=None):
         cfg = ExperimentConfig.from_file(args.config)
         if getattr(args, "count", None) is not None:
             cfg.sections.setdefault("spectrum", {})["count"] = str(args.count)
-            cfg.locations.setdefault("spectrum", {})
-        name = _experiment_name(args, cfg)
+            cfg.locations.setdefault("spectrum", {})["count"] = (None, None)  # no file location
+        name = args.experiment if "experiment" in args else cfg.getstr("run", "experiment")
         report = run_experiment(name, cfg, seed=args.seed, tol=tol)
     except ConfigError as exc:
         print(f"hopquant: config error: {exc}", file=sys.stderr)

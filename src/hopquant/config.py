@@ -77,11 +77,12 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.parse(fh.read(), path=str(path))
 
-    def _location(self, section, key):
+    def invalid(self, section, key, message):
+        """A ``ConfigError`` located at ``key``, else at its section's header."""
         loc = self.locations.get(section, {}).get(key)
         if loc is None:
             loc = self.locations.get(section, {}).get("__section__", (None, None))
-        return loc
+        return ConfigError(message, line=loc[0], col=loc[1])
 
     def has(self, section, key):
         return key in self.sections.get(section, {})
@@ -92,26 +93,21 @@ class ExperimentConfig:
     def _fetch(self, section, key, default, conv, kind):
         if not self.has(section, key):
             if default is REQUIRED:
-                line, col = self.locations.get(section, {}).get(
-                    "__section__", (None, None))
-                raise ConfigError(f"missing required key {key!r} in [{section}]",
-                                  line=line, col=col)
+                raise self.invalid(section, key,
+                                   f"missing required key {key!r} in [{section}]")
             return default
         raw = self.sections[section][key]
         try:
             return conv(raw)
         except (TypeError, ValueError):
-            line, col = self._location(section, key)
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind}",
-                              line=line, col=col) from None
+            raise self.invalid(section, key, f"[{section}] {key} = {raw!r} "
+                               f"is not a valid {kind}") from None
 
     def getstr(self, section, key, default=REQUIRED, choices=None):
         value = self._fetch(section, key, default, str, "string")
         if choices and self.has(section, key) and value not in choices:
-            line, col = self._location(section, key)
-            raise ConfigError(
-                f"[{section}] {key} must be one of {sorted(choices)}, got {value!r}",
-                line=line, col=col)
+            raise self.invalid(section, key, f"[{section}] {key} must be one of "
+                               f"{sorted(choices)}, got {value!r}")
         return value
 
     def getint(self, section, key, default=REQUIRED):
@@ -158,16 +154,13 @@ class ExperimentConfig:
         """
         for section, entries in self.sections.items():
             if section not in schema:
-                line, col = self.locations[section].get("__section__", (None, None))
-                raise ConfigError(f"unknown section [{section}]", line=line, col=col)
+                raise self.invalid(section, None, f"unknown section [{section}]")
             allowed = schema[section]
             prefixes = [p[:-1] for p in allowed if p.endswith("*")]
             for key in entries:
                 if key in allowed or any(key.startswith(p) for p in prefixes):
                     continue
-                line, col = self._location(section, key)
-                raise ConfigError(f"unknown key {key!r} in [{section}]",
-                                  line=line, col=col)
+                raise self.invalid(section, key, f"unknown key {key!r} in [{section}]")
 
     def resolved(self):
         """Plain nested dict of every entry, for embedding in reports."""

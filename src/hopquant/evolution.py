@@ -121,7 +121,6 @@ class ContinuumProblem:
     vector_potential: callable = None
     scalar_potential: callable = None
     boundary: str = "periodic"
-    steps: int = 1
     hbar: float = 1.0
     charge: float = 1.0
     name: str = "custom"
@@ -162,8 +161,7 @@ def _final_state(problem, a, hbar, charge):
                                     problem.scalar_potential,
                                     problem.mass, grid, hbar=hbar, charge=charge)
     psi0 = LatticeWavefunction.from_callable(grid, problem.initial)
-    result = evolve(kernel, psi0, problem.duration / problem.steps,
-                    problem.steps, hbar=hbar)
+    result = evolve(kernel, psi0, problem.duration, 1, hbar=hbar)
     return grid, result.psi.values
 
 
@@ -222,7 +220,7 @@ def free_gaussian_problem(domain=(-12.0, 12.0), duration=1.0, x0=0.0, sigma=1.0,
 
 
 def harmonic_problem(domain=(-8.0, 8.0), duration=None, x0=1.0, mass=1.0,
-                     omega=1.0, hbar=1.0, boundary="open"):
+                     omega=1.0, hbar=1.0):
     """Coherent-state swing in a harmonic well; default duration one period."""
     if duration is None:
         duration = 2.0 * np.pi / omega
@@ -233,7 +231,7 @@ def harmonic_problem(domain=(-8.0, 8.0), duration=None, x0=1.0, mass=1.0,
                                                    omega=omega, hbar=hbar),
         duration=duration, domain=(domain,), mass=mass,
         scalar_potential=lambda x: 0.5 * mass * omega ** 2 * x ** 2,
-        boundary=boundary, hbar=hbar, name="harmonic")
+        boundary="open", hbar=hbar, name="harmonic")
 
 
 def constant_field_problem(a_strength, domain=(-12.0, 12.0), duration=2.0,

@@ -1,13 +1,16 @@
 """Named experiments binding configs to module operations.
 
-Every experiment consumes an ``ExperimentConfig``, runs one study, and
-returns a ``Report`` whose checks decide the process exit code.
+``REGISTRY`` declares each experiment once; the CLI subcommands come from its
+names. Every run goes through ``run_experiment``, which returns a ``Report``
+whose checks decide the process exit code.
 """
+
+from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
 from . import gauge_ham, zn
-from .config import ExperimentConfig
 from .errors import ConfigError, HopquantError
 from .evolution import (
     constant_field_problem,
@@ -16,6 +19,7 @@ from .evolution import (
     free_gaussian_problem,
     harmonic_problem,
 )
+from .linop import HERMITICITY_TOL
 from .particle import (
     HoppingKernel,
     LatticeGrid,
@@ -30,15 +34,16 @@ from .particle import (
 from .report import Report
 from .states import coherent_oscillator, drifting_gaussian, free_gaussian
 
-DEFAULT_TOL = 1e-12
-
 _BASE_RUN_KEYS = {"experiment", "seed", "tolerance"}
-_GRID_KEYS = {"dims", "spacing", "boundary", "origin"}
-_KERNEL_KEYS = {"preset", "mass", "hbar", "onsite", "scale", "perturb", "k0(*",
-                "potential", "omega", "center", "strength"}
-_STATE_KEYS = {"type", "x0", "sigma", "k0", "omega", "strength"}
-_GAUGE_KEYS = {"dims", "n", "boundary", "spacing"}
-_PRESET_KEYS = {"type", "lambda_e", "lambda_b"}
+_PARTICLE_SECTIONS = {
+    "grid": {"dims", "spacing", "boundary", "origin"},
+    "kernel": {"preset", "mass", "hbar", "onsite", "scale", "perturb", "k0(*",
+               "potential", "omega", "center", "strength"},
+}
+_GAUGE_SECTIONS = {
+    "gauge": {"dims", "n", "boundary"},
+    "preset": {"type", "lambda_e", "lambda_b"},
+}
 
 
 def _grid_from_config(cfg):
@@ -135,8 +140,7 @@ def _lattice_from_config(cfg, n_override=None):
     n = n_override if n_override is not None else cfg.getint("gauge", "n")
     boundary = cfg.getstr("gauge", "boundary", default="periodic",
                           choices={"periodic", "open"})
-    spacing = cfg.getfloat("gauge", "spacing", default=1.0)
-    return zn.LinkLattice(dims, n, boundary=boundary, spacing=spacing)
+    return zn.LinkLattice(dims, n, boundary=boundary)
 
 
 def _spec_from_config(cfg):
@@ -157,15 +161,37 @@ def _site_rows(grid, fields):
     return rows
 
 
+def _particle_kernel(cfg, report):
+    """The grid and kernel of ``[grid]`` and ``[kernel]``, drawn from the report's seed."""
+    grid = _grid_from_config(cfg)
+    return grid, _kernel_from_config(cfg, grid, np.random.default_rng(report.seed))
+
+
+def _gauge_operator(cfg, tol):
+    """The lattice of ``[gauge]`` and the certified Hamiltonian of ``[preset]`` on it."""
+    lattice = _lattice_from_config(cfg)
+    op = gauge_ham.build_gauge_hamiltonian(lattice, _spec_from_config(cfg), tol=tol)
+    return lattice, op
+
+
+def _check_hermiticity(report, defect, tol):
+    """Record ``operator-hermiticity``; a build that failed without a defect passes None."""
+    report.add_check("operator-hermiticity", defect is not None and defect <= tol,
+                     value=defect, tolerance=tol)
+
+
+def _count(cfg, section, default):
+    count = cfg.getint(section, "count", default=default)
+    if count < 1:
+        raise cfg.invalid(section, "count",
+                          f"[{section}] count must be at least 1, got {count}")
+    return count
+
+
 # --- particle experiments ----------------------------------------------------
 
-def run_particle_validate(cfg, seed, tol):
-    cfg.validate_schema({"grid": _GRID_KEYS, "kernel": _KERNEL_KEYS,
-                         "run": _BASE_RUN_KEYS})
-    rng = np.random.default_rng(seed)
-    grid = _grid_from_config(cfg)
-    kernel = _kernel_from_config(cfg, grid, rng)
-    report = Report("particle-validate", seed, cfg.resolved())
+def run_particle_validate(cfg, report, tol):
+    _, kernel = _particle_kernel(cfg, report)
     result = validate_kernel_unitarity(kernel, tol=tol)
     report.results["max_violation"] = result.max_violation
     report.results["checked_pairs"] = result.checked_pairs
@@ -173,24 +199,15 @@ def run_particle_validate(cfg, seed, tol):
     report.add_check("unitarity-constraint", result.passed,
                      value=result.max_violation, tolerance=tol)
     try:
-        op = build_particle_hamiltonian(kernel, tol=tol)
-        report.results["hermiticity_defect"] = op.hermiticity_defect
-        report.add_check("operator-hermiticity", True,
-                         value=op.hermiticity_defect, tolerance=tol)
+        defect = build_particle_hamiltonian(kernel, tol=tol).hermiticity_defect
     except HopquantError as exc:
-        report.results["hermiticity_defect"] = getattr(exc, "defect", None)
-        report.add_check("operator-hermiticity", False,
-                         value=getattr(exc, "defect", None), tolerance=tol)
-    return report
+        defect = getattr(exc, "defect", None)
+    report.results["hermiticity_defect"] = defect
+    _check_hermiticity(report, defect, tol)
 
 
-def run_particle_extract(cfg, seed, tol):
-    cfg.validate_schema({"grid": _GRID_KEYS, "kernel": _KERNEL_KEYS,
-                         "run": _BASE_RUN_KEYS})
-    rng = np.random.default_rng(seed)
-    grid = _grid_from_config(cfg)
-    kernel = _kernel_from_config(cfg, grid, rng)
-    report = Report("particle-extract", seed, cfg.resolved())
+def run_particle_extract(cfg, report, tol):
+    grid, kernel = _particle_kernel(cfg, report)
     result = validate_kernel_unitarity(kernel, tol=tol)
     report.add_check("unitarity-constraint", result.passed,
                      value=result.max_violation, tolerance=tol)
@@ -207,21 +224,14 @@ def run_particle_extract(cfg, seed, tol):
     named = [(f"A{j+1}", fields.vector_potential[j]) for j in range(grid.ndim)]
     named.append(("U", fields.scalar_potential))
     report.add_table("potentials", header, _site_rows(grid, named))
-    return report
 
 
-def run_particle_evolve(cfg, seed, tol):
-    cfg.validate_schema({"grid": _GRID_KEYS, "kernel": _KERNEL_KEYS,
-                         "state": _STATE_KEYS, "run": _BASE_RUN_KEYS,
-                         "evolve": {"dt", "steps", "drift_tol"}})
-    rng = np.random.default_rng(seed)
-    grid = _grid_from_config(cfg)
-    kernel = _kernel_from_config(cfg, grid, rng)
+def run_particle_evolve(cfg, report, tol):
+    grid, kernel = _particle_kernel(cfg, report)
     psi0 = _state_from_config(cfg, grid).normalized()
     dt = cfg.getfloat("evolve", "dt")
     steps = cfg.getint("evolve", "steps")
     drift_tol = cfg.getfloat("evolve", "drift_tol", default=1e-8)
-    report = Report("particle-evolve", seed, cfg.resolved())
     result = evolve(kernel, psi0, dt, steps, drift_tol=drift_tol)
     report.results["norm_drift"] = result.norm_drift
     report.results["final_norm"] = result.psi.norm()
@@ -232,15 +242,9 @@ def run_particle_evolve(cfg, seed, tol):
     rows = [[i, float(v.real), float(v.imag), float(abs(v) ** 2)]
             for i, v in enumerate(final)]
     report.add_table("final_state", ["site", "re", "im", "abs2"], rows)
-    return report
 
 
-def run_particle_converge(cfg, seed, tol):
-    cfg.validate_schema({
-        "run": _BASE_RUN_KEYS,
-        "converge": {"problem", "spacings", "duration", "domain", "x0", "sigma",
-                     "k0", "omega", "strength", "mass", "min_order"},
-    })
+def run_particle_converge(cfg, report, tol):
     name = cfg.getstr("converge", "problem",
                       choices={"free-gaussian", "harmonic", "constant-a"})
     spacings = cfg.getfloats("converge", "spacings")
@@ -266,7 +270,6 @@ def run_particle_converge(cfg, seed, tol):
             sigma=cfg.getfloat("converge", "sigma", default=1.0))
     min_order = cfg.getfloat("converge", "min_order", default=1.0)
     study = convergence_study(problem, spacings)
-    report = Report("particle-converge", seed, cfg.resolved())
     report.results["order"] = study.order
     report.results["monotone"] = study.monotone
     report.results["problem"] = study.problem
@@ -274,37 +277,24 @@ def run_particle_converge(cfg, seed, tol):
                      value=study.order, tolerance=min_order)
     report.add_table("errors", ["spacing", "l2_error"],
                      list(zip(study.spacings, study.errors)))
-    return report
 
 
 # --- gauge experiments -------------------------------------------------------
 
-def run_gauge_build(cfg, seed, tol):
-    cfg.validate_schema({"gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS,
-                         "run": _BASE_RUN_KEYS})
-    lattice = _lattice_from_config(cfg)
-    spec = _spec_from_config(cfg)
-    report = Report("gauge-build", seed, cfg.resolved())
-    op = gauge_ham.build_gauge_hamiltonian(lattice, spec, tol=tol)
-    diag = np.abs(op.matrix.diagonal())
+def run_gauge_build(cfg, report, tol):
+    _, op = _gauge_operator(cfg, tol)
+    diag_max = float(np.abs(op.matrix.diagonal()).max(initial=0.0))
     report.results["dimension"] = op.dimension
     report.results["nnz"] = int(op.matrix.nnz)
     report.results["hermiticity_defect"] = op.hermiticity_defect
-    report.add_check("operator-hermiticity", op.hermiticity_defect <= tol,
-                     value=op.hermiticity_defect, tolerance=tol)
-    report.add_check("strictly-off-diagonal", float(diag.max(initial=0.0)) == 0.0,
-                     value=float(diag.max(initial=0.0)), tolerance=0.0)
-    return report
+    _check_hermiticity(report, op.hermiticity_defect, tol)
+    report.add_check("strictly-off-diagonal", diag_max == 0.0, value=diag_max,
+                     tolerance=0.0)
 
 
-def run_gauge_symcheck(cfg, seed, tol):
-    cfg.validate_schema({"gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS,
-                         "run": _BASE_RUN_KEYS})
-    lattice = _lattice_from_config(cfg)
-    spec = _spec_from_config(cfg)
-    op = gauge_ham.build_gauge_hamiltonian(lattice, spec, tol=tol)
+def run_gauge_symcheck(cfg, report, tol):
+    lattice, op = _gauge_operator(cfg, tol)
     result = gauge_ham.symmetry_commutator_norms(op, lattice)
-    report = Report("gauge-symcheck", seed, cfg.resolved())
     report.results["mode"] = result.mode
     for label, value in (("gauge", result.gauge),
                          ("charge-conjugation", result.charge_conjugation),
@@ -312,37 +302,28 @@ def run_gauge_symcheck(cfg, seed, tol):
         report.results[f"commutator_{label}"] = value
         report.add_check(f"commutator-{label}", value <= tol,
                          value=value, tolerance=tol)
-    return report
 
 
-def run_gauge_spectrum(cfg, seed, tol):
-    cfg.validate_schema({"gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS,
-                         "run": _BASE_RUN_KEYS, "spectrum": {"count"}})
-    lattice = _lattice_from_config(cfg)
-    spec = _spec_from_config(cfg)
-    count = cfg.getint("spectrum", "count", default=6)
-    op = gauge_ham.build_gauge_hamiltonian(lattice, spec, tol=tol)
+def run_gauge_spectrum(cfg, report, tol):
+    count = _count(cfg, "spectrum", default=6)
+    _, op = _gauge_operator(cfg, tol)
     result = gauge_ham.spectrum(op, count)
-    report = Report("gauge-spectrum", seed, cfg.resolved())
     report.results["ground_energy"] = float(result.values[0])
-    report.add_check("operator-hermiticity", op.hermiticity_defect <= tol,
-                     value=op.hermiticity_defect, tolerance=tol)
+    _check_hermiticity(report, op.hermiticity_defect, tol)
     rows = [[i, float(v), float(v - result.values[0])]
             for i, v in enumerate(result.values)]
     report.add_table("eigenvalues", ["index", "energy", "gap"], rows)
-    return report
 
 
-def run_gauge_compare_ks(cfg, seed, tol):
-    cfg.validate_schema({
-        "gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS, "run": _BASE_RUN_KEYS,
-        "compare": {"n_list", "count", "require_trend", "zero_magnetic_tol"},
-    })
+def run_gauge_compare_ks(cfg, report, tol):
     spec = _spec_from_config(cfg)
     n_list = cfg.getints("compare", "n_list", default=[4, 6, 8, 10])
-    count = cfg.getint("compare", "count", default=5)
-    require_trend = cfg.getbool("compare", "require_trend", default=True)
-    report = Report("gauge-compare-ks", seed, cfg.resolved())
+    count = _count(cfg, "compare", default=5)
+    trend = spec.magnetic != 0.0 and cfg.getbool("compare", "require_trend", default=True)
+    if len(n_list) < 1 + trend:
+        need = "two clock orders for the deviation trend" if trend else "a clock order"
+        raise cfg.invalid("compare", "n_list",
+                          f"[compare] n_list needs {need}, got {len(n_list)}")
     rows = []
     max_devs = []
     for n in n_list:
@@ -365,24 +346,18 @@ def run_gauge_compare_ks(cfg, seed, tol):
         limit = cfg.getfloat("compare", "zero_magnetic_tol", default=1e-10)
         report.add_check("zero-magnetic-agreement", max(max_devs) <= limit,
                          value=max(max_devs), tolerance=limit)
-    elif require_trend:
+    elif trend:
         decreasing = all(b < a for a, b in zip(max_devs, max_devs[1:]))
         report.add_check("deviation-trend-decreasing", decreasing,
                          value=max_devs[-1])
-    return report
 
 
-def run_gauge_constants(cfg, seed, tol):
-    cfg.validate_schema({
-        "gauge": _GAUGE_KEYS, "preset": _PRESET_KEYS, "run": _BASE_RUN_KEYS,
-        "constants": {"n", "spacing", "identity_tol"},
-    })
+def run_gauge_constants(cfg, report, tol):
     spec = _spec_from_config(cfg)
     n = cfg.getint("constants", "n", default=1024)
     spacing = cfg.getfloat("constants", "spacing", default=1.0)
     identity_tol = cfg.getfloat("constants", "identity_tol", default=1e-10)
     consts = gauge_ham.extract_continuum_constants(spec, n, spacing=spacing)
-    report = Report("gauge-constants", seed, cfg.resolved())
     report.results.update({
         "inv_eps0": consts.inv_eps0,
         "inv_mu0": consts.inv_mu0,
@@ -405,40 +380,67 @@ def run_gauge_constants(cfg, seed, tol):
                          tolerance=identity_tol)
     else:
         report.add_check("degenerate-reported", consts.degenerate)
-    return report
 
+
+@dataclass(frozen=True)
+class Experiment:
+    """``run(cfg, report, tol)`` fills in the report; ``sections`` maps each
+    config section it reads besides ``[run]`` to its allowed keys."""
+
+    run: callable
+    doc: str
+    sections: dict
+
+
+# Help text of each sector: the part of an experiment name before its first "-".
+SECTORS = {"particle": "single-particle studies", "gauge": "link-field studies"}
 
 REGISTRY = {
-    "particle-validate": (run_particle_validate,
-                          "check the conservation constraint and operator hermiticity"),
-    "particle-extract": (run_particle_extract,
-                         "read mass, background energy and potentials off a kernel"),
-    "particle-evolve": (run_particle_evolve,
-                        "propagate an initial state and report norm drift"),
-    "particle-converge": (run_particle_converge,
-                          "error-vs-spacing study against an analytic solution"),
-    "gauge-build": (run_gauge_build,
-                    "assemble the link-field Hamiltonian and certify hermiticity"),
-    "gauge-symcheck": (run_gauge_symcheck,
-                       "commutator norms with gauge, charge-conjugation and parity maps"),
-    "gauge-spectrum": (run_gauge_spectrum,
-                       "lowest eigenvalues and gaps of the link-field Hamiltonian"),
-    "gauge-compare-ks": (run_gauge_compare_ks,
-                         "gap deviations against the standard reference Hamiltonian over N"),
-    "gauge-constants": (run_gauge_constants,
-                        "extract the emergent electric/magnetic constants"),
+    "particle-validate": Experiment(
+        run_particle_validate,
+        "check the conservation constraint and operator hermiticity",
+        _PARTICLE_SECTIONS),
+    "particle-extract": Experiment(
+        run_particle_extract,
+        "read mass, background energy and potentials off a kernel",
+        _PARTICLE_SECTIONS),
+    "particle-evolve": Experiment(
+        run_particle_evolve, "propagate an initial state and report norm drift",
+        {**_PARTICLE_SECTIONS,
+         "state": {"type", "x0", "sigma", "k0", "omega", "strength"},
+         "evolve": {"dt", "steps", "drift_tol"}}),
+    "particle-converge": Experiment(
+        run_particle_converge, "error-vs-spacing study against an analytic solution",
+        {"converge": {"problem", "spacings", "duration", "domain", "x0", "sigma",
+                      "k0", "omega", "strength", "mass", "min_order"}}),
+    "gauge-build": Experiment(
+        run_gauge_build, "assemble the link-field Hamiltonian and certify hermiticity",
+        _GAUGE_SECTIONS),
+    "gauge-symcheck": Experiment(
+        run_gauge_symcheck,
+        "commutator norms with gauge, charge-conjugation and parity maps",
+        _GAUGE_SECTIONS),
+    "gauge-spectrum": Experiment(
+        run_gauge_spectrum, "lowest eigenvalues and gaps of the link-field Hamiltonian",
+        {**_GAUGE_SECTIONS, "spectrum": {"count"}}),
+    "gauge-compare-ks": Experiment(
+        run_gauge_compare_ks,
+        "gap deviations against the standard reference Hamiltonian over N",
+        {**_GAUGE_SECTIONS,
+         "compare": {"n_list", "count", "require_trend", "zero_magnetic_tol"}}),
+    "gauge-constants": Experiment(
+        run_gauge_constants, "extract the emergent electric/magnetic constants",
+        {**_GAUGE_SECTIONS, "constants": {"n", "spacing", "identity_tol"}}),
 }
 
 
 def list_experiments():
     """Registry names with one-line descriptions."""
-    return [(name, doc) for name, (_, doc) in sorted(REGISTRY.items())]
+    return [(name, exp.doc) for name, exp in sorted(REGISTRY.items())]
 
 
 def bundled_config_path(name):
     """Filesystem path of a config shipped with the package."""
-    from importlib import resources
-
     path = resources.files("hopquant").joinpath("configs", name)
     if not path.is_file():
         raise ConfigError(f"no bundled config named {name!r}")
@@ -446,19 +448,22 @@ def bundled_config_path(name):
 
 
 def bundled_config_names():
-    from importlib import resources
-
     root = resources.files("hopquant").joinpath("configs")
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
 def run_experiment(name, cfg, seed=None, tol=None):
+    """Resolve the seed, then the tolerance, check the config against the
+    experiment's sections, and return the report its runner filled in."""
     if name not in REGISTRY:
         raise ConfigError(f"unknown experiment {name!r}; "
                           f"known: {', '.join(sorted(REGISTRY))}")
     if seed is None:
         seed = cfg.getint("run", "seed", default=0)
     if tol is None:
-        tol = cfg.gettolerance("run", "tolerance", default=DEFAULT_TOL)
-    fn, _ = REGISTRY[name]
-    return fn(cfg, seed, tol)
+        tol = cfg.gettolerance("run", "tolerance", default=HERMITICITY_TOL)
+    experiment = REGISTRY[name]
+    cfg.validate_schema({"run": _BASE_RUN_KEYS, **experiment.sections})
+    report = Report(name, seed, cfg.resolved())
+    experiment.run(cfg, report, tol)
+    return report

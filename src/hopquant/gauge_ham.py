@@ -111,7 +111,7 @@ def _plaquette_values(lattice):
     return vals
 
 
-def _link_moves(lattice, link_amplitudes, diagonal=None, tol=1e-12):
+def _link_moves(lattice, link_amplitudes, diagonal=None, tol=linop.HERMITICITY_TOL):
     """Certified Hamiltonian of one-link moves plus an optional diagonal.
 
     ``link_amplitudes(l_idx, link_values, plaq)`` gives the (raise, lower)
@@ -140,7 +140,7 @@ def _link_moves(lattice, link_amplitudes, diagonal=None, tol=1e-12):
                                    amplitudes(), tol=tol)
 
 
-def build_gauge_hamiltonian(lattice, spec, tol=1e-12):
+def build_gauge_hamiltonian(lattice, spec, tol=linop.HERMITICITY_TOL):
     """Assemble the strictly off-diagonal one-link-move Hamiltonian.
 
     Raises ``HermiticityError`` ("spec violates unitary hopping") when the
@@ -159,7 +159,7 @@ def build_gauge_hamiltonian(lattice, spec, tol=1e-12):
             f"spec violates unitary hopping: {exc}", defect=exc.defect) from exc
 
 
-def reference_ks_hamiltonian(lattice, electric, magnetic, tol=1e-12):
+def reference_ks_hamiltonian(lattice, electric, magnetic, tol=linop.HERMITICITY_TOL):
     """Independent oracle: diagonal magnetic term plus electric link hopping.
 
     H = electric * sum_links (2 - raise - lower)

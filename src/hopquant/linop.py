@@ -14,6 +14,7 @@ import scipy.sparse.linalg as spla
 from .errors import EigenConvergenceError, HermiticityError, HilbertDimensionError
 
 DENSE_CUTOFF = 4096
+# Default tolerance of every hermiticity and unitarity check, and of a run.
 HERMITICITY_TOL = 1e-12
 EIGS_SEED = 20240811
 RESIDUAL_TOL = 1e-8

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateKernelError, KernelSymmetryError, MassRequiredError
-from .linop import _assemble_hopping
+from .linop import HERMITICITY_TOL, _assemble_hopping
 
 MAX_SUPPORT_RADIUS = 4
-UNITARITY_TOL = 1e-12
 
 
 class LatticeGrid:
@@ -288,7 +287,7 @@ def _open_valid_slices(shape, n):
     return tuple(src), tuple(shifted)
 
 
-def validate_kernel_unitarity(kernel, t=None, tol=UNITARITY_TOL):
+def validate_kernel_unitarity(kernel, t=None, tol=HERMITICITY_TOL):
     """Check the probability-conservation constraint at every site and offset.
 
     On open grids, (site, offset) pairs whose partner site falls outside the
@@ -333,7 +332,7 @@ def apply_kernel(kernel, values, t=None):
     return out
 
 
-def build_particle_hamiltonian(kernel, t=None, tol=UNITARITY_TOL):
+def build_particle_hamiltonian(kernel, t=None, tol=HERMITICITY_TOL):
     """Assemble the hopping operator as a sparse Hermitian matrix.
 
     H[x, x + a*n] = kappa(x, n, t) for every offset n of the support.

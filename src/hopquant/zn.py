@@ -23,7 +23,7 @@ class LinkLattice:
     single-link and single-plaquette systems.
     """
 
-    def __init__(self, dims, n, boundary="periodic", spacing=1.0):
+    def __init__(self, dims, n, boundary="periodic"):
         dims = tuple(int(d) for d in dims)
         if len(dims) not in (2, 3):
             raise ValueError("link lattice must have 2 or 3 extents")
@@ -33,12 +33,9 @@ class LinkLattice:
             raise ValueError(f"unknown boundary {boundary!r}")
         if any(d < 1 for d in dims) or (boundary == "periodic" and any(d < 2 for d in dims)):
             raise ValueError(f"extents {dims} invalid for {boundary} boundary")
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
         self.dims = dims
         self.n = int(n)
         self.boundary = boundary
-        self.spacing = float(spacing)
         self.sites = [tuple(s) for s in np.ndindex(*dims)]
         self._site_index = {s: i for i, s in enumerate(self.sites)}
         self.links = []

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from hopquant.cli import main
+from hopquant.cli import build_parser, main
 from hopquant.config import ExperimentConfig
 from hopquant.errors import ConfigError
 from hopquant.experiments import (
+    REGISTRY,
     bundled_config_names,
     bundled_config_path,
     list_experiments,
@@ -75,12 +76,28 @@ def test_unknown_key_rejected():
     cfg = ExperimentConfig.parse(VALIDATE_CFG + "unknown_key = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         run_experiment("particle-validate", cfg)
+    # every declared section of every experiment, and the removed [gauge] spacing
+    cases = [(name, section, "unknown_key") for name, exp in REGISTRY.items()
+             for section in ["run", *exp.sections]]
+    cases += [(name, "gauge", "spacing") for name in REGISTRY if name.startswith("gauge-")]
+    for name, section, key in cases:
+        cfg = ExperimentConfig.parse(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\]"):
+            run_experiment(name, cfg)
 
 
 def test_unknown_section_rejected():
     cfg = ExperimentConfig.parse(VALIDATE_CFG + "\n[mystery]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown section"):
         run_experiment("particle-validate", cfg)
+    # a made-up section, and every section that only other experiments read
+    declared = {section for exp in REGISTRY.values() for section in exp.sections}
+    for name, exp in REGISTRY.items():
+        for section in ["mystery", *sorted(declared - set(exp.sections))]:
+            cfg = ExperimentConfig.parse(f"[run]\nseed = 1\n[{section}]\nx = 1\n")
+            with pytest.raises(ConfigError,
+                               match=rf"unknown section \[{section}\] \(line 3"):
+                run_experiment(name, cfg)
 
 
 # --- registry -----------------------------------------------------------------
@@ -92,6 +109,14 @@ def test_registry_contents():
     assert len(names) >= 6
     for _, doc in list_experiments():
         assert doc
+
+
+def test_registry_names_parse_as_subcommands():
+    parser = build_parser()
+    for name in REGISTRY:
+        sector, action = name.split("-", 1)
+        args = parser.parse_args([sector, action, "exp.cfg"])
+        assert (args.command, args.subcommand, args.experiment) == (sector, action, name)
 
 
 def test_bundled_configs_exist():
@@ -277,6 +302,43 @@ def test_gauge_spectrum_count_flag(tmp_path):
     assert main(["gauge", "spectrum", cfg, "--out", out, "--count", "4"]) == 0
     table = (tmp_path / "out" / "eigenvalues.csv").read_text().splitlines()
     assert len(table) == 5
+
+
+SMALL_GAUGE_CFG = """
+[gauge]
+dims = 2, 1
+n = 3
+boundary = open
+
+[preset]
+type = maxwell
+"""
+
+
+@pytest.mark.parametrize("experiment, extra, flags, key", [
+    pytest.param("gauge-spectrum", "[spectrum]\ncount = 0\n", [], "[spectrum] count",
+                 id="spectrum-count-0"),
+    pytest.param("gauge-spectrum", "", ["--count", "0"], "[spectrum] count",
+                 id="count-flag-0"),
+    pytest.param("gauge-spectrum", "", ["--count", "-2"], "[spectrum] count",
+                 id="count-flag-negative"),
+    pytest.param("gauge-compare-ks", "[compare]\nn_list = 3, 4\ncount = 0\n", [],
+                 "[compare] count", id="compare-count-0"),
+    pytest.param("gauge-compare-ks", "[compare]\nn_list =\n", [], "[compare] n_list",
+                 id="n_list-empty"),
+    pytest.param("gauge-compare-ks", "lambda_b = 0\n[compare]\nn_list =\n", [],
+                 "[compare] n_list", id="n_list-empty-zero-magnetic"),
+    # one clock order makes no trend while lambda_b != 0 and require_trend holds
+    pytest.param("gauge-compare-ks", "[compare]\nn_list = 3\n", [], "[compare] n_list",
+                 id="n_list-single-with-trend"),
+])
+def test_counts_and_n_lists_without_a_result_exit_three(tmp_path, capsys, experiment,
+                                                         extra, flags, key):
+    cfg = write(tmp_path, SMALL_GAUGE_CFG + extra)
+    sector, action = experiment.split("-", 1)
+    assert main([sector, action, cfg, "--out", str(tmp_path / "out"), *flags]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tabulated_kernel_config(tmp_path):
