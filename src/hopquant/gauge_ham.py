@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linop, zn
 from .errors import (
@@ -33,9 +32,14 @@ class GaugeHoppingSpec:
     """Rule producing link-move amplitudes from adjacent plaquette values.
 
     Subclasses define ``response(pvals, n)``: a real, even, N-periodic
-    function of the adjacent plaquette values (rows of ``pvals``). The
-    Hermitian pair is derived from it; overriding ``amplitudes`` directly is
-    possible but forfeits the built-in symmetry guarantees.
+    function of the adjacent plaquette values (rows of ``pvals``). It must
+    act on each column of ``pvals`` alone, so that column c of its result
+    depends only on column c of ``pvals``: ``build_gauge_hamiltonian`` calls
+    it once per link on every distinct combination of the adjacent plaquette
+    values and gathers the result for each configuration. The Hermitian pair
+    is derived from it; overriding ``amplitudes`` directly is possible but
+    forfeits the built-in symmetry guarantees, and the builder then calls
+    ``amplitudes`` on every configuration.
     """
 
     translation_invariant = True
@@ -77,7 +81,12 @@ class MaxwellPreset(GaugeHoppingSpec):
 
 @dataclass
 class CallableResponseSpec(GaugeHoppingSpec):
-    """Wrap an arbitrary response function fn(pvals, n) -> amplitude."""
+    """Wrap a response function fn(pvals, n) -> amplitude.
+
+    ``fn`` is bound by ``GaugeHoppingSpec``'s contract: column c of its
+    result depends only on column c of ``pvals``, because the builder calls
+    it on a table of plaquette-value combinations, not on configurations.
+    """
 
     fn: callable
     translation_invariant: bool = True
@@ -92,15 +101,20 @@ def _link_digits(lattice, l_idx):
     return np.broadcast_to(along, zn._basis_grid_shape(lattice)).reshape(-1)
 
 
+def _plaquette_dtype(n):
+    """The smallest unsigned type holding a sum of four link terms in [0, N)."""
+    return np.min_scalar_type(4 * (n - 1))
+
+
 def _plaquette_values(lattice):
     """Every plaquette's value in every basis configuration, in [0, N).
 
     Each of the four link terms is reduced mod N first, so their sum fits
-    the smallest unsigned type holding 4 (N - 1). Cast to float before any
-    float arithmetic: numpy 1.x would compute uint8 * float in float16.
+    ``_plaquette_dtype``. Cast to float before any float arithmetic: numpy
+    1.x would compute uint8 * float in float16.
     """
     n = lattice.n
-    dtype = np.min_scalar_type(4 * (n - 1))
+    dtype = _plaquette_dtype(n)
     vals = []
     for s, i, k in lattice.plaquettes:
         total = np.zeros(zn._basis_grid_shape(lattice), dtype=dtype)
@@ -118,7 +132,9 @@ def _link_moves(lattice, link_amplitudes, diagonal=None, tol=linop.HERMITICITY_T
     pair of link ``l_idx``, the offsets +-1 on its axis of the basis grid, and
     ``diagonal(plaq)`` the diagonal, as arrays or scalars. ``link_values`` and
     ``plaq`` hold the values of that link and of every plaquette in each basis
-    configuration. Raises ``HilbertDimensionError`` above ``DIMENSION_CAP``.
+    configuration. Raises ``HilbertDimensionError`` above ``DIMENSION_CAP``,
+    or when the assembly and the plaquette values together would not fit
+    in memory.
     """
     if lattice.hilbert_dim > DIMENSION_CAP:
         raise HilbertDimensionError(
@@ -136,21 +152,39 @@ def _link_moves(lattice, link_amplitudes, diagonal=None, tol=linop.HERMITICITY_T
         for l_idx in range(lattice.n_links):
             yield from link_amplitudes(l_idx, _link_digits(lattice, l_idx), plaq)
 
+    plaq_bytes = (len(lattice.plaquettes) * lattice.hilbert_dim
+                  * _plaquette_dtype(lattice.n).itemsize)
     return linop._assemble_hopping(zn._basis_grid_shape(lattice), True, offsets,
-                                   amplitudes(), tol=tol)
+                                   amplitudes(), tol=tol, held_bytes=plaq_bytes)
 
 
 def build_gauge_hamiltonian(lattice, spec, tol=linop.HERMITICITY_TOL):
     """Assemble the strictly off-diagonal one-link-move Hamiltonian.
 
-    Raises ``HermiticityError`` ("spec violates unitary hopping") when the
-    supplied amplitude pair is not Hermitian-compatible.
+    A spec that keeps the midpoint ``amplitudes`` is evaluated once per link
+    on the N**k combinations of its k adjacent plaquette values, and each
+    configuration reads its pair from that table; a spec that overrides
+    ``amplitudes`` is called on every configuration. Raises
+    ``HermiticityError`` ("spec violates unitary hopping") when the supplied
+    amplitude pair is not Hermitian-compatible.
     """
+    n = lattice.n
+    tabulate = type(spec).amplitudes is GaugeHoppingSpec.amplitudes
+
     def link_amplitudes(l_idx, link_values, plaq):
         adj = lattice.link_adjacency(l_idx)
-        pv = np.array([plaq[p] for p, _ in adj], dtype=float).reshape(-1, link_values.size)
         signs = np.array([sg for _, sg in adj], dtype=float)
-        return spec.amplitudes(lattice, l_idx, pv, signs, link_values=link_values)
+        if not tabulate:
+            pv = np.array([plaq[p] for p, _ in adj], dtype=float).reshape(-1, link_values.size)
+            return spec.amplitudes(lattice, l_idx, pv, signs, link_values=link_values)
+        # column c of the table holds the plaquette values whose base-N code is c
+        table = np.indices((n,) * len(adj), dtype=float).reshape(len(adj), n ** len(adj))
+        code = np.zeros(link_values.size, dtype=np.intp)
+        for p, _ in adj:
+            code *= n
+            code += plaq[p]
+        return tuple(amp if np.ndim(amp) == 0 else np.asarray(amp).reshape(-1)[code]
+                     for amp in spec.amplitudes(lattice, l_idx, table, signs))
 
     try:
         return _link_moves(lattice, link_amplitudes, tol=tol)
@@ -165,10 +199,13 @@ def reference_ks_hamiltonian(lattice, electric, magnetic, tol=linop.HERMITICITY_
     H = electric * sum_links (2 - raise - lower)
       + magnetic * sum_plaquettes (1 - cos(2 pi p / N)).
     """
+    # the magnetic term of one plaquette, indexed by its value
+    table = magnetic * 2.0 * np.sin(np.pi * np.arange(lattice.n, dtype=float) / lattice.n) ** 2
+
     def diagonal(plaq):
         diag = np.full(lattice.hilbert_dim, 2.0 * electric * lattice.n_links)
         for p in plaq:
-            diag = diag + magnetic * 2.0 * np.sin(np.pi * p.astype(float) / lattice.n) ** 2
+            diag = diag + table[p]
         return diag
 
     return _link_moves(
@@ -187,37 +224,88 @@ class SymmetryReport:
 
     @property
     def max_norm(self):
-        return max(self.gauge, self.charge_conjugation, self.parity)
+        return _fold_max([self.gauge, self.charge_conjugation, self.parity])
 
 
-def commutator_norm(op, sigma):
-    """Exact max-norm of [H, P_sigma].
+def commutator_norms(op, lattice, link_maps):
+    """Exact max-norms of [H, P] for the permutation P of each link map.
 
-    P_sigma maps basis vector e_j to e_sigma(j); ``sigma`` must be a
-    permutation of ``range(op.dimension)``, otherwise ``ValueError``. The
-    result is max|P H P^T - H|, which holds the entries of H P - P H with
-    their columns permuted, so it equals the max-norm of the commutator.
-    Row i of P H P^T is row sigma^-1(i) of H with every column index c
-    relabelled to sigma(c), so it takes one row gather and no transpose.
+    H must be a sum of one-link moves on ``lattice``: H = sum_k D_k T_k over
+    the diagonal and the +-1 steps of each link (which coincide at N=2),
+    where T_k shifts a configuration by move k and D_k holds its amplitudes
+    a_k(x) = H[x, x + k]. A link map in ``zn.permutation_from_link_map``'s
+    format sends configuration x to sigma(x) and move k to the move A k
+    (link src -> dest, step times sign), so P H P^T - H holds exactly the
+    entries a_k(x) - a_{A k}(sigma(x)), and each norm is their largest
+    modulus. That is max|P H P^T - H|, the max-norm of the commutator with
+    its columns permuted. The amplitudes are read from H once, with one
+    point lookup per configuration and move, and no copy of H is made.
+
+    Raises ``ValueError`` when H has a nonzero outside the moves or a link
+    map is not a bijection of the links with signs +-1, and
+    ``HilbertDimensionError`` when H and the amplitude arrays together
+    would not fit in the installed memory.
     """
     h = op.matrix
-    sigma = _require_permutation(sigma, op.dimension)
-    inv = np.empty_like(sigma)
-    inv[sigma] = np.arange(sigma.size)
-    rows = h[inv]
-    cols = sigma.astype(rows.indices.dtype, copy=False)[rows.indices]
-    delta = sp.csr_matrix((rows.data, cols, rows.indptr), shape=h.shape) - h
-    return float(np.abs(delta.data).max()) if delta.nnz else 0.0
+    n, dim = lattice.n, lattice.hilbert_dim
+    if h.shape != (dim, dim):
+        raise ValueError(f"operator of shape {h.shape} does not act on {lattice}")
+    # move (link, step): the diagonal is (None, 0)
+    moves = [(None, 0)] + [(l_idx, step) for l_idx in range(lattice.n_links)
+                           for step in sorted({1, n - 1})]
+    link_maps = list(link_maps)
+    images = [_move_image(lattice, assignments, moves) for assignments in link_maps]
+    # beside H and the amplitudes, index arrays and gathers: tracemalloc measured
+    # 40 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3
+    linop._require_memory(
+        h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        + len(moves) * dim * h.dtype.itemsize + 6 * dim * np.dtype(np.intp).itemsize,
+        f"certifying dimension {dim}")
+    grid = np.arange(dim).reshape(zn._basis_grid_shape(lattice))
+    rows = grid.reshape(-1)
+    amps = np.empty((len(moves), dim), dtype=h.dtype)
+    for k, (l_idx, step) in enumerate(moves):
+        cols = rows if l_idx is None else \
+            np.roll(grid, -step, axis=zn._link_axis(lattice, l_idx)).reshape(-1)
+        amps[k] = np.asarray(h[rows, cols]).reshape(-1)
+    if np.count_nonzero(amps) != np.count_nonzero(h.data):
+        raise ValueError("operator has nonzero entries outside the one-link moves")
+
+    moved = np.empty(dim, dtype=h.dtype)
+    norms = []
+    for assignments, image in zip(link_maps, images):
+        sigma = zn.permutation_from_link_map(lattice, assignments)
+        norm = 0.0
+        for k, j in enumerate(image):
+            # sigma is a permutation, so "clip" never clips; it skips the bounds check
+            np.take(amps[j], sigma, out=moved, mode="clip")
+            if np.array_equal(amps[k], moved):
+                continue  # a zero difference; NaN is never equal, so it is measured
+            np.subtract(amps[k], moved, out=moved)
+            # np.maximum, unlike max(), carries a NaN amplitude into the norm
+            norm = np.maximum(norm, np.abs(moved).max())
+        norms.append(float(norm))
+    return norms
 
 
-def _require_permutation(sigma, dim):
-    sigma = np.asarray(sigma)
-    # in range and no value twice: dim values then cover range(dim) once each
-    if (sigma.shape != (dim,) or not np.issubdtype(sigma.dtype, np.integer)
-            or sigma.min() < 0 or sigma.max() >= dim
-            or np.bincount(sigma.astype(np.int64, copy=False)).max() > 1):
-        raise ValueError(f"sigma is not a permutation of range({dim})")
-    return sigma
+def _move_image(lattice, assignments, moves):
+    """The index in ``moves`` of the move A k for every move k, or ``ValueError``."""
+    n = lattice.n
+    srcs = sorted(src for src, _, _ in assignments.values())
+    if (sorted(assignments) != list(range(lattice.n_links))
+            or srcs != list(range(lattice.n_links))
+            or any((sign % n) not in (1, n - 1) for _, sign, _ in assignments.values())):
+        raise ValueError("link map is not a bijection of the links with signs +-1")
+    index = {move: k for k, move in enumerate(moves)}
+    dest_of = {src: (dest, sign) for dest, (src, sign, _) in assignments.items()}
+    image = []
+    for l_idx, step in moves:
+        if l_idx is None:
+            image.append(index[(None, 0)])
+        else:
+            dest, sign = dest_of[l_idx]
+            image.append(index[(dest, sign * step % n)])
+    return image
 
 
 def allowed_parity_centers(lattice):
@@ -238,20 +326,23 @@ def symmetry_commutator_norms(op, lattice, centers=None):
 
     ``gauge`` is the largest norm over the site generators, ``parity`` the
     largest over ``centers`` (default: every allowed reflection center), each
-    from ``commutator_norm``; ``mode`` is always "exact".
+    from ``commutator_norms``; ``mode`` is always "exact".
     """
-    gauge = 0.0
-    for sigma in zn.site_generator_permutations(lattice):
-        gauge = max(gauge, commutator_norm(op, sigma))
-    conj = commutator_norm(op, zn.charge_conjugation_permutation(lattice))
     if centers is None:
         centers = allowed_parity_centers(lattice)
-    parity = 0.0
-    for s0 in centers:
-        sigma = zn.parity_permutation(lattice, s0)
-        parity = max(parity, commutator_norm(op, sigma))
-    return SymmetryReport(gauge=gauge, charge_conjugation=conj, parity=parity,
-                          mode="exact")
+    gauge_maps = zn.site_generator_link_maps(lattice)
+    parity_maps = [zn._parity_link_map(lattice, s0) for s0 in centers]
+    norms = commutator_norms(op, lattice,
+                             [*gauge_maps, zn._charge_link_map(lattice), *parity_maps])
+    gauge, conj, parity = (norms[:len(gauge_maps)], norms[len(gauge_maps)],
+                           norms[len(gauge_maps) + 1:])
+    return SymmetryReport(gauge=_fold_max(gauge), charge_conjugation=conj,
+                          parity=_fold_max(parity), mode="exact")
+
+
+def _fold_max(values):
+    """The largest of ``values``, 0.0 when empty, NaN when any is NaN."""
+    return float(np.max(values, initial=0.0))
 
 
 # --- spectra -----------------------------------------------------------------

@@ -55,7 +55,7 @@ class SparseHermitianOperator:
         return self.matrix.shape[0]
 
     def require_hermitian(self, tol=HERMITICITY_TOL):
-        if self.hermiticity_defect > tol:
+        if not self.hermiticity_defect <= tol:  # a NaN defect fails too
             raise HermiticityError(
                 f"hermiticity defect {self.hermiticity_defect:.3e} exceeds {tol:.1e}",
                 defect=self.hermiticity_defect,
@@ -86,8 +86,17 @@ def _physical_memory_bytes():
         return None
 
 
+def _require_memory(estimate, what):
+    """Raise ``HilbertDimensionError`` when ``estimate`` bytes exceed installed memory."""
+    memory = _physical_memory_bytes()
+    if memory is not None and estimate > memory:
+        raise HilbertDimensionError(
+            f"{what} needs about {estimate / 2 ** 30:.2f} GiB, "
+            f"more than the {memory / 2 ** 30:.2f} GiB of physical memory")
+
+
 def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
-                      tol=HERMITICITY_TOL):
+                      tol=HERMITICITY_TOL, held_bytes=0):
     """Certified Hamiltonian of hopping on the C-ordered grid ``shape``.
 
     Move j sets H[x, x + offsets[j]] to ``amplitudes``' j-th item at x (an
@@ -101,8 +110,9 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     the reverse offset's entry or zero where no move has it.
 
     Raises ``HilbertDimensionError``, before allocating anything of the grid
-    size, when the estimated peak (the CSR plus ``ASSEMBLY_BYTES_PER_STATE``
-    per grid point) exceeds the installed physical memory.
+    size, when the estimated peak (the CSR, ``ASSEMBLY_BYTES_PER_STATE`` per
+    grid point and the ``held_bytes`` the caller's inputs hold beside them)
+    exceeds the installed physical memory.
     """
     dim = math.prod(shape)
 
@@ -114,13 +124,9 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     m = len(column)
     index_dtype = np.dtype(np.int32 if dim * max(m, 1) <= np.iinfo(np.int32).max
                            else np.int64)
-    estimate = (dim * m * (index_dtype.itemsize + np.dtype(dtype).itemsize)
-                + (dim + 1) * index_dtype.itemsize + ASSEMBLY_BYTES_PER_STATE * dim)
-    memory = _physical_memory_bytes()
-    if memory is not None and estimate > memory:
-        raise HilbertDimensionError(
-            f"assembling dimension {dim} needs about {estimate / 2 ** 30:.2f} GiB, "
-            f"more than the {memory / 2 ** 30:.2f} GiB of physical memory")
+    _require_memory(dim * m * (index_dtype.itemsize + np.dtype(dtype).itemsize)
+                    + (dim + 1) * index_dtype.itemsize + ASSEMBLY_BYTES_PER_STATE * dim
+                    + held_bytes, f"assembling dimension {dim}")
 
     cols = np.empty((dim, m), dtype=index_dtype)
     col_grid = cols.reshape(shape + (m,))
@@ -152,7 +158,8 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
         rows = slice(None) if periodic else cols[:, j] < dim
         # gathering from a contiguous copy of the reverse column is faster
         there = 0.0 if rev is None else np.ascontiguousarray(data[:, rev])[cols[rows, j]]
-        defect = max(defect, float(np.abs(data[rows, j] - np.conj(there)).max(initial=0.0)))
+        # np.maximum, unlike max(), carries a NaN amplitude into the defect
+        defect = float(np.maximum(defect, np.abs(data[rows, j] - np.conj(there)).max(initial=0.0)))
 
     chunk = max(1, 2 ** 16 // max(m, 1))  # rows sorted at a time, bounding temporaries
     flat_cols, flat_data, nnz = cols.reshape(-1), data.reshape(-1), 0

@@ -310,7 +310,8 @@ def validate_kernel_unitarity(kernel, t=None, tol=HERMITICITY_TOL):
             checked += diff.size
             skipped += grid.n_sites - diff.size
         if diff.size:
-            max_violation = max(max_violation, float(diff.max()))
+            # np.maximum, unlike max(), carries a NaN amplitude into the result
+            max_violation = float(np.maximum(max_violation, diff.max()))
     return UnitarityReport(max_violation=max_violation,
                            passed=max_violation <= tol,
                            tolerance=tol,

@@ -311,15 +311,21 @@ def gauge_permutation(lattice, g):
     return permutation_from_link_map(lattice, _gauge_link_map(lattice, g))
 
 
-def site_generator_permutations(lattice, sites=None):
+def site_generator_link_maps(lattice, sites=None):
     """Unit gauge increments, one per site; they generate the full gauge group."""
     sites = lattice.sites if sites is None else [tuple(s) for s in sites]
-    perms = []
+    maps = []
     for s in sites:
         g = np.zeros(lattice.n_sites, dtype=np.int64)
         g[lattice.site_index(s)] = 1
-        perms.append(gauge_permutation(lattice, g))
-    return perms
+        maps.append(_gauge_link_map(lattice, g))
+    return maps
+
+
+def site_generator_permutations(lattice, sites=None):
+    """The permutations of ``site_generator_link_maps``."""
+    return [permutation_from_link_map(lattice, assignments)
+            for assignments in site_generator_link_maps(lattice, sites)]
 
 
 def charge_conjugation_permutation(lattice):

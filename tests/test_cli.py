@@ -146,6 +146,16 @@ def test_cli_validation_failure_exits_two(tmp_path):
     assert report["passed"] is False
 
 
+def test_cli_nan_mass_fails_both_checks(tmp_path):
+    cfg = write(tmp_path, VALIDATE_CFG.replace("mass = 1.0", "mass = nan"))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("unitarity-constraint", "operator-hermiticity"):
+        assert checks[name]["passed"] is False
+        assert checks[name]["value"] != checks[name]["value"]  # NaN
+
+
 def test_cli_parse_error_exits_three(tmp_path, capsys):
     cfg = write(tmp_path, "[run\nexperiment = particle-validate\n")
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3

@@ -32,7 +32,7 @@ from hopquant.errors import (
     HilbertDimensionError,
     ReflectionSymmetryError,
 )
-from hopquant.gauge_ham import GaugeHoppingSpec, LinearLinkFunctional, commutator_norm
+from hopquant.gauge_ham import GaugeHoppingSpec, LinearLinkFunctional, commutator_norms
 
 
 def single_link(n):
@@ -270,9 +270,18 @@ ORACLE_LATTICES = [single_link(2), single_link(3), single_plaquette(2), single_p
                    LinkLattice((2, 2, 2), 2, boundary="open")]
 
 
+def _callable_response(pvals, n):
+    # N-periodic, so Hermitian, but odd in the first adjacent plaquette only
+    return (-1.0 + 0.3 * np.cos(2 * np.pi * pvals / n).sum(axis=0)
+            + 0.05 * np.sin(2 * np.pi * pvals[:1] / n).sum(axis=0))
+
+
 def test_direct_csr_assembly_matches_coo_oracle():
-    # N=2 sums raise and lower into one entry; the single link is in no plaquette
-    specs = [MaxwellPreset(1.3, 0.8), LinkValueSpec(), PhaseSpec()]
+    # N=2 sums raise and lower into one entry; the single link is in no plaquette.
+    # The builder tabulates responses; the oracle evaluates them on every configuration.
+    specs = [MaxwellPreset(1.3, 0.8), OddResponseSpec(electric=1.0, odd=0.2),
+             CallableResponseSpec(_callable_response),
+             CallableResponseSpec(lambda pvals, n: -0.5), LinkValueSpec(), PhaseSpec()]
     for lat in ORACLE_LATTICES:
         for spec in specs:
             _assert_same_csr(build_gauge_hamiltonian(lat, spec).matrix,
@@ -317,6 +326,18 @@ def test_oversize_assembly_fails_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_gauge_memory_estimate_counts_plaquette_values(monkeypatch):
+    # 4 one-byte plaquette arrays beside a 16-entry int32/float64 CSR row per state
+    lat = LinkLattice((2, 2), 3, boundary="periodic")
+    dim = lat.hilbert_dim
+    without = dim * 16 * 12 + (dim + 1) * 4 + linop.ASSEMBLY_BYTES_PER_STATE * dim
+    monkeypatch.setattr(linop, "_physical_memory_bytes", lambda: without + 4 * dim - 1)
+    with pytest.raises(HilbertDimensionError, match="GiB"):
+        build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    monkeypatch.setattr(linop, "_physical_memory_bytes", lambda: without + 4 * dim)
+    build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
 
 
 def test_assembly_peak_memory_bounded_by_csr():
@@ -381,53 +402,138 @@ def test_projected_sector_invariant_under_hamiltonian():
     assert (np.abs(leak.data).max() if leak.nnz else 0.0) <= 1e-12
 
 
+def _dense_commutator_oracle(op, sigma, block=512):
+    """max|P H P^T - H| over dense row blocks, with P e_j = e_sigma(j)."""
+    h = op.matrix
+    inv = np.argsort(sigma)
+    worst = 0.0
+    for start in range(0, op.dimension, block):
+        rows = np.arange(start, min(start + block, op.dimension))
+        permuted = h[inv[rows]].toarray()[:, inv]  # (P H P^T)[r, c] = H[inv r, inv c]
+        worst = max(worst, float(np.abs(permuted - h[rows].toarray()).max()))
+    return worst
+
+
+def _symmetry_link_maps(lat, rng):
+    """Site generators, a random gauge transform, C, every parity, the direction shifts."""
+    maps = zn.site_generator_link_maps(lat)
+    maps.append(zn._gauge_link_map(lat, rng.integers(0, lat.n, lat.n_sites)))
+    maps.append(zn._charge_link_map(lat))
+    maps += [zn._parity_link_map(lat, s0) for s0 in gauge_ham.allowed_parity_centers(lat)]
+    maps += [{idx: (idx, 1, 1 if k == direction else 0) for idx, (_, k) in enumerate(lat.links)}
+             for direction in range(lat.ndim) if lat.dims[direction] > 1]
+    return maps
+
+
+def _link_cycle(lat):
+    """A 3-cycle of links with a sign flip: no symmetry, but a bijection whose
+    move map A is not an involution, so pairing sigma with A^-1 shows."""
+    cycle = {idx: (idx, 1, 0) for idx in range(lat.n_links)}
+    cycle.update({0: (1, -1, 1), 1: (2, 1, 0), 2: (0, 1, 0)})
+    return cycle
+
+
+def _random_move_operator(lat, rng):
+    """Random complex amplitudes on the diagonal and on every one-link move; not Hermitian."""
+    h = np.diag(rng.standard_normal(lat.hilbert_dim)).astype(complex)
+    for j in range(lat.hilbert_dim):
+        config = zn.LinkConfig.from_index(lat, j)
+        for l_idx in range(lat.n_links):
+            for step in (+1, -1):
+                values = config.values.copy()
+                values[l_idx] += step
+                h[j, zn.LinkConfig(lat, values).index] = complex(*rng.standard_normal(2))
+    return SparseHermitianOperator(sp.csr_matrix(h), check=False)
+
+
 def test_exact_commutator_matches_dense_oracle():
-    # a non-involutive sigma tells P from P^T, which C and P generators cannot
+    # at N >= 3 the gauge generators and shifts are not involutions, so P and P^T differ
     rng = np.random.default_rng(12)
-    dim, nnz = 200, 2000
-    sigma = rng.permutation(dim)
-    assert not np.array_equal(sigma[sigma], np.arange(dim))
-    perm = np.zeros((dim, dim))
-    perm[sigma, np.arange(dim)] = 1.0
-    data = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
-    h = sp.csr_matrix((data, (rng.integers(0, dim, nnz), rng.integers(0, dim, nnz))),
-                      shape=(dim, dim))
-    op = SparseHermitianOperator(h, check=False)
-    dense = h.toarray()
-    expected = np.abs(dense @ perm - perm @ dense).max()
-    assert expected > 1e-3
-    assert abs(commutator_norm(op, sigma) - expected) <= 1e-14
-    # constant on the cycles of sigma plus a multiple of P: commutes exactly
-    labels = np.arange(dim)
-    for _ in range(dim):
-        labels = np.minimum(labels, labels[sigma])
-    diag = rng.standard_normal(dim)[labels]
-    dense = np.diag(diag) + (0.3 - 0.7j) * perm
-    op = SparseHermitianOperator(sp.csr_matrix(dense), check=False)
-    assert np.abs(dense @ perm - perm @ dense).max() == 0.0
-    assert commutator_norm(op, sigma) == 0.0
+    specs = [MaxwellPreset(1.3, 0.8), OddResponseSpec(electric=1.0, odd=0.2),
+             SiteDependentSpec(), LinkValueSpec(), PhaseSpec()]
+    breaking = set()
+    for lat in (single_link(5), single_plaquette(3), single_plaquette(4),
+                LinkLattice((2, 2), 2, boundary="periodic")):
+        symmetries = _symmetry_link_maps(lat, rng)
+        maps = symmetries + ([_link_cycle(lat)] if lat.n_links >= 3 else [])
+        ops = [build_gauge_hamiltonian(lat, spec) for spec in specs]
+        ops += [reference_ks_hamiltonian(lat, 1.3, 0.8), _random_move_operator(lat, rng)]
+        for i, op in enumerate(ops):
+            want = [_dense_commutator_oracle(op, zn.permutation_from_link_map(lat, m))
+                    for m in maps]
+            assert commutator_norms(op, lat, maps) == want
+            breaking.update(i for w in want[:len(symmetries)] if w > 1e-3)
+    assert breaking == {1, 2, 3, 4, 6}  # every symmetry-breaking operator was caught
+    # the open cube (dim 4096): two generators, a gauge transform, C, parity, a shift, the cycle
+    cube = LinkLattice((2, 2, 2), 2, boundary="open")
+    maps = _symmetry_link_maps(cube, rng)
+    maps = maps[:2] + maps[len(cube.sites):len(cube.sites) + 3] + [maps[-1], _link_cycle(cube)]
+    for op in (build_gauge_hamiltonian(cube, SiteDependentSpec()),
+               reference_ks_hamiltonian(cube, 1.3, 0.8)):
+        want = [_dense_commutator_oracle(op, zn.permutation_from_link_map(cube, m))
+                for m in maps]
+        assert commutator_norms(op, cube, maps) == want
 
 
 def test_commutator_rejects_non_permutation():
-    lat = single_plaquette(2)
+    lat = single_plaquette(5)
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
-    dim = lat.hilbert_dim
-    repeated = np.arange(dim)
-    repeated[1] = 0
-    for sigma in (np.arange(dim - 1), repeated, np.arange(dim) + 1,
-                  np.arange(dim, dtype=float)):
-        with pytest.raises(ValueError, match="not a permutation"):
-            commutator_norm(op, sigma)
+    identity = {idx: (idx, 1, 0) for idx in range(lat.n_links)}
+    repeated = {**identity, 1: (0, 1, 0)}
+    missing = {idx: identity[idx] for idx in range(lat.n_links - 1)}
+    doubling = {**identity, 2: (2, 2, 0)}  # a bijection of Z_5, but not of the moves
+    for assignments in (repeated, missing, doubling):
+        with pytest.raises(ValueError, match="not a bijection"):
+            commutator_norms(op, lat, [identity, assignments])
+    assert commutator_norms(op, lat, [identity]) == [0.0]
+
+
+def test_commutator_rejects_entries_off_the_moves():
+    lat = single_plaquette(3)
+    h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.tolil()
+    h[0, 4] = h[4, 0] = 0.25  # configuration 4 differs from 0 on two links
+    with pytest.raises(ValueError, match="outside the one-link moves"):
+        commutator_norms(SparseHermitianOperator(h.tocsr()), lat,
+                         [zn._charge_link_map(lat)])
+
+
+def test_nan_amplitude_fails_every_certificate():
+    lat = single_plaquette(3)
+    with pytest.raises(HermiticityError, match="unitary hopping") as info:
+        build_gauge_hamiltonian(lat, CallableResponseSpec(lambda pvals, n: np.nan))
+    assert np.isnan(info.value.defect)
+    h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
+    h.data[7] = np.nan
+    op = SparseHermitianOperator(h, check=False)
+    with pytest.raises(HermiticityError):
+        op.require_hermitian()
+    report = symmetry_commutator_norms(op, lat)
+    assert np.isnan(report.gauge) and np.isnan(report.charge_conjugation)
+    assert np.isnan(report.parity) and np.isnan(report.max_norm)
+
+
+def test_certifier_memory_checked_before_allocating(monkeypatch):
+    lat = LinkLattice((2, 2), 4, boundary="periodic")
+    op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    m = op.matrix
+    monkeypatch.setattr(linop, "_physical_memory_bytes",
+                        lambda: m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HilbertDimensionError, match="certifying dimension 65536"):
+            symmetry_commutator_norms(op, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_spectrum_invariant_under_global_direction_shift():
     lat = LinkLattice((2, 2), 3, boundary="periodic")
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
-    for direction in range(2):
-        sigma = zn.permutation_from_link_map(
-            lat, {idx: (idx, 1, 1 if k == direction else 0)
-                  for idx, (_, k) in enumerate(lat.links)})
-        assert commutator_norm(op, sigma) <= 1e-12
+    shifts = [{idx: (idx, 1, 1 if k == direction else 0) for idx, (_, k) in enumerate(lat.links)}
+              for direction in range(2)]
+    assert max(commutator_norms(op, lat, shifts)) <= 1e-12
 
 
 # --- spectra against the reference -------------------------------------------------

@@ -130,6 +130,19 @@ def test_pairing_defect_equals_generic_defect():
     assert rejected > len(kernels) // 2
 
 
+def test_nan_amplitude_fails_both_checks():
+    # one NaN among finite offsets must not be folded away by the running maximum
+    for boundary in ("periodic", "open"):
+        grid = LatticeGrid((5, 4), 1.0, boundary=boundary)
+        kernel = HoppingKernel.free(grid, {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0,
+                                           (0, 1): np.nan, (0, -1): np.nan})
+        report = validate_kernel_unitarity(kernel)
+        assert np.isnan(report.max_violation) and not report.passed
+        with pytest.raises(HermiticityError) as info:
+            build_particle_hamiltonian(kernel)
+        assert np.isnan(info.value.defect)
+
+
 def test_matrix_matches_direct_application():
     rng = np.random.default_rng(32)
     for boundary in ("periodic", "open"):
