@@ -331,8 +331,7 @@ def run_gauge_compare_ks(cfg, report, tol):
         op_hop = gauge_ham.build_gauge_hamiltonian(lattice, spec, tol=tol)
         op_ref = gauge_ham.reference_ks_hamiltonian(lattice, spec.electric,
                                                     spec.magnetic, tol=tol)
-        comp = gauge_ham.compare_to_reference(op_hop, op_ref, count,
-                                              dense_cutoff=2000)
+        comp = gauge_ham.compare_to_reference(op_hop, op_ref, count)
         max_devs.append(comp.max_deviation)
         for i, (gh, gr, dv) in enumerate(zip(comp.gaps_hopping,
                                              comp.gaps_reference,

@@ -353,7 +353,7 @@ class SpectrumResult:
     gaps: np.ndarray  # E_i - E_0 for i >= 1
 
 
-def spectrum(op, count, dense_cutoff=linop.DENSE_CUTOFF):
+def spectrum(op, count, dense_cutoff=linop.EIGS_DENSE_CUTOFF):
     """Lowest ``count`` eigenvalues and their gaps from the ground state.
 
     On the iterative path ten extra pairs are requested with a widened
@@ -381,7 +381,7 @@ class GapComparison:
         return float(self.deviations.max()) if self.deviations.size else 0.0
 
 
-def compare_to_reference(op_hop, op_ref, count, dense_cutoff=linop.DENSE_CUTOFF):
+def compare_to_reference(op_hop, op_ref, count, dense_cutoff=linop.EIGS_DENSE_CUTOFF):
     """Relative differences of the lowest ``count`` energy gaps."""
     ga = spectrum(op_hop, count + 1, dense_cutoff=dense_cutoff).gaps
     gb = spectrum(op_ref, count + 1, dense_cutoff=dense_cutoff).gaps

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -447,3 +449,13 @@ def test_gauge_compare_ks_bundled_scan(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     devs = report["results"]["max_deviations"]
     assert all(b < a for a, b in zip(devs, devs[1:]))
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the propagator's Bessel coefficients must not make scipy.special an import-time cost
+    code = "import sys, hopquant.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

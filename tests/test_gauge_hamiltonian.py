@@ -546,6 +546,19 @@ def test_spectrum_single_link_closed_form():
     assert np.abs(result.values - expected).max() < 1e-10
 
 
+def test_spectrum_dense_and_arpack_agree_at_eigensolver_cutoff():
+    # 2x2 open N=6 has dimension 1,296 and an 8-fold first excited level
+    lat = LinkLattice((2, 2), 6, boundary="open")
+    assert lat.hilbert_dim == linop.EIGS_DENSE_CUTOFF
+    spec = MaxwellPreset(1.0, 1.0)
+    dense = spectrum(build_gauge_hamiltonian(lat, spec), 10)
+    arpack = spectrum(build_gauge_hamiltonian(lat, spec), 10,
+                      dense_cutoff=linop.EIGS_DENSE_CUTOFF - 1)
+    assert np.abs(dense.values - arpack.values).max() < 1e-10
+    for result in (dense, arpack):
+        assert np.sum(np.abs(result.gaps - result.gaps[0]) < 1e-8) == 8
+
+
 def test_spectrum_zero_operator():
     op = build_gauge_hamiltonian(single_plaquette(3),
                                  MaxwellPreset(0.0, 0.0))

@@ -67,12 +67,119 @@ def test_propagate_matches_expm():
     rng = np.random.default_rng(7)
     op = random_hermitian(30, rng, density=0.3)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    # a cutoff below the dimension takes the expm_multiply path
+    # a cutoff below the dimension takes the Chebyshev series
     for vec in (v, np.zeros(30)):
         expected = expm(-1j * 0.9 * op.to_dense()) @ vec
         for dense_cutoff in (op.dimension, 0, 10):
             out = propagate(op, vec, 0.9, dense_cutoff=dense_cutoff)
             assert np.linalg.norm(out - expected) < 1e-10
+
+
+def test_propagate_matches_expm_at_large_argument():
+    # z = r*|t| in the hundreds: the series runs to hundreds of terms
+    rng = np.random.default_rng(13)
+    for complex_data in (True, False):
+        a = sp.random(40, 40, density=0.3, random_state=np.random.RandomState(rng.integers(2**31)))
+        if complex_data:
+            a = a + 1j * sp.random(40, 40, density=0.3,
+                                   random_state=np.random.RandomState(rng.integers(2**31)))
+        op = SparseHermitianOperator(a + a.conj().T)
+        v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        lo, hi = op.spectral_interval()
+        t = 400.0 / (hi - lo)
+        assert 150.0 < (hi - lo) / 2.0 * t < 250.0
+        expected = expm(-1j * t * op.to_dense()) @ v
+        out = propagate(op, v, t, dense_cutoff=0)
+        assert np.linalg.norm(out - expected) < 1e-10 * np.linalg.norm(v)
+
+
+def test_propagate_negative_time_undoes_positive():
+    rng = np.random.default_rng(14)
+    op = random_hermitian(50, rng, density=0.2)
+    v = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    forward = propagate(op, v, 3.1, dense_cutoff=0)
+    assert np.linalg.norm(forward - v) > 0.1 * np.linalg.norm(v)
+    back = propagate(op, forward, -3.1, dense_cutoff=0)
+    assert np.linalg.norm(back - v) < 1e-12 * np.linalg.norm(v)
+
+
+def test_propagate_real_operator_on_strided_vector():
+    # a real H acts on the real and imaginary parts of a contiguous copy of v
+    a = sp.random(30, 30, density=0.3, random_state=np.random.RandomState(18))
+    op = SparseHermitianOperator(a + a.T)
+    wide = np.random.default_rng(18).standard_normal(60) + 1j
+    v = wide[::2]
+    expected = expm(-1.3j * op.to_dense()) @ v
+    assert np.linalg.norm(propagate(op, v, 1.3, dense_cutoff=0) - expected) < 1e-12
+
+
+def test_propagate_multiple_of_identity_is_a_phase():
+    # the Gershgorin interval of c*I has radius 0, which the series cannot scale by
+    op = SparseHermitianOperator(2.5 * sp.identity(9, format="csr"))
+    assert op.spectral_interval() == (2.5, 2.5)
+    v = np.arange(9) + 1j
+    out = propagate(op, v, 0.7, dense_cutoff=0)
+    assert np.abs(out - np.exp(-1j * 2.5 * 0.7) * v).max() < 1e-15
+    assert np.array_equal(propagate(op, np.zeros(9), 0.7, dense_cutoff=0), np.zeros(9))
+
+
+def test_gershgorin_interval_contains_spectrum():
+    rng = np.random.default_rng(15)
+    real = sp.random(50, 50, density=0.2, random_state=np.random.RandomState(3))
+    ops = [random_hermitian(50, rng, density=0.2), SparseHermitianOperator(real + real.T)]
+    for op in ops:
+        lo, hi = op.spectral_interval()
+        w = np.linalg.eigvalsh(op.to_dense())
+        assert lo <= w[0] and w[-1] <= hi
+
+
+def test_gershgorin_interval_matches_row_sums_across_blocks():
+    # over 2^16 entries, so the interval is read in several blocks of rows,
+    # and rows 10-19 and the last 5 are empty
+    n = 100_000
+    rng = np.random.default_rng(16)
+    diag = rng.standard_normal(n)
+    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    off[9:20] = 0.0
+    diag[10:20] = diag[-5:] = 0.0
+    off[-5:] = 0.0
+    h = sp.diags([off.conj(), diag, off], [-1, 0, 1], format="csr")
+    h.eliminate_zeros()
+    op = SparseHermitianOperator(h)
+    assert op.matrix.nnz > 2 ** 17
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = op.spectral_interval()
+    assert lo == pytest.approx((diag - radius).min(), abs=1e-12)
+    assert hi == pytest.approx((diag + radius).max(), abs=1e-12)
+
+
+def test_propagate_reuses_cached_interval():
+    rng = np.random.default_rng(17)
+    op = random_hermitian(30, rng)
+    v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    assert op._interval is None
+    first = propagate(op, v, 0.8, dense_cutoff=0)
+    interval = op.spectral_interval()
+
+    def recompute():
+        raise AssertionError("the Gershgorin interval was computed again")
+
+    op.matrix.diagonal = recompute
+    assert op.spectral_interval() is interval
+    assert np.array_equal(propagate(op, v, 0.8, dense_cutoff=0), first)
+
+
+def test_bessel_series_matches_scipy_and_truncates():
+    from scipy.special import jv
+
+    for z in (1e-9, 0.3, 1.0, 12.0, 150.0, 700.0):
+        j = linop._bessel_series(z)
+        k = np.arange(len(j) + 40)
+        reference = jv(k, z)
+        assert np.abs(j - reference[:len(j)]).max() < 1e-13
+        # the dropped tail is below 2^-53, and one order fewer would not be
+        assert 2.0 * np.abs(reference[len(j):]).sum() < 2.0 ** -53
+        assert 2.0 * np.abs(reference[len(j) - 1:]).sum() >= 2.0 ** -53 or len(j) == 2
 
 
 def test_propagate_unitary_and_semigroup():
