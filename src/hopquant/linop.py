@@ -254,7 +254,7 @@ def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
     if op.dimension <= dense_cutoff:
         w, q = op.dense_eig()
         return q @ (np.exp(-1j * w * t / hbar) * (q.conj().T @ v))
-    tau, v = t / hbar, np.ascontiguousarray(v)
+    tau = t / hbar
     lo, hi = op.spectral_interval()
     c, r = (hi + lo) / 2.0, (hi - lo) / 2.0
     phase = np.exp(-1j * c * tau)
@@ -264,14 +264,14 @@ def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
     powers = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k, conjugated for tau < 0
     coefs = 2.0 * j * (powers if tau > 0 else powers.conj())[np.arange(len(j)) % 4]
     coefs[0] /= 2.0
-    matvec, tmp = _complex_matvec(op.matrix), np.empty_like(v)
-    prev, cur = v, matvec(v)
+    h, tmp = op.matrix, np.empty_like(v)
+    prev, cur = v, h @ v
     cur -= np.multiply(v, c, out=tmp)
     cur *= 1.0 / r
     out = coefs[0] * v
     out += np.multiply(cur, coefs[1], out=tmp)
     for a in coefs[2:]:
-        nxt = matvec(cur)
+        nxt = h @ cur
         nxt -= np.multiply(cur, c, out=tmp)
         nxt *= 2.0 / r
         nxt -= prev
@@ -281,17 +281,6 @@ def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
     return out
 
 
-def _complex_matvec(matrix):
-    """x -> H @ x for a contiguous complex x, with no copy of H's data.
-
-    scipy casts a real H's data to complex for a complex x on every product,
-    so a real H acts on x's real and imaginary parts as two real columns.
-    """
-    if np.iscomplexobj(matrix.data):
-        return matrix.__matmul__
-    return lambda x: (matrix @ x.view(float).reshape(-1, 2)).view(complex).reshape(-1)
-
-
 def _bessel_series(z):
     """J_0(z), ..., J_K(z) for z > 0, K the first order >= 1 with sum_{k>K} 2|J_k| < 2^-53.
 
@@ -299,7 +288,9 @@ def _bessel_series(z):
     where J_k(z) is far below double precision and normalised by
     J_0 + 2 sum_k J_2k = 1. Past k = z, J_k(z) decays like
     exp(-(2*sqrt(2)/3) (k - z)^(3/2) / sqrt(k)), so a start 30 z^(1/3) + 40
-    orders past z leaves errors far below the truncation threshold.
+    orders past z leaves errors far below the truncation threshold. It stands
+    in for scipy.special.jv, whose import adds about 30 ms of wall time and
+    7 MiB of peak RSS to each particle_cube pass.
     """
     start = int(z + 30.0 * z ** (1.0 / 3.0)) + 40
     j = np.zeros(start + 2)

@@ -104,7 +104,7 @@ def test_propagate_negative_time_undoes_positive():
 
 
 def test_propagate_real_operator_on_strided_vector():
-    # a real H acts on the real and imaginary parts of a contiguous copy of v
+    # scipy casts a real H's data to complex for a complex, strided v
     a = sp.random(30, 30, density=0.3, random_state=np.random.RandomState(18))
     op = SparseHermitianOperator(a + a.T)
     wide = np.random.default_rng(18).standard_normal(60) + 1j
