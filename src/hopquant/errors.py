@@ -50,7 +50,7 @@ class GroundStateSignError(HopquantError):
 
 
 class HilbertDimensionError(HopquantError):
-    """A build's dimension exceeds its cap, or its estimated memory the installed memory."""
+    """A build's dimension exceeds its cap, or its estimated memory the available memory."""
 
 
 class ConfigError(HopquantError):

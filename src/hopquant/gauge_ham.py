@@ -244,7 +244,7 @@ def commutator_norms(op, lattice, link_maps):
     Raises ``ValueError`` when H has a nonzero outside the moves or a link
     map is not a bijection of the links with signs +-1, and
     ``HilbertDimensionError`` when H and the amplitude arrays together
-    would not fit in the installed memory.
+    would not fit in the available memory.
     """
     h = op.matrix
     n, dim = lattice.n, lattice.hilbert_dim
@@ -354,19 +354,9 @@ class SpectrumResult:
 
 
 def spectrum(op, count, dense_cutoff=linop.EIGS_DENSE_CUTOFF):
-    """Lowest ``count`` eigenvalues and their gaps from the ground state.
-
-    On the iterative path ten extra pairs are requested with a widened
-    search space so that degenerate multiplets are fully resolved before
-    truncating back to ``count``.
-    """
-    if op.dimension <= dense_cutoff or count > op.dimension - 2:
-        values, _ = linop.eigs_extremal(op, count, dense_cutoff=dense_cutoff)
-    else:
-        k = min(op.dimension - 2, count + 10)
-        ncv = min(op.dimension, max(6 * k + 1, 40))
-        values, _ = linop.eigs_extremal(op, k, dense_cutoff=dense_cutoff, ncv=ncv)
-        values = values[:count]
+    """Lowest ``count`` eigenvalues, each copy of a degenerate level counted,
+    and their gaps from the ground state."""
+    values, _ = linop.eigs_extremal(op, count, dense_cutoff=dense_cutoff)
     return SpectrumResult(values=values, gaps=values[1:] - values[0])
 
 

@@ -1,9 +1,12 @@
 """Sparse Hermitian operators: assembly, matvec, propagation, extremal eigenpairs.
 
 Small dimensions go through exact dense eigendecompositions. Above the cutoff,
-propagation sums a Chebyshev series over the operator's Gershgorin interval
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), with truncation error at
-most 2^-53 * |v|, and eigenpairs come from ARPACK.
+both solvers run the Chebyshev three-term recurrence over the operator's cached
+Gershgorin interval: propagation sums a Chebyshev series (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81 (1984) 3967), with truncation error at most 2^-53 * |v|, and
+eigenpairs come from block Chebyshev-filtered subspace iteration (Zhou, Saad,
+Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172), which holds every copy
+of a degenerate level.
 """
 
 import math
@@ -11,7 +14,6 @@ import os
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import EigenConvergenceError, HermiticityError, HilbertDimensionError
 
@@ -26,17 +28,22 @@ from .errors import EigenConvergenceError, HermiticityError, HilbertDimensionErr
 # stays because a lower one would change bundled report bytes.
 DENSE_CUTOFF = 4096
 # Eigenpairs up to this dimension come from one dense eigh, above it from
-# ARPACK. Measured with a fresh operator per solve, best of 3, on a 2-core VM:
-# dense and ARPACK break even at dims 169-289 for complex Fock-Darwin particle
-# operators (10 pairs) and at dim 256 for real 2x2 open Maxwell gauge
-# operators (`spectrum(op, 6)`); at 1,296 ARPACK is 8x faster on the gauge
-# operator (0.016 s against 0.128 s). The value is the smallest that keeps
-# `plaquette_n_scan`'s N=6 solve (dim 1,296), and so its report, dense.
+# filtered subspace iteration. Measured with a fresh operator per solve, best
+# of 3, on a 2-core VM: the two break even at dims 169-256, both for complex
+# Fock-Darwin particle operators (10 pairs; 0.0096 s dense against 0.0082 s
+# at dim 169) and for real 2x2 open Maxwell gauge operators (6 pairs; 0.0059
+# against 0.0051 s at dim 256); at 1,296 the iteration is 13x faster on the
+# gauge operator (0.020 s against 0.260 s). The value is the smallest that
+# keeps `plaquette_n_scan`'s N=6 solve (dim 1,296), and so its report, dense.
 EIGS_DENSE_CUTOFF = 1296
 # Default tolerance of every hermiticity and unitarity check, and of a run.
 HERMITICITY_TOL = 1e-12
 EIGS_SEED = 20240811
 RESIDUAL_TOL = 1e-8
+# Degree of the Chebyshev filter of each subspace-iteration pass, and the
+# passes after which the iteration gives up.
+EIGS_FILTER_DEGREE = 20
+EIGS_MAX_PASSES = 100
 # Peak memory of one hopping assembly beyond the CSR it returns, per grid
 # point: the caller's amplitude inputs and the assembler's temporaries.
 # tracemalloc measured 24-101 bytes for both gauge builders on 2x2 periodic
@@ -125,8 +132,19 @@ class SparseHermitianOperator:
         return self._interval
 
 
-def _physical_memory_bytes():
-    """Installed memory as reported by ``os.sysconf``; None where unknown."""
+def _available_memory_bytes(meminfo="/proc/meminfo"):
+    """Memory that can be allocated now; None where unknown.
+
+    That is ``MemAvailable`` of ``meminfo`` where the file has it (Linux), and
+    the installed memory reported by ``os.sysconf`` otherwise.
+    """
+    try:
+        with open(meminfo) as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the file counts KiB
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -134,12 +152,12 @@ def _physical_memory_bytes():
 
 
 def _require_memory(estimate, what):
-    """Raise ``HilbertDimensionError`` when ``estimate`` bytes exceed installed memory."""
-    memory = _physical_memory_bytes()
+    """Raise ``HilbertDimensionError`` when ``estimate`` bytes exceed available memory."""
+    memory = _available_memory_bytes()
     if memory is not None and estimate > memory:
         raise HilbertDimensionError(
             f"{what} needs about {estimate / 2 ** 30:.2f} GiB, "
-            f"more than the {memory / 2 ** 30:.2f} GiB of physical memory")
+            f"more than the {memory / 2 ** 30:.2f} GiB of available memory")
 
 
 def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
@@ -159,7 +177,7 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     Raises ``HilbertDimensionError``, before allocating anything of the grid
     size, when the estimated peak (the CSR, ``ASSEMBLY_BYTES_PER_STATE`` per
     grid point and the ``held_bytes`` the caller's inputs hold beside them)
-    exceeds the installed physical memory.
+    exceeds the available memory.
     """
     dim = math.prod(shape)
 
@@ -265,20 +283,34 @@ def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
     coefs = 2.0 * j * (powers if tau > 0 else powers.conj())[np.arange(len(j)) % 4]
     coefs[0] /= 2.0
     h, tmp = op.matrix, np.empty_like(v)
-    prev, cur = v, h @ v
-    cur -= np.multiply(v, c, out=tmp)
-    cur *= 1.0 / r
+    prev, cur = v, _chebyshev_first(h @ v, v, c, r, tmp)
     out = coefs[0] * v
     out += np.multiply(cur, coefs[1], out=tmp)
     for a in coefs[2:]:
-        nxt = h @ cur
-        nxt -= np.multiply(cur, c, out=tmp)
-        nxt *= 2.0 / r
-        nxt -= prev
-        out += np.multiply(nxt, a, out=tmp)
-        prev, cur = cur, nxt
+        prev, cur = cur, _chebyshev_next(h, cur, prev, c, r, tmp)
+        out += np.multiply(cur, a, out=tmp)
     out *= phase
     return out
+
+
+def _chebyshev_first(hv, v, c, r, tmp):
+    """T_1(Ht) v = (H v - c v) / r, written over ``hv`` = H v; ``tmp`` is a work array."""
+    hv -= np.multiply(v, c, out=tmp)
+    hv *= 1.0 / r
+    return hv
+
+
+def _chebyshev_next(h, cur, prev, c, r, tmp):
+    """T_{k+1}(Ht) v = 2 Ht T_k(Ht) v - T_{k-1}(Ht) v with Ht = (H - c)/r.
+
+    One matvec (of a vector or a block of columns) into a new array, updated
+    in place; ``tmp`` is a work array of the shape of ``cur``.
+    """
+    nxt = h @ cur
+    nxt -= np.multiply(cur, c, out=tmp)
+    nxt *= 2.0 / r
+    nxt -= prev
+    return nxt
 
 
 def _bessel_series(z):
@@ -305,27 +337,35 @@ def _bessel_series(z):
     return j[:max(keep, 2)]
 
 
-def eigs_extremal(op, k, dense_cutoff=EIGS_DENSE_CUTOFF, ncv=None):
-    """Lowest ``k`` eigenpairs, ascending; residuals are checked per pair."""
+def eigs_extremal(op, k, dense_cutoff=EIGS_DENSE_CUTOFF):
+    """Lowest ``k`` eigenpairs, ascending; residuals are checked per pair.
+
+    Up to ``dense_cutoff`` they come from the cached dense eigendecomposition,
+    above it from block Chebyshev-filtered subspace iteration (Zhou, Saad,
+    Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172). Each pass takes an
+    orthonormal n x m block X through a Rayleigh-Ritz step (H X, then eigh of
+    X^H H X) and stops once the ``k`` lowest Ritz residuals are below
+    ``RESIDUAL_TOL``. Otherwise the degree-``EIGS_FILTER_DEGREE`` Chebyshev
+    polynomial that is bounded by 1 on [theta_m, hi] filters the block, which
+    is then orthonormalized. theta_m is the largest Ritz value and hi the top
+    of the Gershgorin interval that ``propagate`` caches, so every copy of a
+    level below theta_m grows against the rest of the spectrum at the same
+    rate. Pairs converged from the lowest up are locked: the filter projects
+    them out. m starts at max(2k, k + 16) and doubles whenever Ritz values k
+    and m coincide, i.e. when the wanted level's cluster reaches the edge of
+    the block. The block is seeded from ``EIGS_SEED``; after
+    ``EIGS_MAX_PASSES`` passes ``EigenConvergenceError`` carries the
+    residuals.
+    """
     op.require_hermitian()
     n = op.dimension
-    if k > n:
+    if not 0 <= k <= n:
         raise ValueError(f"requested {k} eigenpairs of a dimension-{n} operator")
-    if n <= dense_cutoff or k > n - 2:
+    if n <= dense_cutoff:
         w, q = op.dense_eig()
         values, vectors = w[:k].copy(), q[:, :k].copy()
     else:
-        v0 = np.random.default_rng(EIGS_SEED).standard_normal(n)
-        try:
-            values, vectors = spla.eigsh(op.matrix, k=k, which="SA", v0=v0, ncv=ncv)
-        except spla.ArpackNoConvergence as exc:
-            residuals = _residuals(op, exc.eigenvalues, exc.eigenvectors)
-            raise EigenConvergenceError(
-                f"eigensolver stopped with {len(exc.eigenvalues)}/{k} pairs converged",
-                residuals=residuals,
-            ) from exc
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
+        values, vectors = _filtered_subspace_iteration(op, k)
     residuals = _residuals(op, values, vectors)
     if residuals.size and residuals.max() > RESIDUAL_TOL:
         raise EigenConvergenceError(
@@ -335,8 +375,100 @@ def eigs_extremal(op, k, dense_cutoff=EIGS_DENSE_CUTOFF, ncv=None):
     return values, vectors
 
 
+def _filtered_subspace_iteration(op, k):
+    """The ``k`` lowest Ritz pairs, ascending, of the iteration in ``eigs_extremal``."""
+    h, n = op.matrix, op.dimension
+    lo, hi = op.spectral_interval()
+    rng = np.random.default_rng(EIGS_SEED)
+    dtype = np.result_type(h.dtype, float)
+
+    def random_block(columns):
+        return rng.standard_normal((n, columns)).astype(dtype, copy=False)
+
+    x = _orthonormalize(random_block(min(n, max(2 * k, k + 16))))
+    for passes in range(1, EIGS_MAX_PASSES + 1):
+        hx = h @ x
+        theta, q = np.linalg.eigh(x.conj().T @ hx)
+        x = x @ q
+        hx = hx @ q
+        tmp = np.empty_like(x)
+        residuals = _column_norms(np.subtract(hx, np.multiply(x, theta, out=tmp), out=tmp))
+        if residuals[:k].max(initial=0.0) <= RESIDUAL_TOL:
+            return theta[:k], x[:, :k]
+        if passes == EIGS_MAX_PASSES:
+            break
+        m = x.shape[1]
+        # T_d((H - c)/r) is bounded by 1 on [theta_m, hi]; a floor on the
+        # width of that interval keeps T_d finite below it.
+        a = min(theta[-1], hi - (hi - lo) * 2.0 ** -20)
+        c, r = (hi + a) / 2.0, (hi - a) / 2.0
+        # Ritz values k and m coincide when the filter lifts the k-th by less
+        # than a factor 2 above [theta_m, hi]: the wanted level's cluster then
+        # reaches the block's edge and would converge ever slower. A random
+        # block's Ritz values say nothing, so this waits for one filter pass.
+        gain = np.cosh(EIGS_FILTER_DEGREE * np.arccosh(max(1.0, (c - theta[k - 1]) / r)))
+        # Converged leading pairs are locked: their columns are zeroed for the
+        # filter, which projects them out of every term, and come back after
+        # it. A level far below the others then cannot swamp the block with
+        # its growth, and every block keeps the same width.
+        locked = int(np.argmax(residuals[:k] > RESIDUAL_TOL))
+        done = x[:, :locked].copy()
+        x[:, :locked] = hx[:, :locked] = 0.0
+        if passes > 1 and m < n and gain < 2.0:
+            extra = random_block(min(m, n - m))
+            x, hx = np.hstack([x, extra]), np.hstack([hx, h @ extra])
+            tmp = np.empty_like(x)
+
+        def deflate(y):
+            if locked:
+                y -= np.matmul(done, done.conj().T @ y, out=tmp)
+            return y
+
+        prev, cur = x, deflate(_chebyshev_first(hx, x, c, r, tmp))
+        del x, hx
+        for _ in range(EIGS_FILTER_DEGREE - 1):
+            prev, cur = cur, deflate(_chebyshev_next(h, cur, prev, c, r, tmp))
+        del prev, tmp
+        cur[:, :locked] = done
+        x = _orthonormalize(cur)
+    raise EigenConvergenceError(
+        f"filtered subspace iteration stopped after {EIGS_MAX_PASSES} passes with "
+        f"{int(np.sum(residuals[:k] <= RESIDUAL_TOL))}/{k} pairs converged",
+        residuals=residuals[:k],
+    )
+
+
+def _orthonormalize(y):
+    """An orthonormal basis of the span of the columns of ``y``, which it rescales.
+
+    SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23 (2002) 2165): scale the
+    columns to unit norm, diagonalize their Gram matrix G = V S V^H and take
+    Y V S^(-1/2). Directions that rounding has lost (S below 2^-52 of its
+    largest value) come out as rounding noise, which the next sweep or the
+    next filter pass treats like any other vector. A sweep that starts from
+    a Gram matrix with eigenvalues above 1/2 leaves columns orthonormal to
+    rounding, so the sweeps stop there, or after four. Unlike numpy's Householder QR, which
+    holds four copies of the block, it holds two, and its work is three
+    matrix products.
+    """
+    for _ in range(4):
+        y /= _column_norms(y)
+        s, v = np.linalg.eigh(y.conj().T @ y)
+        y = y @ (v / np.sqrt(np.maximum(s, s[-1] * 2.0 ** -52)))
+        if s[0] > 0.5:
+            break
+    return y
+
+
+def _column_norms(a):
+    """Euclidean norm of each column of ``a``, with no temporary of its size."""
+    pairs = a.view(float) if np.iscomplexobj(a) else a  # complex as (re, im) pairs
+    squares = np.einsum("ij,ij->j", pairs, pairs)
+    return np.sqrt(squares.reshape(a.shape[1], -1).sum(axis=1))
+
+
 def _residuals(op, values, vectors):
-    if vectors is None or vectors.size == 0:
+    if vectors.size == 0:
         return np.array([])
     r = op.matrix @ vectors - vectors * values[np.newaxis, :]
     return np.linalg.norm(r, axis=0)

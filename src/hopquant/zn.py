@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import HopquantError
 
@@ -307,10 +306,6 @@ def permutation_from_link_map(lattice, assignments):
     return sigma.reshape(-1)
 
 
-def gauge_permutation(lattice, g):
-    return permutation_from_link_map(lattice, _gauge_link_map(lattice, g))
-
-
 def site_generator_link_maps(lattice, sites=None):
     """Unit gauge increments, one per site; they generate the full gauge group."""
     sites = lattice.sites if sites is None else [tuple(s) for s in sites]
@@ -326,14 +321,6 @@ def site_generator_permutations(lattice, sites=None):
     """The permutations of ``site_generator_link_maps``."""
     return [permutation_from_link_map(lattice, assignments)
             for assignments in site_generator_link_maps(lattice, sites)]
-
-
-def charge_conjugation_permutation(lattice):
-    return permutation_from_link_map(lattice, _charge_link_map(lattice))
-
-
-def parity_permutation(lattice, s0):
-    return permutation_from_link_map(lattice, _parity_link_map(lattice, s0))
 
 
 # --- gauge-invariant subspace ----------------------------------------------
@@ -374,10 +361,20 @@ def project_gauge_invariant(lattice, sites=None):
                                  labels=np.arange(dim, dtype=np.int64),
                                  orbit_sizes=np.ones(dim, dtype=np.int64))
     gens = site_generator_permutations(lattice, sites)
-    # orbits are the connected components of the graph joining j to sigma(j)
-    rows = np.tile(np.arange(dim, dtype=np.int64), len(gens))
-    graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int8),
-                           (rows, np.concatenate(gens))), shape=(dim, dim))
-    count, labels = connected_components(graph, directed=False)
-    return InvariantSubspace(dimension=count, labels=labels.astype(np.int64),
-                             orbit_sizes=np.bincount(labels))
+    # Min-label propagation: each state takes the smallest label among its
+    # images, then its label's label, until nothing changes. Every label stays
+    # a member of its state's orbit, and at the fixed point each generator's
+    # cycles, and so each orbit, carry one label: the orbit's smallest member.
+    # Labels only decrease, so an unchanged sum means unchanged labels.
+    labels = np.arange(dim, dtype=np.int64)
+    while True:
+        total = labels.sum()
+        for sigma in gens:
+            np.minimum(labels, labels[sigma], out=labels)
+        labels = labels[labels]
+        if labels.sum() == total:
+            break
+    # orbits numbered in the order of their smallest members
+    labels = (np.cumsum(labels == np.arange(dim)) - 1)[labels]
+    sizes = np.bincount(labels)
+    return InvariantSubspace(dimension=sizes.size, labels=labels, orbit_sizes=sizes)

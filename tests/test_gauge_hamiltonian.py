@@ -313,7 +313,7 @@ def test_oversize_assembly_fails_before_allocating(monkeypatch):
     lat = LinkLattice((2, 2), 7, boundary="periodic")  # 7^8 = 5.8M, under the cap
     assert lat.hilbert_dim < gauge_ham.DIMENSION_CAP
     kernel = HoppingKernel.nearest_neighbor(LatticeGrid((180, 180, 180), 1.0), 1.0)
-    monkeypatch.setattr(linop, "_physical_memory_bytes", lambda: 2 ** 30)
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 2 ** 30)
     tracemalloc.start()
     try:
         with pytest.raises(HilbertDimensionError, match="GiB"):
@@ -333,10 +333,10 @@ def test_gauge_memory_estimate_counts_plaquette_values(monkeypatch):
     lat = LinkLattice((2, 2), 3, boundary="periodic")
     dim = lat.hilbert_dim
     without = dim * 16 * 12 + (dim + 1) * 4 + linop.ASSEMBLY_BYTES_PER_STATE * dim
-    monkeypatch.setattr(linop, "_physical_memory_bytes", lambda: without + 4 * dim - 1)
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: without + 4 * dim - 1)
     with pytest.raises(HilbertDimensionError, match="GiB"):
         build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
-    monkeypatch.setattr(linop, "_physical_memory_bytes", lambda: without + 4 * dim)
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: without + 4 * dim)
     build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
 
 
@@ -516,7 +516,7 @@ def test_certifier_memory_checked_before_allocating(monkeypatch):
     lat = LinkLattice((2, 2), 4, boundary="periodic")
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
     m = op.matrix
-    monkeypatch.setattr(linop, "_physical_memory_bytes",
+    monkeypatch.setattr(linop, "_available_memory_bytes",
                         lambda: m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
     tracemalloc.start()
     try:
@@ -546,17 +546,28 @@ def test_spectrum_single_link_closed_form():
     assert np.abs(result.values - expected).max() < 1e-10
 
 
-def test_spectrum_dense_and_arpack_agree_at_eigensolver_cutoff():
+def test_spectrum_dense_and_iterative_agree_at_eigensolver_cutoff():
     # 2x2 open N=6 has dimension 1,296 and an 8-fold first excited level
     lat = LinkLattice((2, 2), 6, boundary="open")
     assert lat.hilbert_dim == linop.EIGS_DENSE_CUTOFF
     spec = MaxwellPreset(1.0, 1.0)
     dense = spectrum(build_gauge_hamiltonian(lat, spec), 10)
-    arpack = spectrum(build_gauge_hamiltonian(lat, spec), 10,
-                      dense_cutoff=linop.EIGS_DENSE_CUTOFF - 1)
-    assert np.abs(dense.values - arpack.values).max() < 1e-10
-    for result in (dense, arpack):
+    iterative = spectrum(build_gauge_hamiltonian(lat, spec), 10,
+                         dense_cutoff=linop.EIGS_DENSE_CUTOFF - 1)
+    assert np.abs(dense.values - iterative.values).max() < 1e-10
+    for result in (dense, iterative):
         assert np.sum(np.abs(result.gaps - result.gaps[0]) < 1e-8) == 8
+
+
+def test_spectrum_keeps_every_copy_of_a_16_fold_level():
+    # 2x2 periodic N=4, dim 65,536: both operators' first excited level is 16-fold
+    lat = LinkLattice((2, 2), 4, boundary="periodic")
+    for op, level in ((build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)), -10.68057479),
+                      (reference_ks_hamiltonian(lat, 1.0, 1.0), 5.67643315)):
+        assert op.dimension > linop.EIGS_DENSE_CUTOFF
+        values = spectrum(op, 17).values
+        assert np.abs(values[1:] - level).max() < 1e-8
+        assert values[0] < level - 1.0
 
 
 def test_spectrum_zero_operator():

@@ -1,12 +1,17 @@
 """Operator substrate: matvec, propagation, extremal eigenpairs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from hopquant import linop
-from hopquant.errors import HermiticityError
+from hopquant import LinkLattice, MaxwellPreset, build_gauge_hamiltonian, linop
+from hopquant.errors import EigenConvergenceError, HermiticityError
 from hopquant.linop import SparseHermitianOperator, eigs_extremal, propagate
 
 
@@ -243,3 +248,100 @@ def test_eigs_degenerate_pair_found():
     overlap = v.conj().T @ v
     assert np.abs(overlap - np.eye(2)).max() < 1e-10
 
+
+
+def _record_block_widths(monkeypatch):
+    """Column counts of every block the subspace iteration orthonormalizes."""
+    widths = []
+    orthonormalize = linop._orthonormalize
+
+    def recording(y):
+        widths.append(y.shape[1])
+        return orthonormalize(y)
+
+    monkeypatch.setattr(linop, "_orthonormalize", recording)
+    return widths
+
+
+@pytest.mark.parametrize("count, width", [
+    (20, 40),  # cuts through the 28-fold level, which ends inside the block
+    (9, 25),   # the 28-fold level fills the block past its edge but is not wanted
+    (10, 52),  # the wanted 28-fold level reaches the initial block's edge: it doubles
+])
+def test_eigs_iterative_resolves_degenerate_gauge_levels(monkeypatch, count, width):
+    # 2x2 periodic N=2, dim 256: levels -12 + 3j with multiplicity C(8, j)
+    op = build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
+                                 MaxwellPreset(1.0, 1.0))
+    widths = _record_block_widths(monkeypatch)
+    w, v = eigs_extremal(op, count, dense_cutoff=0)
+    assert max(widths) == width
+    assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:count]).max() < 1e-10
+    levels, copies = np.unique(np.round(w, 8), return_counts=True)
+    want = {-12.0: 1, -9.0: 8, -6.0: count - 9}
+    assert dict(zip(levels.tolist(), copies.tolist())) == {e: c for e, c in want.items() if c}
+    assert np.abs(v.T @ v - np.eye(count)).max() < 1e-10
+
+
+def test_eigs_iterative_complex_degenerate_operator_matches_dense():
+    # Hofstadter torus: 12x12 sites, flux 1/4 per plaquette in the Landau gauge,
+    # so every level is at least 4-fold (magnetic translations) and H is complex
+    side, alpha = 12, 0.25
+    x, y = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    site = (x * side + y).reshape(-1)
+    right = (((x + 1) % side) * side + y).reshape(-1)
+    up = (x * side + (y + 1) % side).reshape(-1)
+    phase = np.exp(2j * np.pi * alpha * y).reshape(-1)
+    hop = sp.csr_matrix((np.concatenate([-phase, -np.ones(site.size)]),
+                         (np.concatenate([right, up]), np.concatenate([site, site]))),
+                        shape=(side ** 2, side ** 2))
+    op = SparseHermitianOperator(hop + hop.conj().T)
+    assert np.iscomplexobj(op.matrix.data)
+    w, v = eigs_extremal(op, 12, dense_cutoff=0)
+    assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:12]).max() < 1e-10
+    assert np.unique(np.round(w, 8), return_counts=True)[1].min() >= 4
+    assert np.abs(v.conj().T @ v - np.eye(12)).max() < 1e-10
+
+
+def test_eigs_iterative_level_far_below_the_rest():
+    # a ring with one deep site: its bound state lies 1000 below the band, so the
+    # filter grows it about 1e70 times more than the band's bottom per pass
+    n = 400
+    ring = sp.diags([np.ones(n - 1), np.ones(n - 1)], [1, -1]).tolil()
+    ring[0, n - 1] = ring[n - 1, 0] = 1.0
+    ring[0, 0] = -1000.0
+    op = SparseHermitianOperator(ring.tocsr())
+    w, _ = eigs_extremal(op, 4, dense_cutoff=0)
+    assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:4]).max() < 1e-10
+
+
+def test_eigs_pass_cap_raises_with_residuals(monkeypatch):
+    op = build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
+                                 MaxwellPreset(1.0, 1.0))
+    monkeypatch.setattr(linop, "EIGS_MAX_PASSES", 1)
+    with pytest.raises(EigenConvergenceError, match="after 1 passes") as info:
+        eigs_extremal(op, 6, dense_cutoff=0)
+    residuals = info.value.residuals
+    assert residuals.shape == (6,)
+    assert np.all(np.isfinite(residuals)) and residuals.max() > linop.RESIDUAL_TOL
+
+
+def test_available_memory_reads_meminfo(tmp_path):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:        8222320 kB\n"
+                       "MemFree:         7354000 kB\n"
+                       "MemAvailable:    7746248 kB\n")
+    assert linop._available_memory_bytes(meminfo) == 7746248 * 1024
+    installed = linop._available_memory_bytes(tmp_path / "missing")
+    assert installed is None or installed > 0
+    meminfo.write_text("MemTotal:        8222320 kB\n")  # kernels before 3.14
+    assert linop._available_memory_bytes(meminfo) == installed
+
+
+def test_import_leaves_sparse_linalg_and_csgraph_unloaded():
+    code = ("import sys, hopquant; "
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

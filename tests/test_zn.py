@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from hopquant import (
     LinkConfig,
@@ -17,6 +19,18 @@ from hopquant import (
 from hopquant import zn
 from hopquant.errors import HopquantError
 from hopquant.gauge_ham import allowed_parity_centers
+
+
+def gauge_permutation(lattice, g):
+    return zn.permutation_from_link_map(lattice, zn._gauge_link_map(lattice, g))
+
+
+def charge_conjugation_permutation(lattice):
+    return zn.permutation_from_link_map(lattice, zn._charge_link_map(lattice))
+
+
+def parity_permutation(lattice, s0):
+    return zn.permutation_from_link_map(lattice, zn._parity_link_map(lattice, s0))
 
 
 def single_plaquette(n=3):
@@ -66,7 +80,7 @@ def test_plaquette_gauge_invariance_exhaustive():
                 total = total + sign * digits[l_idx]
             plaq_values.append(total % n)
         for g in iproduct(range(n), repeat=lat.n_sites):
-            sigma = zn.gauge_permutation(lat, np.array(g))
+            sigma = gauge_permutation(lat, np.array(g))
             for p in plaq_values:
                 assert np.array_equal(p[sigma], p)
 
@@ -101,9 +115,9 @@ def test_gauge_composition_exhaustive():
     for _ in range(20):
         g1 = rng.integers(0, 4, lat.n_sites)
         g2 = rng.integers(0, 4, lat.n_sites)
-        s1 = zn.gauge_permutation(lat, g1)
-        s2 = zn.gauge_permutation(lat, g2)
-        s12 = zn.gauge_permutation(lat, (g1 + g2) % 4)
+        s1 = gauge_permutation(lat, g1)
+        s2 = gauge_permutation(lat, g2)
+        s12 = gauge_permutation(lat, (g1 + g2) % 4)
         assert np.array_equal(s1[s2], s12)
 
 
@@ -115,7 +129,7 @@ def test_shift_covariance_commutes_with_gauge():
         raise_map = zn.permutation_from_link_map(
             lat, {idx: (idx, 1, 1 if idx == link else 0) for idx in range(lat.n_links)})
         g = rng.integers(0, 3, lat.n_sites)
-        gauge_map = zn.gauge_permutation(lat, g)
+        gauge_map = gauge_permutation(lat, g)
         assert np.array_equal(raise_map[gauge_map], gauge_map[raise_map])
 
 
@@ -234,9 +248,9 @@ def test_permutations_agree_with_config_transforms():
     lat = LinkLattice((2, 2), 3, boundary="periodic")
     rng = np.random.default_rng(45)
     g = rng.integers(0, 3, lat.n_sites)
-    sigma_g = zn.gauge_permutation(lat, g)
-    sigma_c = zn.charge_conjugation_permutation(lat)
-    sigma_p = zn.parity_permutation(lat, (0.5, 0.0))
+    sigma_g = gauge_permutation(lat, g)
+    sigma_c = charge_conjugation_permutation(lat)
+    sigma_p = parity_permutation(lat, (0.5, 0.0))
     sigma_s = zn.permutation_from_link_map(
         lat, {idx: (idx, 1, 1 if k == 1 else 0) for idx, (_, k) in enumerate(lat.links)})
     for index in rng.integers(0, lat.hilbert_dim, size=40):
@@ -261,11 +275,11 @@ def test_permutations_agree_with_config_transforms_off_square(dims, n, boundary)
     centers = allowed_parity_centers(lat)
     assert centers
     raised = lat.n_links - 2
-    checks = [(zn.gauge_permutation(lat, g), lambda c: apply_gauge(c, g)),
+    checks = [(gauge_permutation(lat, g), lambda c: apply_gauge(c, g)),
               (zn.permutation_from_link_map(
                   lat, {idx: (idx, 1, 2 if idx == raised else 0) for idx in range(lat.n_links)}),
                lambda c: LinkConfig(lat, c.values + 2 * (np.arange(lat.n_links) == raised)))]
-    checks += [(zn.parity_permutation(lat, s0), lambda c, s0=s0: parity_transform(c, s0))
+    checks += [(parity_permutation(lat, s0), lambda c, s0=s0: parity_transform(c, s0))
                 for s0 in centers]
     indices = np.concatenate([[0, lat.hilbert_dim - 1],
                               rng.integers(0, lat.hilbert_dim, size=40)])
@@ -288,6 +302,28 @@ def test_projection_single_plaquette_dimension_is_n():
         assert sub.dimension == n
 
 
+@pytest.mark.parametrize("dims, n, boundary, sites", [
+    ((2, 2), 5, "periodic", None),
+    ((2, 2), 3, "periodic", [(0, 0), (1, 1)]),
+    ((3, 2), 2, "periodic", None),
+    ((3, 3), 2, "open", [(1, 1)]),
+    ((2, 2, 2), 2, "open", None),
+])
+def test_projection_labels_match_connected_components(dims, n, boundary, sites):
+    # oracle: the connected components of the graph joining j to sigma(j)
+    lat = LinkLattice(dims, n, boundary=boundary)
+    dim = lat.hilbert_dim
+    gens = zn.site_generator_permutations(lat, sites)
+    rows = np.tile(np.arange(dim), len(gens))
+    graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, np.concatenate(gens))),
+                          shape=(dim, dim))
+    count, labels = connected_components(graph, directed=False)
+    sub = project_gauge_invariant(lat, sites)
+    assert sub.dimension == count
+    assert np.array_equal(sub.labels, labels)
+    assert np.array_equal(sub.orbit_sizes, np.bincount(labels))
+
+
 def test_projection_matches_group_averaging_oracle():
     # oracle: average all gauge permutation matrices and compare projectors
     lat = single_plaquette(3)
@@ -298,7 +334,7 @@ def test_projection_matches_group_averaging_oracle():
         for g1 in range(3):
             for g2 in range(3):
                 for g3 in range(3):
-                    sigma = zn.gauge_permutation(lat, np.array([g0, g1, g2, g3]))
+                    sigma = gauge_permutation(lat, np.array([g0, g1, g2, g3]))
                     mat = np.zeros((dim, dim))
                     mat[sigma, np.arange(dim)] = 1.0
                     pi += mat
@@ -325,7 +361,7 @@ def test_projection_2x2_periodic_matches_averaging_oracle():
     pi = np.zeros((dim, dim))
     count = 0
     for g in iproduct(range(2), repeat=lat.n_sites):
-        sigma = zn.gauge_permutation(lat, np.array(g))
+        sigma = gauge_permutation(lat, np.array(g))
         mat = np.zeros((dim, dim))
         mat[sigma, np.arange(dim)] = 1.0
         pi += mat
