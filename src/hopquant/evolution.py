@@ -34,7 +34,8 @@ def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
     ``source`` is a prebuilt Hermitian operator, whose clock starts at 0, or
     a HoppingKernel, whose clock starts at ``kernel.grid.t``; a
     time-dependent kernel is rebuilt at each step midpoint. Raises
-    ``IntegratorAccuracyError`` when the norm drifts beyond ``drift_tol``.
+    ``IntegratorAccuracyError`` when the norm drifts beyond ``drift_tol`` or
+    turns NaN.
     """
     if isinstance(source, HoppingKernel):
         kernel = source
@@ -53,8 +54,9 @@ def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
             step_op = op
         v = linop.propagate(step_op, v, dt, hbar=hbar)
         if norm0 > 0:
-            drift = max(drift, abs(np.linalg.norm(v) - norm0) / norm0)
-    if drift > drift_tol:
+            # np.maximum, unlike max(), carries a NaN drift to the check
+            drift = float(np.maximum(drift, abs(np.linalg.norm(v) - norm0) / norm0))
+    if not drift <= drift_tol:  # a NaN drift fails too
         raise IntegratorAccuracyError(
             f"integrator accuracy: norm drift {drift:.3e} exceeds {drift_tol:.1e}")
     out = LatticeWavefunction(psi.grid, v.reshape(psi.grid.shape),

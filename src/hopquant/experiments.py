@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 
 from . import gauge_ham, zn
+from .config import REQUIRED
 from .errors import ConfigError, HopquantError
 from .evolution import (
     constant_field_problem,
@@ -180,11 +181,11 @@ def _check_hermiticity(report, defect, tol):
                      value=defect, tolerance=tol)
 
 
-def _count(cfg, section, default):
-    count = cfg.getint(section, "count", default=default)
+def _count(cfg, section, default=REQUIRED, key="count"):
+    count = cfg.getint(section, key, default=default)
     if count < 1:
-        raise cfg.invalid(section, "count",
-                          f"[{section}] count must be at least 1, got {count}")
+        raise cfg.invalid(section, key,
+                          f"[{section}] {key} must be at least 1, got {count}")
     return count
 
 
@@ -230,8 +231,10 @@ def run_particle_evolve(cfg, report, tol):
     grid, kernel = _particle_kernel(cfg, report)
     psi0 = _state_from_config(cfg, grid).normalized()
     dt = cfg.getfloat("evolve", "dt")
-    steps = cfg.getint("evolve", "steps")
-    drift_tol = cfg.getfloat("evolve", "drift_tol", default=1e-8)
+    if not np.isfinite(dt):
+        raise cfg.invalid("evolve", "dt", f"[evolve] dt must be finite, got {dt}")
+    steps = _count(cfg, "evolve", key="steps")
+    drift_tol = cfg.gettolerance("evolve", "drift_tol", default=1e-8)
     result = evolve(kernel, psi0, dt, steps, drift_tol=drift_tol)
     report.results["norm_drift"] = result.norm_drift
     report.results["final_norm"] = result.psi.norm()

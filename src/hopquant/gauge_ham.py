@@ -353,10 +353,10 @@ class SpectrumResult:
     gaps: np.ndarray  # E_i - E_0 for i >= 1
 
 
-def spectrum(op, count, dense_cutoff=linop.EIGS_DENSE_CUTOFF):
+def spectrum(op, count):
     """Lowest ``count`` eigenvalues, each copy of a degenerate level counted,
     and their gaps from the ground state."""
-    values, _ = linop.eigs_extremal(op, count, dense_cutoff=dense_cutoff)
+    values, _ = linop.eigs_extremal(op, count)
     return SpectrumResult(values=values, gaps=values[1:] - values[0])
 
 
@@ -371,10 +371,10 @@ class GapComparison:
         return float(self.deviations.max()) if self.deviations.size else 0.0
 
 
-def compare_to_reference(op_hop, op_ref, count, dense_cutoff=linop.EIGS_DENSE_CUTOFF):
+def compare_to_reference(op_hop, op_ref, count):
     """Relative differences of the lowest ``count`` energy gaps."""
-    ga = spectrum(op_hop, count + 1, dense_cutoff=dense_cutoff).gaps
-    gb = spectrum(op_ref, count + 1, dense_cutoff=dense_cutoff).gaps
+    ga = spectrum(op_hop, count + 1).gaps
+    gb = spectrum(op_ref, count + 1).gaps
     scale = max(float(np.abs(gb).max()), 1e-300)
     return GapComparison(gaps_hopping=ga, gaps_reference=gb,
                          deviations=np.abs(ga - gb) / scale)

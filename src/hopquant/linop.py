@@ -1,12 +1,12 @@
 """Sparse Hermitian operators: assembly, matvec, propagation, extremal eigenpairs.
 
-Small dimensions go through exact dense eigendecompositions. Above the cutoff,
-both solvers run the Chebyshev three-term recurrence over the operator's cached
-Gershgorin interval: propagation sums a Chebyshev series (Tal-Ezer & Kosloff,
+Both solvers run the Chebyshev three-term recurrence over the operator's cached
+Gershgorin interval. Propagation sums a Chebyshev series (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81 (1984) 3967), with truncation error at most 2^-53 * |v|, and
-eigenpairs come from block Chebyshev-filtered subspace iteration (Zhou, Saad,
-Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172), which holds every copy
-of a degenerate level.
+goes through the exact dense eigendecomposition up to a dimension cutoff.
+Eigenpairs, at every dimension, come from block Chebyshev-filtered subspace
+iteration (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172),
+which holds every copy of a degenerate level.
 """
 
 import math
@@ -27,15 +27,6 @@ from .errors import EigenConvergenceError, HermiticityError, HilbertDimensionErr
 # wins on free grids of every size, dense on the stiff harmonic grid. The value
 # stays because a lower one would change bundled report bytes.
 DENSE_CUTOFF = 4096
-# Eigenpairs up to this dimension come from one dense eigh, above it from
-# filtered subspace iteration. Measured with a fresh operator per solve, best
-# of 3, on a 2-core VM: the two break even at dims 169-256, both for complex
-# Fock-Darwin particle operators (10 pairs; 0.0096 s dense against 0.0082 s
-# at dim 169) and for real 2x2 open Maxwell gauge operators (6 pairs; 0.0059
-# against 0.0051 s at dim 256); at 1,296 the iteration is 13x faster on the
-# gauge operator (0.020 s against 0.260 s). The value is the smallest that
-# keeps `plaquette_n_scan`'s N=6 solve (dim 1,296), and so its report, dense.
-EIGS_DENSE_CUTOFF = 1296
 # Default tolerance of every hermiticity and unitarity check, and of a run.
 HERMITICITY_TOL = 1e-12
 EIGS_SEED = 20240811
@@ -89,9 +80,6 @@ class SparseHermitianOperator:
             )
 
     def matvec(self, v):
-        return self.matrix @ v
-
-    def __matmul__(self, v):
         return self.matrix @ v
 
     def to_dense(self):
@@ -337,11 +325,10 @@ def _bessel_series(z):
     return j[:max(keep, 2)]
 
 
-def eigs_extremal(op, k, dense_cutoff=EIGS_DENSE_CUTOFF):
+def eigs_extremal(op, k):
     """Lowest ``k`` eigenpairs, ascending; residuals are checked per pair.
 
-    Up to ``dense_cutoff`` they come from the cached dense eigendecomposition,
-    above it from block Chebyshev-filtered subspace iteration (Zhou, Saad,
+    They come from block Chebyshev-filtered subspace iteration (Zhou, Saad,
     Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172). Each pass takes an
     orthonormal n x m block X through a Rayleigh-Ritz step (H X, then eigh of
     X^H H X) and stops once the ``k`` lowest Ritz residuals are below
@@ -351,23 +338,22 @@ def eigs_extremal(op, k, dense_cutoff=EIGS_DENSE_CUTOFF):
     of the Gershgorin interval that ``propagate`` caches, so every copy of a
     level below theta_m grows against the rest of the spectrum at the same
     rate. Pairs converged from the lowest up are locked: the filter projects
-    them out. m starts at max(2k, k + 16) and doubles whenever Ritz values k
-    and m coincide, i.e. when the wanted level's cluster reaches the edge of
-    the block. The block is seeded from ``EIGS_SEED``; after
-    ``EIGS_MAX_PASSES`` passes ``EigenConvergenceError`` carries the
-    residuals.
+    them out. m starts at min(n, max(2k, k + 16)), so at n <= k + 16 the
+    first Rayleigh-Ritz step spans the whole space and is exact, and doubles
+    whenever Ritz values k and m coincide, i.e. when the wanted level's
+    cluster reaches the edge of the block. The block is seeded from
+    ``EIGS_SEED``; after ``EIGS_MAX_PASSES`` passes ``EigenConvergenceError``
+    carries the residuals.
     """
     op.require_hermitian()
     n = op.dimension
     if not 0 <= k <= n:
         raise ValueError(f"requested {k} eigenpairs of a dimension-{n} operator")
-    if n <= dense_cutoff:
-        w, q = op.dense_eig()
-        values, vectors = w[:k].copy(), q[:, :k].copy()
-    else:
-        values, vectors = _filtered_subspace_iteration(op, k)
-    residuals = _residuals(op, values, vectors)
-    if residuals.size and residuals.max() > RESIDUAL_TOL:
+    if k == 0:
+        return np.zeros(0), np.zeros((n, 0))
+    values, vectors = _filtered_subspace_iteration(op, k)
+    residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
+    if residuals.max() > RESIDUAL_TOL:
         raise EigenConvergenceError(
             f"eigenpair residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}",
             residuals=residuals,
@@ -466,9 +452,3 @@ def _column_norms(a):
     squares = np.einsum("ij,ij->j", pairs, pairs)
     return np.sqrt(squares.reshape(a.shape[1], -1).sum(axis=1))
 
-
-def _residuals(op, values, vectors):
-    if vectors.size == 0:
-        return np.array([])
-    r = op.matrix @ vectors - vectors * values[np.newaxis, :]
-    return np.linalg.norm(r, axis=0)

@@ -162,7 +162,7 @@ def test_criterion_6_hopping_vs_reference_oracle():
             lattice = LinkLattice((2, 2), n, boundary="open")
             hop = build_gauge_hamiltonian(lattice, MaxwellPreset(1.0, 1.0))
             ref = reference_ks_hamiltonian(lattice, 1.0, 1.0)
-            comp = compare_to_reference(hop, ref, 5, dense_cutoff=2000)
+            comp = compare_to_reference(hop, ref, 5)
             per_gap.append(comp.deviations)
         for a, b in zip(per_gap, per_gap[1:]):
             assert np.all(b < a)

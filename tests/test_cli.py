@@ -327,6 +327,24 @@ type = maxwell
 """
 
 
+SMALL_EVOLVE_CFG = """
+[grid]
+dims = 8
+spacing = 1.0
+
+[kernel]
+preset = free-nn
+mass = 1.0
+
+[state]
+type = gaussian
+x0 = 0.0
+sigma = 1.0
+
+[evolve]
+"""
+
+
 @pytest.mark.parametrize("experiment, extra, flags, key", [
     pytest.param("gauge-spectrum", "[spectrum]\ncount = 0\n", [], "[spectrum] count",
                  id="spectrum-count-0"),
@@ -343,11 +361,19 @@ type = maxwell
     # one clock order makes no trend while lambda_b != 0 and require_trend holds
     pytest.param("gauge-compare-ks", "[compare]\nn_list = 3\n", [], "[compare] n_list",
                  id="n_list-single-with-trend"),
+    # a NaN step once wrote an all-NaN state that passed norm-drift at 0.0
+    pytest.param("particle-evolve", "dt = nan\nsteps = 3\n", [], "[evolve] dt",
+                 id="evolve-dt-nan"),
+    pytest.param("particle-evolve", "dt = 0.05\nsteps = -3\n", [], "[evolve] steps",
+                 id="evolve-steps-negative"),
+    pytest.param("particle-evolve", "dt = 0.05\nsteps = 3\ndrift_tol = nan\n", [],
+                 "[evolve] drift_tol", id="evolve-drift-tol-nan"),
 ])
 def test_counts_and_n_lists_without_a_result_exit_three(tmp_path, capsys, experiment,
                                                          extra, flags, key):
-    cfg = write(tmp_path, SMALL_GAUGE_CFG + extra)
     sector, action = experiment.split("-", 1)
+    cfg = write(tmp_path, {"gauge": SMALL_GAUGE_CFG, "particle": SMALL_EVOLVE_CFG}[sector]
+                + extra)
     assert main([sector, action, cfg, "--out", str(tmp_path / "out"), *flags]) == 3
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

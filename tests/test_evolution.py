@@ -145,6 +145,15 @@ def test_evolve_reports_drift_violation():
         evolve(kernel, psi, dt=0.1, steps=10, drift_tol=0.0)
 
 
+def test_evolve_nan_time_step_raises():
+    # a NaN state has a NaN norm drift, which must fail the check, not pass it
+    grid = LatticeGrid((8,), 1.0)
+    kernel = HoppingKernel.nearest_neighbor(grid, mass=1.0)
+    psi = LatticeWavefunction.from_callable(grid, lambda x: np.exp(-x ** 2)).normalized()
+    with pytest.raises(IntegratorAccuracyError, match="nan"):
+        evolve(kernel, psi, dt=float("nan"), steps=3)
+
+
 def test_evolve_time_dependent_midpoint_order():
     # H(t) = (1 + t^2) H0 commutes with itself; midpoint sampling is O(dt^2)
     grid = LatticeGrid((12,), 1.0)

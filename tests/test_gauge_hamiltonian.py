@@ -546,17 +546,14 @@ def test_spectrum_single_link_closed_form():
     assert np.abs(result.values - expected).max() < 1e-10
 
 
-def test_spectrum_dense_and_iterative_agree_at_eigensolver_cutoff():
+def test_spectrum_matches_dense_eigvalsh_at_dim_1296():
     # 2x2 open N=6 has dimension 1,296 and an 8-fold first excited level
     lat = LinkLattice((2, 2), 6, boundary="open")
-    assert lat.hilbert_dim == linop.EIGS_DENSE_CUTOFF
-    spec = MaxwellPreset(1.0, 1.0)
-    dense = spectrum(build_gauge_hamiltonian(lat, spec), 10)
-    iterative = spectrum(build_gauge_hamiltonian(lat, spec), 10,
-                         dense_cutoff=linop.EIGS_DENSE_CUTOFF - 1)
-    assert np.abs(dense.values - iterative.values).max() < 1e-10
-    for result in (dense, iterative):
-        assert np.sum(np.abs(result.gaps - result.gaps[0]) < 1e-8) == 8
+    assert lat.hilbert_dim == 1296
+    op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    result = spectrum(op, 10)
+    assert np.abs(result.values - np.linalg.eigvalsh(op.to_dense())[:10]).max() < 1e-10
+    assert np.sum(np.abs(result.gaps - result.gaps[0]) < 1e-8) == 8
 
 
 def test_spectrum_keeps_every_copy_of_a_16_fold_level():
@@ -564,7 +561,6 @@ def test_spectrum_keeps_every_copy_of_a_16_fold_level():
     lat = LinkLattice((2, 2), 4, boundary="periodic")
     for op, level in ((build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)), -10.68057479),
                       (reference_ks_hamiltonian(lat, 1.0, 1.0), 5.67643315)):
-        assert op.dimension > linop.EIGS_DENSE_CUTOFF
         values = spectrum(op, 17).values
         assert np.abs(values[1:] - level).max() < 1e-8
         assert values[0] < level - 1.0

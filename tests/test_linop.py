@@ -233,7 +233,7 @@ def test_eigs_full_spectrum_matches_dense():
 def test_eigs_sparse_path_matches_dense():
     rng = np.random.default_rng(12)
     op = random_hermitian(300, rng, density=0.05)
-    w_sparse, v_sparse = eigs_extremal(op, 5, dense_cutoff=10)
+    w_sparse, v_sparse = eigs_extremal(op, 5)
     w_dense = np.linalg.eigvalsh(op.to_dense())[:5]
     assert np.abs(w_sparse - w_dense).max() < 1e-9
     resid = np.linalg.norm(op.matrix @ v_sparse - v_sparse * w_sparse, axis=0)
@@ -248,6 +248,12 @@ def test_eigs_degenerate_pair_found():
     overlap = v.conj().T @ v
     assert np.abs(overlap - np.eye(2)).max() < 1e-10
 
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_eigs_zero_pairs(n):
+    op = SparseHermitianOperator(sp.identity(n, format="csr"))
+    w, v = eigs_extremal(op, 0)
+    assert w.shape == (0,) and v.shape == (n, 0)
 
 
 def _record_block_widths(monkeypatch):
@@ -273,7 +279,7 @@ def test_eigs_iterative_resolves_degenerate_gauge_levels(monkeypatch, count, wid
     op = build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
                                  MaxwellPreset(1.0, 1.0))
     widths = _record_block_widths(monkeypatch)
-    w, v = eigs_extremal(op, count, dense_cutoff=0)
+    w, v = eigs_extremal(op, count)
     assert max(widths) == width
     assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:count]).max() < 1e-10
     levels, copies = np.unique(np.round(w, 8), return_counts=True)
@@ -296,7 +302,7 @@ def test_eigs_iterative_complex_degenerate_operator_matches_dense():
                         shape=(side ** 2, side ** 2))
     op = SparseHermitianOperator(hop + hop.conj().T)
     assert np.iscomplexobj(op.matrix.data)
-    w, v = eigs_extremal(op, 12, dense_cutoff=0)
+    w, v = eigs_extremal(op, 12)
     assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:12]).max() < 1e-10
     assert np.unique(np.round(w, 8), return_counts=True)[1].min() >= 4
     assert np.abs(v.conj().T @ v - np.eye(12)).max() < 1e-10
@@ -310,7 +316,7 @@ def test_eigs_iterative_level_far_below_the_rest():
     ring[0, n - 1] = ring[n - 1, 0] = 1.0
     ring[0, 0] = -1000.0
     op = SparseHermitianOperator(ring.tocsr())
-    w, _ = eigs_extremal(op, 4, dense_cutoff=0)
+    w, _ = eigs_extremal(op, 4)
     assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:4]).max() < 1e-10
 
 
@@ -319,7 +325,7 @@ def test_eigs_pass_cap_raises_with_residuals(monkeypatch):
                                  MaxwellPreset(1.0, 1.0))
     monkeypatch.setattr(linop, "EIGS_MAX_PASSES", 1)
     with pytest.raises(EigenConvergenceError, match="after 1 passes") as info:
-        eigs_extremal(op, 6, dense_cutoff=0)
+        eigs_extremal(op, 6)
     residuals = info.value.residuals
     assert residuals.shape == (6,)
     assert np.all(np.isfinite(residuals)) and residuals.max() > linop.RESIDUAL_TOL
