@@ -238,11 +238,13 @@ def commutator_norms(op, lattice, link_maps):
     (link src -> dest, step times sign), so P H P^T - H holds exactly the
     entries a_k(x) - a_{A k}(sigma(x)), and each norm is their largest
     modulus. That is max|P H P^T - H|, the max-norm of the commutator with
-    its columns permuted. The amplitudes are read from H once, with one
-    point lookup per configuration and move, and no copy of H is made.
+    its columns permuted. H must come from the hopping assembler, whose row
+    x holds one slot per move H stores: the diagonal, then the raise and the
+    lower of each link. Each a_k is copied from its slot once, a move H does
+    not store reads as zero, and no copy of H is made.
 
-    Raises ``ValueError`` when H has a nonzero outside the moves or a link
-    map is not a bijection of the links with signs +-1, and
+    Raises ``ValueError`` when H has entries off the moves or rows in another
+    order, or a link map is not a bijection of the links with signs +-1, and
     ``HilbertDimensionError`` when H and the amplitude arrays together
     would not fit in the available memory.
     """
@@ -256,23 +258,23 @@ def commutator_norms(op, lattice, link_maps):
     link_maps = list(link_maps)
     images = [_move_image(lattice, assignments, moves) for assignments in link_maps]
     # beside H and the amplitudes, index arrays and gathers: tracemalloc measured
-    # 40 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3
+    # 32-34 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3
     linop._require_memory(
         h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
         + len(moves) * dim * h.dtype.itemsize + 6 * dim * np.dtype(np.intp).itemsize,
         f"certifying dimension {dim}")
-    grid = np.arange(dim).reshape(zn._basis_grid_shape(lattice))
-    rows = grid.reshape(-1)
-    amps = np.empty((len(moves), dim), dtype=h.dtype)
-    for k, (l_idx, step) in enumerate(moves):
-        cols = rows if l_idx is None else \
-            np.roll(grid, -step, axis=zn._link_axis(lattice, l_idx)).reshape(-1)
-        amps[k] = np.asarray(h[rows, cols]).reshape(-1)
-    if np.count_nonzero(amps) != np.count_nonzero(h.data):
-        raise ValueError("operator has nonzero entries outside the one-link moves")
+    m = h.nnz // dim  # slots a row, if every row has as many
+    layout = np.array_equal(h.indptr, np.arange(dim + 1) * m)
+    grid = np.arange(dim, dtype=h.indices.dtype).reshape(zn._basis_grid_shape(lattice))
+    amps, slot = np.zeros((len(moves), dim), dtype=h.dtype), 0
+    for k, (l_idx, step) in enumerate(moves if layout else ()):
+        cols = grid if l_idx is None else np.roll(grid, -step, axis=zn._link_axis(lattice, l_idx))
+        if slot < m and np.array_equal(h.indices[slot::m], cols.reshape(-1)):
+            amps[k], slot = h.data[slot::m], slot + 1
+    if not layout or slot < m:
+        raise ValueError("operator has entries outside the one-link moves or out of their order")
 
-    moved = np.empty(dim, dtype=h.dtype)
-    norms = []
+    moved, norms = np.empty(dim, dtype=h.dtype), []
     for assignments, image in zip(link_maps, images):
         sigma = zn.permutation_from_link_map(lattice, assignments)
         norm = 0.0

@@ -35,11 +35,12 @@ RESIDUAL_TOL = 1e-8
 # passes after which the iteration gives up.
 EIGS_FILTER_DEGREE = 20
 EIGS_MAX_PASSES = 100
-# Peak memory of one hopping assembly beyond the CSR it returns, per grid
+# Peak memory of one hopping assembly beyond its m slots a row, per grid
 # point: the caller's amplitude inputs and the assembler's temporaries.
-# tracemalloc measured 24-101 bytes for both gauge builders on 2x2 periodic
-# N=5 and 3x3 periodic N=2, and 60-67 bytes for particle kernels on 64^3.
-ASSEMBLY_BYTES_PER_STATE = 104
+# tracemalloc measured 13-45 bytes for both gauge builders on 2x2 periodic
+# N=5 and 3x3 periodic N=2, and 60-68 bytes for particle kernels of 7, 13
+# and 125 offsets on periodic and open 64^3 and 32^3 grids.
+ASSEMBLY_BYTES_PER_STATE = 68
 
 
 class SparseHermitianOperator:
@@ -158,9 +159,10 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     summed into one entry, the zero offset is the diagonal, and an open grid
     drops entries whose column leaves it. Entries are stored as ``dtype``,
     widened to complex by an amplitude with a nonzero imaginary part, straight
-    into CSR arrays whose rows are sorted a chunk at a time. max|H - H^H| is
-    the largest |H[x, x + o] - conj(H[x + o, x])| over stored entries, with
-    the reverse offset's entry or zero where no move has it.
+    into CSR arrays. Row x holds one slot per distinct offset, in the order of
+    first appearance, not sorted by column. max|H - H^H| is the largest
+    |H[x, x + o] - conj(H[x + o, x])| over stored entries, with the reverse
+    offset's entry or zero where no move has it.
 
     Raises ``HilbertDimensionError``, before allocating anything of the grid
     size, when the estimated peak (the CSR, ``ASSEMBLY_BYTES_PER_STATE`` per
@@ -186,7 +188,7 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     for k, j in column.items():
         col_grid[..., j] = np.roll(np.arange(dim, dtype=index_dtype).reshape(shape),
                                    [-c for c in k], axis=range(len(shape)))
-        # column ``dim`` marks an entry off an open grid: it sorts last and is dropped
+        # column ``dim`` marks an entry off an open grid, which is dropped
         for ax, c in enumerate(() if periodic else k):
             col_grid[(slice(None),) * ax + (slice(shape[ax] - c, None) if c > 0
                                             else slice(None, -c), Ellipsis, j)] = dim
@@ -214,25 +216,21 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
         # np.maximum, unlike max(), carries a NaN amplitude into the defect
         defect = float(np.maximum(defect, np.abs(data[rows, j] - np.conj(there)).max(initial=0.0)))
 
-    chunk = max(1, 2 ** 16 // max(m, 1))  # rows sorted at a time, bounding temporaries
-    flat_cols, flat_data, nnz = cols.reshape(-1), data.reshape(-1), 0
-    indptr = np.zeros(dim + 1, dtype=index_dtype)
-    for start in range(0, dim, chunk):
-        order = np.argsort(cols[start:start + chunk], axis=1)
-        row_cols = np.take_along_axis(cols[start:start + chunk], order, axis=1)
-        row_data = np.take_along_axis(data[start:start + chunk], order, axis=1)
-        keep = row_cols < dim
-        indptr[start + 1:start + 1 + len(keep)] = keep.sum(axis=1)
-        end = nnz + int(np.count_nonzero(keep))
-        if end - nnz < keep.size:  # an open grid dropped entries here
-            row_cols, row_data = row_cols[keep], row_data[keep]
-        # compacted rows end at or before this chunk's first entry
-        flat_cols[nnz:end] = row_cols.reshape(-1)
-        flat_data[nnz:end] = row_data.reshape(-1)
-        nnz = end
-    np.cumsum(indptr, out=indptr)
-    mat = sp.csr_matrix((flat_data[:nnz], flat_cols[:nnz], indptr), shape=(dim, dim))
-    mat.has_canonical_format = True
+    flat_cols, flat_data = cols.reshape(-1), data.reshape(-1)
+    indptr = np.arange(dim + 1, dtype=index_dtype)
+    indptr *= m  # m slots a row (none: H is empty), scaled in place
+    if not periodic:  # drop the entries off the grid in place, a chunk of rows at a time
+        chunk, end = max(1, 2 ** 16 // max(m, 1)), 0
+        for start in range(0, dim, chunk):
+            keep = cols[start:start + chunk] < dim
+            indptr[start + 1:start + 1 + len(keep)] = keep.sum(axis=1)
+            # compacted rows end at or before this chunk's first entry
+            nnz, end = end, end + int(np.count_nonzero(keep))
+            flat_cols[nnz:end] = cols[start:start + chunk][keep]
+            flat_data[nnz:end] = data[start:start + chunk][keep]
+        np.cumsum(indptr, out=indptr)
+        flat_cols, flat_data = flat_cols[:end], flat_data[:end]
+    mat = sp.csr_matrix((flat_data, flat_cols, indptr), shape=(dim, dim))
     return SparseHermitianOperator._certified(mat, defect, tol)
 
 

@@ -259,9 +259,24 @@ def _reference_oracle(lat, electric, magnetic):
 
 
 def _assert_same_csr(got, want):
+    got = got.copy()
+    got.sort_indices()  # the assembler keeps each row in move order
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _assert_move_order(got, lat, diagonal):
+    """Row x holds its diagonal entry if H has one, then the raise and the
+    lower of each link in link order, which are one entry at N=2."""
+    n, idx = lat.n, np.arange(lat.hilbert_dim)
+    want = [idx] if diagonal else []
+    for l_idx in range(lat.n_links):
+        d = (idx // n ** l_idx) % n
+        want += [idx + ((d + step) % n - d) * n ** l_idx for step in ((1,) if n == 2 else (1, -1))]
+    want = np.stack(want, axis=1)
+    assert np.array_equal(got.indptr, np.arange(lat.hilbert_dim + 1) * want.shape[1])
+    assert np.array_equal(got.indices, want.reshape(-1))
 
 
 ORACLE_LATTICES = [single_link(2), single_link(3), single_plaquette(2), single_plaquette(4),
@@ -284,10 +299,12 @@ def test_direct_csr_assembly_matches_coo_oracle():
              CallableResponseSpec(lambda pvals, n: -0.5), LinkValueSpec(), PhaseSpec()]
     for lat in ORACLE_LATTICES:
         for spec in specs:
-            _assert_same_csr(build_gauge_hamiltonian(lat, spec).matrix,
-                             _spec_oracle(lat, spec))
-        _assert_same_csr(reference_ks_hamiltonian(lat, 1.3, 0.8).matrix,
-                         _reference_oracle(lat, 1.3, 0.8))
+            got = build_gauge_hamiltonian(lat, spec).matrix
+            _assert_same_csr(got, _spec_oracle(lat, spec))
+            _assert_move_order(got, lat, diagonal=False)
+        got = reference_ks_hamiltonian(lat, 1.3, 0.8).matrix
+        _assert_same_csr(got, _reference_oracle(lat, 1.3, 0.8))
+        _assert_move_order(got, lat, diagonal=True)
 
 
 def test_pairing_defect_equals_generic_defect():
@@ -435,15 +452,14 @@ def _link_cycle(lat):
 
 def _random_move_operator(lat, rng):
     """Random complex amplitudes on the diagonal and on every one-link move; not Hermitian."""
-    h = np.diag(rng.standard_normal(lat.hilbert_dim)).astype(complex)
-    for j in range(lat.hilbert_dim):
-        config = zn.LinkConfig.from_index(lat, j)
-        for l_idx in range(lat.n_links):
-            for step in (+1, -1):
-                values = config.values.copy()
-                values[l_idx] += step
-                h[j, zn.LinkConfig(lat, values).index] = complex(*rng.standard_normal(2))
-    return SparseHermitianOperator(sp.csr_matrix(h), check=False)
+    offsets = [np.zeros(lat.n_links, dtype=int)]
+    for l_idx in range(lat.n_links):
+        unit = np.eye(lat.n_links, dtype=int)[zn._link_axis(lat, l_idx)]
+        offsets += [unit, -unit]
+    amplitudes = [rng.standard_normal(lat.hilbert_dim) + 1j * rng.standard_normal(lat.hilbert_dim)
+                  for _ in offsets]
+    return linop._assemble_hopping(zn._basis_grid_shape(lat), True, offsets, amplitudes,
+                                   dtype=complex, tol=np.inf)
 
 
 def test_exact_commutator_matches_dense_oracle():
@@ -495,6 +511,14 @@ def test_commutator_rejects_entries_off_the_moves():
     with pytest.raises(ValueError, match="outside the one-link moves"):
         commutator_norms(SparseHermitianOperator(h.tocsr()), lat,
                          [zn._charge_link_map(lat)])
+
+
+def test_commutator_rejects_rows_out_of_move_order():
+    lat = single_plaquette(3)
+    h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
+    h.sort_indices()
+    with pytest.raises(ValueError, match="outside the one-link moves"):
+        commutator_norms(SparseHermitianOperator(h), lat, [zn._charge_link_map(lat)])
 
 
 def test_nan_amplitude_fails_every_certificate():

@@ -71,6 +71,8 @@ def _coo_oracle(kernel, t=None):
 
 
 def _assert_same_csr(got, want, rtol=0.0):
+    got = got.copy()
+    got.sort_indices()  # the assembler keeps each row in offset order
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -78,6 +80,24 @@ def _assert_same_csr(got, want, rtol=0.0):
             assert np.abs(a - b).max() <= rtol * np.abs(b).max()
         else:
             assert np.array_equal(a, b), name
+
+
+def _assert_offset_order(got, kernel, t=None):
+    """Row x holds x + n for each distinct offset n of the support, in support
+    order: wrapped on a periodic grid, and left out where it leaves an open one."""
+    grid = kernel.grid
+    for x, site in enumerate(np.ndindex(grid.shape)):
+        want = []
+        for n in kernel._at(t).support:
+            y = np.add(site, n)
+            if grid.boundary == "periodic":
+                y = np.mod(y, grid.shape)
+            elif np.any(y < 0) or np.any(y >= grid.shape):
+                continue
+            col = np.ravel_multi_index(tuple(y), grid.shape)
+            if col not in want:  # offsets that coincide on the grid share a slot
+                want.append(col)
+        assert got.indices[got.indptr[x]:got.indptr[x + 1]].tolist() == want, site
 
 
 def _oracle_kernels():
@@ -104,6 +124,7 @@ def test_direct_csr_assembly_matches_coo_oracle():
     for kernel, t in _oracle_kernels():
         op = build_particle_hamiltonian(kernel, t=t, tol=np.inf)
         _assert_same_csr(op.matrix, _coo_oracle(kernel, t))
+        _assert_offset_order(op.matrix, kernel, t)
     # four offsets meet on a 2x2 torus; scipy sums duplicates in no fixed order
     kernel = random_unitary_kernel(LatticeGrid((2, 2), 1.0), np.random.default_rng(35),
                                    representatives=[(1, 1), (1, -1)])
