@@ -85,13 +85,8 @@ from .states import (
 )
 from .zn import (
     InvariantSubspace,
-    LinkConfig,
     LinkLattice,
-    apply_gauge,
-    charge_conjugate,
     flux_from_plaquette,
-    parity_transform,
-    plaquette,
     project_gauge_invariant,
     wrap_plaquette,
 )

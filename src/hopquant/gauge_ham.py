@@ -36,28 +36,13 @@ class GaugeHoppingSpec:
     act on each column of ``pvals`` alone, so that column c of its result
     depends only on column c of ``pvals``: ``build_gauge_hamiltonian`` calls
     it once per link on every distinct combination of the adjacent plaquette
-    values and gathers the result for each configuration. The Hermitian pair
-    is derived from it; overriding ``amplitudes`` directly is possible but
-    forfeits the built-in symmetry guarantees, and the builder then calls
-    ``amplitudes`` on every configuration.
+    values, shifted halfway along the raise and along the lower, and gathers
+    the result for each configuration. That midpoint evaluation makes the
+    pair (kappa+, kappa-) Hermitian and keeps charge conjugation and parity.
     """
-
-    translation_invariant = True
 
     def response(self, pvals, n):
         raise NotImplementedError
-
-    def amplitudes(self, lattice, link_idx, pvals, shift_signs, link_values=None):
-        """(kappa+, kappa-) for every configuration, midpoint evaluation.
-
-        ``pvals`` has one row per adjacent plaquette (source-configuration
-        values); ``shift_signs`` is the per-plaquette change under a unit
-        raise of this link.
-        """
-        half = 0.5 * np.asarray(shift_signs, dtype=float)[:, np.newaxis]
-        up = self.response(pvals + half, lattice.n)
-        down = self.response(pvals - half, lattice.n)
-        return up, down
 
 
 @dataclass
@@ -89,16 +74,9 @@ class CallableResponseSpec(GaugeHoppingSpec):
     """
 
     fn: callable
-    translation_invariant: bool = True
 
     def response(self, pvals, n):
         return self.fn(np.asarray(pvals, dtype=float), n)
-
-
-def _link_digits(lattice, l_idx):
-    """The value of link ``l_idx`` in every basis configuration."""
-    along = zn._along_link(lattice, l_idx, np.arange(lattice.n, dtype=np.int64))
-    return np.broadcast_to(along, zn._basis_grid_shape(lattice)).reshape(-1)
 
 
 def _plaquette_dtype(n):
@@ -125,66 +103,66 @@ def _plaquette_values(lattice):
     return vals
 
 
+def _move_offsets(lattice):
+    """The diagonal, then the raise and the lower of each link, as basis-grid offsets."""
+    eye = np.eye(lattice.n_links, dtype=int)
+    units = [eye[zn._link_axis(lattice, l_idx)] for l_idx in range(lattice.n_links)]
+    return [np.zeros_like(eye[0])] + [step * unit for unit in units for step in (1, -1)]
+
+
 def _link_moves(lattice, link_amplitudes, diagonal=None, tol=linop.HERMITICITY_TOL):
     """Certified Hamiltonian of one-link moves plus an optional diagonal.
 
-    ``link_amplitudes(l_idx, link_values, plaq)`` gives the (raise, lower)
-    pair of link ``l_idx``, the offsets +-1 on its axis of the basis grid, and
-    ``diagonal(plaq)`` the diagonal, as arrays or scalars. ``link_values`` and
-    ``plaq`` hold the values of that link and of every plaquette in each basis
-    configuration. Raises ``HilbertDimensionError`` above ``DIMENSION_CAP``,
-    or when the assembly and the plaquette values together would not fit
-    in memory.
+    ``link_amplitudes(l_idx, plaq)`` gives the (raise, lower) pair of link
+    ``l_idx``, the offsets +-1 on its axis of the basis grid, and
+    ``diagonal(plaq)`` the diagonal, as real arrays or scalars. ``plaq`` holds
+    the value of every plaquette in each basis configuration. Raises
+    ``HilbertDimensionError`` above ``DIMENSION_CAP``, or when the assembly
+    and the plaquette values together would not fit in memory.
     """
     if lattice.hilbert_dim > DIMENSION_CAP:
         raise HilbertDimensionError(
             f"configuration space of dimension {lattice.hilbert_dim} "
             f"exceeds cap {DIMENSION_CAP}")
-    offsets = [np.zeros(lattice.n_links, dtype=int)] if diagonal is not None else []
-    for l_idx in range(lattice.n_links):
-        unit = np.eye(lattice.n_links, dtype=int)[zn._link_axis(lattice, l_idx)]
-        offsets += [unit, -unit]
+    offsets = _move_offsets(lattice)[int(diagonal is None):]  # the diagonal's is first
 
-    def amplitudes():
+    def move_amplitudes():
         plaq = _plaquette_values(lattice)
         if diagonal is not None:
             yield diagonal(plaq)
         for l_idx in range(lattice.n_links):
-            yield from link_amplitudes(l_idx, _link_digits(lattice, l_idx), plaq)
+            yield from link_amplitudes(l_idx, plaq)
 
     plaq_bytes = (len(lattice.plaquettes) * lattice.hilbert_dim
                   * _plaquette_dtype(lattice.n).itemsize)
     return linop._assemble_hopping(zn._basis_grid_shape(lattice), True, offsets,
-                                   amplitudes(), tol=tol, held_bytes=plaq_bytes)
+                                   move_amplitudes(), tol=tol, held_bytes=plaq_bytes)
 
 
 def build_gauge_hamiltonian(lattice, spec, tol=linop.HERMITICITY_TOL):
     """Assemble the strictly off-diagonal one-link-move Hamiltonian.
 
-    A spec that keeps the midpoint ``amplitudes`` is evaluated once per link
-    on the N**k combinations of its k adjacent plaquette values, and each
-    configuration reads its pair from that table; a spec that overrides
-    ``amplitudes`` is called on every configuration. Raises
-    ``HermiticityError`` ("spec violates unitary hopping") when the supplied
-    amplitude pair is not Hermitian-compatible.
+    For each link, ``spec.response`` is evaluated once on the N**k
+    combinations of its k adjacent plaquette values, shifted by half the
+    move's change to each, and each configuration reads its (raise, lower)
+    pair from that table. Raises ``HermiticityError`` ("spec violates
+    unitary hopping") when the pair is not Hermitian-compatible, and
+    ``ValueError`` when the response is complex.
     """
     n = lattice.n
-    tabulate = type(spec).amplitudes is GaugeHoppingSpec.amplitudes
 
-    def link_amplitudes(l_idx, link_values, plaq):
+    def link_amplitudes(l_idx, plaq):
         adj = lattice.link_adjacency(l_idx)
-        signs = np.array([sg for _, sg in adj], dtype=float)
-        if not tabulate:
-            pv = np.array([plaq[p] for p, _ in adj], dtype=float).reshape(-1, link_values.size)
-            return spec.amplitudes(lattice, l_idx, pv, signs, link_values=link_values)
+        half = 0.5 * np.array([sg for _, sg in adj], dtype=float)[:, np.newaxis]
         # column c of the table holds the plaquette values whose base-N code is c
         table = np.indices((n,) * len(adj), dtype=float).reshape(len(adj), n ** len(adj))
-        code = np.zeros(link_values.size, dtype=np.intp)
+        code = np.zeros(lattice.hilbert_dim, dtype=np.intp)
         for p, _ in adj:
             code *= n
             code += plaq[p]
         return tuple(amp if np.ndim(amp) == 0 else np.asarray(amp).reshape(-1)[code]
-                     for amp in spec.amplitudes(lattice, l_idx, table, signs))
+                     for amp in (spec.response(table + half, n),
+                                 spec.response(table - half, n)))
 
     try:
         return _link_moves(lattice, link_amplitudes, tol=tol)
@@ -209,7 +187,7 @@ def reference_ks_hamiltonian(lattice, electric, magnetic, tol=linop.HERMITICITY_
         return diag
 
     return _link_moves(
-        lattice, lambda l_idx, link_values, plaq: (-electric, -electric),
+        lattice, lambda l_idx, plaq: (-electric, -electric),
         diagonal=diagonal, tol=tol)
 
 
@@ -220,7 +198,6 @@ class SymmetryReport:
     gauge: float
     charge_conjugation: float
     parity: float
-    mode: str
 
     @property
     def max_norm(self):
@@ -230,17 +207,18 @@ class SymmetryReport:
 def commutator_norms(op, lattice, link_maps):
     """Exact max-norms of [H, P] for the permutation P of each link map.
 
-    H must be a sum of one-link moves on ``lattice``: H = sum_k D_k T_k over
-    the diagonal and the +-1 steps of each link (which coincide at N=2),
-    where T_k shifts a configuration by move k and D_k holds its amplitudes
-    a_k(x) = H[x, x + k]. A link map in ``zn.permutation_from_link_map``'s
-    format sends configuration x to sigma(x) and move k to the move A k
-    (link src -> dest, step times sign), so P H P^T - H holds exactly the
-    entries a_k(x) - a_{A k}(sigma(x)), and each norm is their largest
-    modulus. That is max|P H P^T - H|, the max-norm of the commutator with
-    its columns permuted. H must come from the hopping assembler, whose row
-    x holds one slot per move H stores: the diagonal, then the raise and the
-    lower of each link. Each a_k is copied from its slot once, a move H does
+    H must be a sum of one-link moves on ``lattice``: H = sum_o D_o T_o over
+    the move offsets o of ``_move_offsets`` taken mod N (raise and lower
+    coincide at N=2), where T_o shifts a configuration by o and D_o holds its
+    amplitudes a_o(x) = H[x, x + o]. A link map in
+    ``zn.permutation_from_link_map``'s format sends configuration x to
+    sigma(x) and offset o to A o, whose step on link dest is sign times the
+    step of o on link src, mod N. So P H P^T - H holds exactly the entries
+    a_o(x) - a_{A o}(sigma(x)), and each norm is their largest modulus. That
+    is max|P H P^T - H|, the max-norm of the commutator with its columns
+    permuted. H must come from the hopping
+    assembler, whose row x holds one slot per move H stores, in the order of
+    the move offsets. Each a_o is copied from its slot once, a move H does
     not store reads as zero, and no copy of H is made.
 
     Raises ``ValueError`` when H has entries off the moves or rows in another
@@ -252,9 +230,8 @@ def commutator_norms(op, lattice, link_maps):
     n, dim = lattice.n, lattice.hilbert_dim
     if h.shape != (dim, dim):
         raise ValueError(f"operator of shape {h.shape} does not act on {lattice}")
-    # move (link, step): the diagonal is (None, 0)
-    moves = [(None, 0)] + [(l_idx, step) for l_idx in range(lattice.n_links)
-                           for step in sorted({1, n - 1})]
+    moves = list(dict.fromkeys(tuple(int(c) for c in np.mod(o, n))
+                               for o in _move_offsets(lattice)))
     link_maps = list(link_maps)
     images = [_move_image(lattice, assignments, moves) for assignments in link_maps]
     # beside H and the amplitudes, index arrays and gathers: tracemalloc measured
@@ -267,8 +244,8 @@ def commutator_norms(op, lattice, link_maps):
     layout = np.array_equal(h.indptr, np.arange(dim + 1) * m)
     grid = np.arange(dim, dtype=h.indices.dtype).reshape(zn._basis_grid_shape(lattice))
     amps, slot = np.zeros((len(moves), dim), dtype=h.dtype), 0
-    for k, (l_idx, step) in enumerate(moves if layout else ()):
-        cols = grid if l_idx is None else np.roll(grid, -step, axis=zn._link_axis(lattice, l_idx))
+    for k, move in enumerate(moves if layout else ()):
+        cols = np.roll(grid, [-c for c in move], axis=range(grid.ndim))
         if slot < m and np.array_equal(h.indices[slot::m], cols.reshape(-1)):
             amps[k], slot = h.data[slot::m], slot + 1
     if not layout or slot < m:
@@ -291,7 +268,8 @@ def commutator_norms(op, lattice, link_maps):
 
 
 def _move_image(lattice, assignments, moves):
-    """The index in ``moves`` of the move A k for every move k, or ``ValueError``."""
+    """The index in ``moves`` of A o for every move offset o, with A as in
+    ``commutator_norms``, or ``ValueError``."""
     n = lattice.n
     srcs = sorted(src for src, _, _ in assignments.values())
     if (sorted(assignments) != list(range(lattice.n_links))
@@ -299,14 +277,12 @@ def _move_image(lattice, assignments, moves):
             or any((sign % n) not in (1, n - 1) for _, sign, _ in assignments.values())):
         raise ValueError("link map is not a bijection of the links with signs +-1")
     index = {move: k for k, move in enumerate(moves)}
-    dest_of = {src: (dest, sign) for dest, (src, sign, _) in assignments.items()}
     image = []
-    for l_idx, step in moves:
-        if l_idx is None:
-            image.append(index[(None, 0)])
-        else:
-            dest, sign = dest_of[l_idx]
-            image.append(index[(dest, sign * step % n)])
+    for move in moves:
+        moved = [0] * lattice.n_links
+        for dest, (src, sign, _) in assignments.items():
+            moved[zn._link_axis(lattice, dest)] = sign * move[zn._link_axis(lattice, src)] % n
+        image.append(index[tuple(moved)])
     return image
 
 
@@ -328,7 +304,7 @@ def symmetry_commutator_norms(op, lattice, centers=None):
 
     ``gauge`` is the largest norm over the site generators, ``parity`` the
     largest over ``centers`` (default: every allowed reflection center), each
-    from ``commutator_norms``; ``mode`` is always "exact".
+    from ``commutator_norms``.
     """
     if centers is None:
         centers = allowed_parity_centers(lattice)
@@ -339,7 +315,7 @@ def symmetry_commutator_norms(op, lattice, centers=None):
     gauge, conj, parity = (norms[:len(gauge_maps)], norms[len(gauge_maps)],
                            norms[len(gauge_maps) + 1:])
     return SymmetryReport(gauge=_fold_max(gauge), charge_conjugation=conj,
-                          parity=_fold_max(parity), mode="exact")
+                          parity=_fold_max(parity))
 
 
 def _fold_max(values):
@@ -406,15 +382,13 @@ def _probe_response(spec, n, pattern):
 
 def extract_continuum_constants(spec, n, spacing=1.0, hbar=1.0, charge=1.0,
                                 n_links=None, require_ground_state=False):
-    """Read the quadratic flux response of a translation-invariant rule.
+    """Read the quadratic flux response of a plaquette rule.
 
     The constant part is read at zero plaquettes; the quadratic part comes
     from symmetric second differences over plaquette probes p = +-1, +-2
     (the finest probes an integer-valued plaquette admits), combined with one
     Richardson step. Odd components and transverse mixing are rejected.
     """
-    if not getattr(spec, "translation_invariant", True):
-        raise HopquantError("extraction requires a translation-invariant spec")
     kappa0 = _probe_response(spec, n, [0.0, 0.0])
     scale = 1.0 + abs(kappa0)
     # odd (flux-linear) components must vanish for charge conjugation

@@ -157,17 +157,17 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     array over the grid, or a scalar), read lazily after the memory check.
     Offsets that coincide on the grid (which wraps when ``periodic``) are
     summed into one entry, the zero offset is the diagonal, and an open grid
-    drops entries whose column leaves it. Entries are stored as ``dtype``,
-    widened to complex by an amplitude with a nonzero imaginary part, straight
-    into CSR arrays. Row x holds one slot per distinct offset, in the order of
-    first appearance, not sorted by column. max|H - H^H| is the largest
+    drops entries whose column leaves it. Entries are stored as ``dtype``
+    straight into CSR arrays. Row x holds one slot per distinct offset, in the
+    order of first appearance, not sorted by column. max|H - H^H| is the largest
     |H[x, x + o] - conj(H[x + o, x])| over stored entries, with the reverse
     offset's entry or zero where no move has it.
 
     Raises ``HilbertDimensionError``, before allocating anything of the grid
     size, when the estimated peak (the CSR, ``ASSEMBLY_BYTES_PER_STATE`` per
     grid point and the ``held_bytes`` the caller's inputs hold beside them)
-    exceeds the available memory.
+    exceeds the available memory, and ``ValueError`` when a real ``dtype``
+    meets an amplitude with a nonzero imaginary part.
     """
     dim = math.prod(shape)
 
@@ -196,9 +196,10 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     data = np.empty((dim, m), dtype=dtype)
     for i, (k, amp) in enumerate(zip(keys, amplitudes, strict=True)):
         amp = np.asarray(amp).reshape(-1)
-        if not np.iscomplexobj(data) and np.iscomplexobj(amp) and np.any(amp.imag):
-            data = data.astype(complex)
-        amp = amp if np.iscomplexobj(data) else np.real(amp)
+        if np.iscomplexobj(amp) and not np.iscomplexobj(data):
+            if np.any(amp.imag):
+                raise ValueError(f"complex amplitude of move {i} in a {data.dtype} assembly")
+            amp = amp.real
         j = column[k]
         if keys.index(k) < i:  # offsets that coincide on the grid add up
             data[:, j] += amp

@@ -122,67 +122,12 @@ class LinkLattice:
                 f"boundary={self.boundary!r})")
 
 
-class LinkConfig:
-    """One basis state: an integer in {0, ..., N-1} per link."""
-
-    def __init__(self, lattice, values):
-        values = np.asarray(values, dtype=np.int64) % lattice.n
-        if values.shape != (lattice.n_links,):
-            raise ValueError(f"need {lattice.n_links} link values, got {values.shape}")
-        self.lattice = lattice
-        self.values = values
-
-    @classmethod
-    def zeros(cls, lattice):
-        return cls(lattice, np.zeros(lattice.n_links, dtype=np.int64))
-
-    @classmethod
-    def from_index(cls, lattice, index):
-        if not 0 <= index < lattice.hilbert_dim:
-            raise ValueError("index out of range")
-        vals = np.empty(lattice.n_links, dtype=np.int64)
-        for k in range(lattice.n_links):
-            index, vals[k] = divmod(index, lattice.n)
-        return cls(lattice, vals)
-
-    @property
-    def index(self):
-        """Little-endian mixed-radix linear index."""
-        idx = 0
-        for v in self.values[::-1]:
-            idx = idx * self.lattice.n + int(v)
-        return idx
-
-    def __eq__(self, other):
-        return (isinstance(other, LinkConfig)
-                and self.lattice is other.lattice
-                and np.array_equal(self.values, other.values))
-
-    def __hash__(self):
-        return hash((id(self.lattice), self.values.tobytes()))
-
-
-def plaquette(config, s, i, k):
-    """p = l(s,i) + l(s+i,k) - l(s+k,i) - l(s,k) mod N."""
-    lat = config.lattice
-    total = sum(sign * config.values[l_idx]
-                for l_idx, sign in lat.plaquette_links(s, i, k))
-    return int(total) % lat.n
-
-
 # --- symmetries as link maps ------------------------------------------------
 # Each symmetry is defined once, as a link map in the format documented at
-# ``permutation_from_link_map``, which applies it to the whole basis;
-# ``_apply_link_map`` applies it to one configuration.
-
-def _apply_link_map(config, assignments):
-    new = np.empty_like(config.values)
-    for dest, (src, sign, shift) in assignments.items():
-        new[dest] = sign * config.values[src] + shift
-    return LinkConfig(config.lattice, new)
-
+# ``permutation_from_link_map``, which applies it to the whole basis.
 
 def _gauge_link_map(lattice, g):
+    """Gauge transform g: l'(s,k) = l(s,k) + g(s+k) - g(s) mod N."""
     g = _gauge_array(lattice, g)
     assignments = {}
     for idx, (s, k) in enumerate(lattice.links):
@@ -190,11 +135,6 @@ def _gauge_link_map(lattice, g):
         delta = int(g[lattice.site_index(head)] - g[lattice.site_index(s)])
         assignments[idx] = (idx, 1, delta)
     return assignments
-
-
-def apply_gauge(config, g):
-    """Relabel links by l'(s,k) = l(s,k) + g(s+k) - g(s) mod N."""
-    return _apply_link_map(config, _gauge_link_map(config.lattice, g))
 
 
 def _gauge_array(lattice, g):
@@ -212,12 +152,8 @@ def _gauge_array(lattice, g):
 
 
 def _charge_link_map(lattice):
+    """Charge conjugation: every link value negated mod N."""
     return {idx: (idx, -1, 0) for idx in range(lattice.n_links)}
-
-
-def charge_conjugate(config):
-    """Negate every link value mod N; an involution for all N."""
-    return _apply_link_map(config, _charge_link_map(config.lattice))
 
 
 def _parity_center(lattice, s0):
@@ -230,6 +166,10 @@ def _parity_center(lattice, s0):
 
 
 def _parity_link_map(lattice, s0):
+    """Point reflection about s0 with negation: l'(s,k) = -l(2*s0 - s - e_k, k).
+
+    On an open lattice every source link must exist.
+    """
     twice = _parity_center(lattice, s0)
     assignments = {}
     for idx, (s, k) in enumerate(lattice.links):
@@ -243,15 +183,6 @@ def _parity_link_map(lattice, s0):
                 f"parity image of link ({s}, {k}) is not a link of this lattice")
         assignments[idx] = (lattice._link_index[key], -1, 0)
     return assignments
-
-
-def parity_transform(config, s0):
-    """Point reflection about s0 combined with negation.
-
-    Link (s, k) receives -l(2*s0 - s - e_k, k). On open lattices the source
-    link must exist, otherwise an error is raised.
-    """
-    return _apply_link_map(config, _parity_link_map(config.lattice, s0))
 
 
 def wrap_plaquette(p, n):
@@ -343,10 +274,6 @@ class InvariantSubspace:
         data = 1.0 / np.sqrt(self.orbit_sizes[self.labels])
         return sp.csr_matrix((data, (np.arange(dim), self.labels)),
                              shape=(dim, self.dimension))
-
-    def projector(self):
-        b = self.basis()
-        return b @ b.T
 
 
 def project_gauge_invariant(lattice, sites=None):

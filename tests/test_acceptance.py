@@ -197,7 +197,8 @@ def test_criterion_7_constants_round_trip():
 def test_criterion_8_desk_scale_limits_documented():
     with criterion(8, "README documents the out-of-reach continuum observables"):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        text = open(readme, encoding="utf-8").read().lower()
+        with open(readme, encoding="utf-8") as f:
+            text = f.read().lower()
         assert "dispersion" in text
         assert "infinite-volume" in text or "infinite volume" in text
         # the reachable proxy is the clock-order trend against the reference

@@ -33,6 +33,7 @@ from hopquant.errors import (
     ReflectionSymmetryError,
 )
 from hopquant.gauge_ham import GaugeHoppingSpec, LinearLinkFunctional, commutator_norms
+from zn_oracle import LinkConfig, plaquette
 
 
 def single_link(n):
@@ -55,48 +56,49 @@ class OddResponseSpec(GaugeHoppingSpec):
         return -self.electric + self.odd * np.sin(2 * np.pi * pvals / n).sum(axis=0)
 
 
-class LinkValueSpec(GaugeHoppingSpec):
+# Rules that read more than plaquette values, for the certifier to catch. Each
+# gives the (raise, lower) pair of link ``l_idx`` from ``d``, the value of that
+# link in every configuration; ``_rule_operator`` assembles them.
+
+def link_value_rule(lat, l_idx, d):
     """Peeks at the raw link value: deliberately gauge breaking.
 
     The bias is evaluated halfway along the move so the pair stays Hermitian.
     """
-
-    def amplitudes(self, lattice, link_idx, pvals, shift_signs, link_values=None):
-        d = np.asarray(link_values, dtype=float)
-        up = -1.0 + 0.1 * np.cos(2 * np.pi * (d + 0.5) / lattice.n)
-        down = -1.0 + 0.1 * np.cos(2 * np.pi * (d - 0.5) / lattice.n)
-        return up, down
+    up = -1.0 + 0.1 * np.cos(2 * np.pi * (d + 0.5) / lat.n)
+    down = -1.0 + 0.1 * np.cos(2 * np.pi * (d - 0.5) / lat.n)
+    return up, down
 
 
-class SiteDependentSpec(GaugeHoppingSpec):
+def site_dependent_rule(lat, l_idx, d):
     """Per-link electric strength: gauge invariant but parity breaking."""
-
-    def amplitudes(self, lattice, link_idx, pvals, shift_signs, link_values=None):
-        lam = 1.0 + 0.25 * link_idx
-        dim = pvals.shape[1] if pvals.ndim == 2 else 1
-        return np.full(dim, -lam), np.full(dim, -lam)
+    lam = 1.0 + 0.25 * l_idx
+    return np.full(d.size, -lam), np.full(d.size, -lam)
 
 
-class UnpairedSpec(GaugeHoppingSpec):
+def unpaired_rule(lat, l_idx, d):
     """Constant but unequal up/down amplitudes: violates unitary hopping."""
-
-    def amplitudes(self, lattice, link_idx, pvals, shift_signs, link_values=None):
-        dim = pvals.shape[1] if pvals.ndim == 2 else 1
-        return np.full(dim, 1.0), np.full(dim, 2.0)
+    return np.full(d.size, 1.0), np.full(d.size, 2.0)
 
 
-class PhaseSpec(GaugeHoppingSpec):
+def phase_rule(skew=0.0):
     """Complex per-link phases on a link-value bias; ``skew`` unpairs them."""
+    def pair(lat, l_idx, d):
+        phase = np.exp(0.3j * (l_idx + 1))
+        up = -phase * (1.0 + 0.1 * np.cos(2 * np.pi * (d + 0.5) / lat.n))
+        down = -np.conj(phase) * (1.0 + 0.1 * np.cos(2 * np.pi * (d - 0.5) / lat.n))
+        return up, down * (1.0 + skew * 1j)
+    return pair
 
-    def __init__(self, skew=0.0):
-        self.skew = skew
 
-    def amplitudes(self, lattice, link_idx, pvals, shift_signs, link_values=None):
-        d = np.asarray(link_values, dtype=float)
-        phase = np.exp(0.3j * (link_idx + 1))
-        up = -phase * (1.0 + 0.1 * np.cos(2 * np.pi * (d + 0.5) / lattice.n))
-        down = -np.conj(phase) * (1.0 + 0.1 * np.cos(2 * np.pi * (d - 0.5) / lattice.n))
-        return up, down * (1.0 + self.skew * 1j)
+def _rule_operator(lat, pair):
+    """The certified one-link-move operator of a rule, through the hopping assembler."""
+    idx = np.arange(lat.hilbert_dim)
+    amplitudes = (amp for l_idx in range(lat.n_links)
+                  for amp in pair(lat, l_idx, (idx // lat.n ** l_idx) % lat.n))
+    return linop._assemble_hopping(zn._basis_grid_shape(lat), True,
+                                   gauge_ham._move_offsets(lat)[1:], amplitudes,
+                                   dtype=complex)
 
 
 # --- construction ---------------------------------------------------------------
@@ -142,9 +144,20 @@ def test_hamiltonian_strictly_off_diagonal():
 
 
 def test_unpaired_amplitudes_rejected():
-    lat = single_link(4)
+    # a response that is not N-periodic jumps where the lower's midpoint wraps
     with pytest.raises(HermiticityError, match="unitary hopping"):
-        build_gauge_hamiltonian(lat, UnpairedSpec())
+        build_gauge_hamiltonian(single_plaquette(4),
+                                CallableResponseSpec(lambda pvals, n: pvals.sum(axis=0)))
+    with pytest.raises(HermiticityError):
+        _rule_operator(single_link(4), unpaired_rule)
+
+
+def test_complex_response_refused():
+    # a complex response is never Hermitian at the midpoint, and a real build refuses it
+    spec = CallableResponseSpec(
+        lambda pvals, n: -1.0 + 0.1j * np.cos(2 * np.pi * pvals / n).sum(axis=0))
+    with pytest.raises(ValueError, match="complex amplitude"):
+        build_gauge_hamiltonian(single_plaquette(3), spec)
 
 
 def test_dimension_cap_enforced():
@@ -185,15 +198,15 @@ def _link_move_oracle(lat, electric, magnetic):
     hop = np.zeros((dim, dim))
     ref = np.zeros((dim, dim))
     for j in range(dim):
-        config = zn.LinkConfig.from_index(lat, j)
-        pvals = [zn.plaquette(config, *pl) for pl in lat.plaquettes]
+        config = LinkConfig.from_index(lat, j)
+        pvals = [plaquette(config, *pl) for pl in lat.plaquettes]
         ref[j, j] = 2.0 * electric * lat.n_links + magnetic * sum(
             1.0 - np.cos(2.0 * np.pi * p / n) for p in pvals)
         for l_idx in range(lat.n_links):
             for step in (+1, -1):
                 values = config.values.copy()
                 values[l_idx] += step
-                target = zn.LinkConfig(lat, values).index
+                target = LinkConfig(lat, values).index
                 # adjacent plaquettes halfway along the move
                 mid = [pvals[p] + 0.5 * step * sign
                        for p, sign in lat.link_adjacency(l_idx)]
@@ -240,13 +253,18 @@ def _coo_oracle(lat, link_amplitudes, diagonal=None):
 
 
 def _spec_oracle(lat, spec):
+    """A spec's response at the midpoint of every move, on every configuration."""
     def link_amplitudes(l_idx, d, plaq):
         adj = lat.link_adjacency(l_idx)
         pv = (np.stack([plaq[p] for p, _ in adj]).astype(float) if adj
               else np.zeros((0, lat.hilbert_dim)))
-        signs = np.array([sg for _, sg in adj], dtype=float)
-        return spec.amplitudes(lat, l_idx, pv, signs, link_values=d)
+        half = 0.5 * np.array([sg for _, sg in adj], dtype=float)[:, np.newaxis]
+        return spec.response(pv + half, lat.n), spec.response(pv - half, lat.n)
     return _coo_oracle(lat, link_amplitudes)
+
+
+def _rule_oracle(lat, pair):
+    return _coo_oracle(lat, lambda l_idx, d, plaq: pair(lat, l_idx, d))
 
 
 def _reference_oracle(lat, electric, magnetic):
@@ -296,12 +314,15 @@ def test_direct_csr_assembly_matches_coo_oracle():
     # The builder tabulates responses; the oracle evaluates them on every configuration.
     specs = [MaxwellPreset(1.3, 0.8), OddResponseSpec(electric=1.0, odd=0.2),
              CallableResponseSpec(_callable_response),
-             CallableResponseSpec(lambda pvals, n: -0.5), LinkValueSpec(), PhaseSpec()]
+             CallableResponseSpec(lambda pvals, n: -0.5)]
     for lat in ORACLE_LATTICES:
         for spec in specs:
             got = build_gauge_hamiltonian(lat, spec).matrix
             _assert_same_csr(got, _spec_oracle(lat, spec))
             _assert_move_order(got, lat, diagonal=False)
+        got = _rule_operator(lat, phase_rule()).matrix  # complex entries
+        _assert_same_csr(got, _rule_oracle(lat, phase_rule()))
+        _assert_move_order(got, lat, diagonal=False)
         got = reference_ks_hamiltonian(lat, 1.3, 0.8).matrix
         _assert_same_csr(got, _reference_oracle(lat, 1.3, 0.8))
         _assert_move_order(got, lat, diagonal=True)
@@ -309,18 +330,21 @@ def test_direct_csr_assembly_matches_coo_oracle():
 
 def test_pairing_defect_equals_generic_defect():
     # at N=2 the summed unpaired entries are Hermitian again
-    specs = [OddResponseSpec(electric=1.0, odd=0.2), LinkValueSpec(), SiteDependentSpec(),
-             PhaseSpec(), PhaseSpec(skew=1e-14), UnpairedSpec(), PhaseSpec(skew=1e-3)]
+    odd = OddResponseSpec(electric=1.0, odd=0.2)
+    rules = [link_value_rule, site_dependent_rule, phase_rule(), phase_rule(skew=1e-14),
+             unpaired_rule, phase_rule(skew=1e-3)]
     rejected = 0
     for lat in ORACLE_LATTICES:
-        for spec in specs:
-            want = SparseHermitianOperator(_spec_oracle(lat, spec), check=False)
+        cases = [(lambda: build_gauge_hamiltonian(lat, odd), _spec_oracle(lat, odd))]
+        cases += [(lambda pair=pair: _rule_operator(lat, pair), _rule_oracle(lat, pair))
+                  for pair in rules]
+        for build, oracle in cases:
+            want = SparseHermitianOperator(oracle, check=False)
             if want.hermiticity_defect <= 1e-12:
-                assert build_gauge_hamiltonian(lat, spec).hermiticity_defect \
-                    == want.hermiticity_defect
+                assert build().hermiticity_defect == want.hermiticity_defect
                 continue
-            with pytest.raises(HermiticityError, match="unitary hopping") as info:
-                build_gauge_hamiltonian(lat, spec)
+            with pytest.raises(HermiticityError) as info:
+                build()
             assert info.value.defect == want.hermiticity_defect
             rejected += 1
     assert rejected >= len(ORACLE_LATTICES) + 3
@@ -386,7 +410,7 @@ def test_maxwell_preset_commutes_with_everything():
 
 def test_link_value_spec_breaks_gauge():
     lat = single_plaquette(3)
-    op = build_gauge_hamiltonian(lat, LinkValueSpec())
+    op = _rule_operator(lat, link_value_rule)
     report = symmetry_commutator_norms(op, lat)
     assert report.gauge > 1e-3
 
@@ -402,7 +426,7 @@ def test_odd_response_breaks_charge_conjugation_only():
 
 def test_site_dependent_spec_breaks_parity():
     lat = LinkLattice((2, 2), 3, boundary="periodic")
-    op = build_gauge_hamiltonian(lat, SiteDependentSpec())
+    op = _rule_operator(lat, site_dependent_rule)
     report = symmetry_commutator_norms(op, lat)
     assert report.gauge <= 1e-12
     assert report.parity > 1e-3
@@ -452,10 +476,7 @@ def _link_cycle(lat):
 
 def _random_move_operator(lat, rng):
     """Random complex amplitudes on the diagonal and on every one-link move; not Hermitian."""
-    offsets = [np.zeros(lat.n_links, dtype=int)]
-    for l_idx in range(lat.n_links):
-        unit = np.eye(lat.n_links, dtype=int)[zn._link_axis(lat, l_idx)]
-        offsets += [unit, -unit]
+    offsets = gauge_ham._move_offsets(lat)
     amplitudes = [rng.standard_normal(lat.hilbert_dim) + 1j * rng.standard_normal(lat.hilbert_dim)
                   for _ in offsets]
     return linop._assemble_hopping(zn._basis_grid_shape(lat), True, offsets, amplitudes,
@@ -465,14 +486,15 @@ def _random_move_operator(lat, rng):
 def test_exact_commutator_matches_dense_oracle():
     # at N >= 3 the gauge generators and shifts are not involutions, so P and P^T differ
     rng = np.random.default_rng(12)
-    specs = [MaxwellPreset(1.3, 0.8), OddResponseSpec(electric=1.0, odd=0.2),
-             SiteDependentSpec(), LinkValueSpec(), PhaseSpec()]
+    specs = [MaxwellPreset(1.3, 0.8), OddResponseSpec(electric=1.0, odd=0.2)]
+    rules = [site_dependent_rule, link_value_rule, phase_rule()]
     breaking = set()
     for lat in (single_link(5), single_plaquette(3), single_plaquette(4),
                 LinkLattice((2, 2), 2, boundary="periodic")):
         symmetries = _symmetry_link_maps(lat, rng)
         maps = symmetries + ([_link_cycle(lat)] if lat.n_links >= 3 else [])
         ops = [build_gauge_hamiltonian(lat, spec) for spec in specs]
+        ops += [_rule_operator(lat, pair) for pair in rules]
         ops += [reference_ks_hamiltonian(lat, 1.3, 0.8), _random_move_operator(lat, rng)]
         for i, op in enumerate(ops):
             want = [_dense_commutator_oracle(op, zn.permutation_from_link_map(lat, m))
@@ -484,7 +506,7 @@ def test_exact_commutator_matches_dense_oracle():
     cube = LinkLattice((2, 2, 2), 2, boundary="open")
     maps = _symmetry_link_maps(cube, rng)
     maps = maps[:2] + maps[len(cube.sites):len(cube.sites) + 3] + [maps[-1], _link_cycle(cube)]
-    for op in (build_gauge_hamiltonian(cube, SiteDependentSpec()),
+    for op in (_rule_operator(cube, site_dependent_rule),
                reference_ks_hamiltonian(cube, 1.3, 0.8)):
         want = [_dense_commutator_oracle(op, zn.permutation_from_link_map(cube, m))
                 for m in maps]
@@ -728,14 +750,6 @@ def test_constants_ground_state_flag():
     with pytest.raises(GroundStateSignError):
         extract_continuum_constants(MaxwellPreset(-1.0, 1.0), 64,
                                     require_ground_state=True)
-
-
-def test_constants_require_translation_invariance():
-    spec = MaxwellPreset(1.0, 1.0)
-    spec.translation_invariant = False
-    from hopquant.errors import HopquantError
-    with pytest.raises(HopquantError):
-        extract_continuum_constants(spec, 64)
 
 
 # --- expansion consistency ---------------------------------------------------------

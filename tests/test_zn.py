@@ -6,19 +6,15 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from hopquant import (
-    LinkConfig,
     LinkLattice,
-    apply_gauge,
-    charge_conjugate,
     flux_from_plaquette,
-    parity_transform,
-    plaquette,
     project_gauge_invariant,
     wrap_plaquette,
 )
 from hopquant import zn
 from hopquant.errors import HopquantError
 from hopquant.gauge_ham import allowed_parity_centers
+from zn_oracle import LinkConfig, apply_gauge, charge_conjugate, parity_transform, plaquette
 
 
 def gauge_permutation(lattice, g):
