@@ -286,9 +286,9 @@ def run_particle_converge(cfg, report, tol):
 
 def run_gauge_build(cfg, report, tol):
     _, op = _gauge_operator(cfg, tol)
-    diag_max = float(np.abs(op.matrix.diagonal()).max(initial=0.0))
+    diag_max = float(np.abs(op.diagonal()).max(initial=0.0))
     report.results["dimension"] = op.dimension
-    report.results["nnz"] = int(op.matrix.nnz)
+    report.results["nnz"] = op.nnz
     report.results["hermiticity_defect"] = op.hermiticity_defect
     _check_hermiticity(report, op.hermiticity_defect, tol)
     report.add_check("strictly-off-diagonal", diag_max == 0.0, value=diag_max,

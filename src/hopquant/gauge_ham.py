@@ -226,32 +226,32 @@ def commutator_norms(op, lattice, link_maps):
     ``HilbertDimensionError`` when H and the amplitude arrays together
     would not fit in the available memory.
     """
-    h = op.matrix
     n, dim = lattice.n, lattice.hilbert_dim
-    if h.shape != (dim, dim):
-        raise ValueError(f"operator of shape {h.shape} does not act on {lattice}")
+    if op.dimension != dim:
+        raise ValueError(f"operator of dimension {op.dimension} does not act on {lattice}")
     moves = list(dict.fromkeys(tuple(int(c) for c in np.mod(o, n))
                                for o in _move_offsets(lattice)))
     link_maps = list(link_maps)
     images = [_move_image(lattice, assignments, moves) for assignments in link_maps]
     # beside H and the amplitudes, index arrays and gathers: tracemalloc measured
     # 32-34 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3
+    dtype = op.data.dtype
     linop._require_memory(
-        h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
-        + len(moves) * dim * h.dtype.itemsize + 6 * dim * np.dtype(np.intp).itemsize,
+        op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+        + len(moves) * dim * dtype.itemsize + 6 * dim * np.dtype(np.intp).itemsize,
         f"certifying dimension {dim}")
-    m = h.nnz // dim  # slots a row, if every row has as many
-    layout = np.array_equal(h.indptr, np.arange(dim + 1) * m)
-    grid = np.arange(dim, dtype=h.indices.dtype).reshape(zn._basis_grid_shape(lattice))
-    amps, slot = np.zeros((len(moves), dim), dtype=h.dtype), 0
+    m = op.nnz // dim  # slots a row, if every row has as many
+    layout = np.array_equal(op.indptr, np.arange(dim + 1) * m)
+    grid = np.arange(dim, dtype=op.indices.dtype).reshape(zn._basis_grid_shape(lattice))
+    amps, slot = np.zeros((len(moves), dim), dtype=dtype), 0
     for k, move in enumerate(moves if layout else ()):
         cols = np.roll(grid, [-c for c in move], axis=range(grid.ndim))
-        if slot < m and np.array_equal(h.indices[slot::m], cols.reshape(-1)):
-            amps[k], slot = h.data[slot::m], slot + 1
+        if slot < m and np.array_equal(op.indices[slot::m], cols.reshape(-1)):
+            amps[k], slot = op.data[slot::m], slot + 1
     if not layout or slot < m:
         raise ValueError("operator has entries outside the one-link moves or out of their order")
 
-    moved, norms = np.empty(dim, dtype=h.dtype), []
+    moved, norms = np.empty(dim, dtype=dtype), []
     for assignments, image in zip(link_maps, images):
         sigma = zn.permutation_from_link_map(lattice, assignments)
         norm = 0.0

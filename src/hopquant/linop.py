@@ -9,11 +9,11 @@ iteration (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172),
 which holds every copy of a degenerate level.
 """
 
+import functools
 import math
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EigenConvergenceError, HermiticityError, HilbertDimensionError
 
@@ -46,32 +46,63 @@ ASSEMBLY_BYTES_PER_STATE = 68
 class SparseHermitianOperator:
     """A Hamiltonian stored as a row-grouped (CSR) sparse matrix.
 
+    The operator owns its CSR arrays ``data``, ``indices`` and ``indptr`` as
+    plain numpy arrays: row i holds the entries ``data[indptr[i]:indptr[i+1]]``
+    in the columns ``indices[indptr[i]:indptr[i+1]]``, in any order, with
+    duplicates summed. Everything but a sparse product reads them directly;
+    ``matrix`` wraps them for scipy, which is imported there on first use.
+
     The hermiticity defect max|H_ij - conj(H_ji)| is computed at construction
     and must stay below tolerance before any spectral use.
     """
 
     def __init__(self, matrix, check=True, tol=HERMITICITY_TOL):
-        self.matrix = sp.csr_matrix(matrix)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
+        import scipy.sparse as sp
+
+        csr = sp.csr_matrix(matrix)
+        if csr.shape[0] != csr.shape[1]:
             raise ValueError("operator must be square")
-        delta = (self.matrix - self.matrix.conj().T).tocoo()
-        self.hermiticity_defect = float(np.abs(delta.data).max()) if delta.nnz else 0.0
-        self._eig = self._interval = None
+        delta = (csr - csr.conj().T).tocoo()
+        self._own(csr.data, csr.indices, csr.indptr,
+                  float(np.abs(delta.data).max()) if delta.nnz else 0.0)
         if check:
             self.require_hermitian(tol)
 
     @classmethod
-    def _certified(cls, matrix, defect, tol=HERMITICITY_TOL):
-        """Wrap a square CSR whose defect max|H - H^H| its builder measured."""
+    def _certified(cls, data, indices, indptr, defect, tol=HERMITICITY_TOL):
+        """Wrap square CSR arrays whose defect max|H - H^H| their builder measured."""
         op = cls.__new__(cls)
-        op.matrix, op.hermiticity_defect = matrix, defect
-        op._eig = op._interval = None
+        op._own(data, indices, indptr, defect)
         op.require_hermitian(tol)
         return op
 
+    def _own(self, data, indices, indptr, defect):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.hermiticity_defect = defect
+        self._eig = self._interval = None
+
     @property
     def dimension(self):
-        return self.matrix.shape[0]
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self):
+        """Stored entries, duplicates and explicit zeros included."""
+        return int(self.indptr[-1])
+
+    @functools.cached_property
+    def matrix(self):
+        """The operator as a ``scipy.sparse.csr_matrix`` over its own arrays, uncopied.
+
+        This is the one place a built operator imports scipy, so a run that
+        makes no sparse product (matvec, Chebyshev propagation, eigenpairs)
+        never loads it. The wrapper is made once and shares memory with
+        ``data``, ``indices`` and ``indptr``; rows keep their storage order.
+        """
+        import scipy.sparse as sp
+
+        n = self.dimension
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
 
     def require_hermitian(self, tol=HERMITICITY_TOL):
         if not self.hermiticity_defect <= tol:  # a NaN defect fails too
@@ -83,8 +114,41 @@ class SparseHermitianOperator:
     def matvec(self, v):
         return self.matrix @ v
 
+    def _rows(self, start, ptr):
+        """The row of each entry ``ptr[0]:ptr[-1]`` of the rows from ``start`` on."""
+        return np.repeat(np.arange(start, start + len(ptr) - 1, dtype=self.indices.dtype),
+                         np.diff(ptr))
+
+    def _row_blocks(self):
+        """(first row, indptr slice) of consecutive blocks of about 2^16 entries."""
+        n = self.dimension
+        rows = max(1, 2 ** 16 * n // max(self.nnz, 1))
+        for start in range(0, n, rows):
+            yield start, self.indptr[start:start + rows + 1]
+
     def to_dense(self):
-        return self.matrix.toarray()
+        """The dense matrix, equal bit for bit to scipy's ``toarray()``.
+
+        Like scipy, it adds each row's entries into a zero array in storage
+        order, so duplicates are summed in that order and a -0.0 reads 0.0.
+        """
+        n, nnz = self.dimension, self.nnz
+        out = np.zeros((n, n), dtype=self.data.dtype)
+        flat = self._rows(0, self.indptr).astype(np.intp) * n + self.indices[:nnz]
+        np.add.at(out.reshape(-1), flat, self.data[:nnz])
+        return out
+
+    def diagonal(self):
+        """H_ii for every i, equal bit for bit to scipy's ``diagonal()``.
+
+        Each is the sum, from zero and in storage order, of row i's entries
+        in column i (``indices == row``), read a block of rows at a time.
+        """
+        diag = np.zeros(self.dimension, dtype=self.data.dtype)
+        for start, ptr in self._row_blocks():
+            hit = np.flatnonzero(self.indices[ptr[0]:ptr[-1]] == self._rows(start, ptr))
+            np.add.at(diag, self.indices[ptr[0] + hit], self.data[ptr[0] + hit])
+        return diag
 
     def dense_eig(self):
         """Cached full eigendecomposition (eigenvalues ascending)."""
@@ -102,17 +166,14 @@ class SparseHermitianOperator:
         time, without a copy of H.
         """
         if self._interval is None:
-            m, n = self.matrix, self.dimension
-            diag = np.real(m.diagonal())
+            diag = np.real(self.diagonal())
             lo, hi = math.inf, -math.inf
-            rows = max(1, 2 ** 16 * n // max(m.nnz, 1))  # about 2^16 entries a block
-            for start in range(0, n, rows):
-                ptr = m.indptr[start:start + rows + 1]
+            for start, ptr in self._row_blocks():
                 full = ptr[1:] > ptr[:-1]  # reduceat needs the empty rows left out
                 sums = np.zeros(len(full))
-                sums[full] = np.add.reduceat(np.abs(m.data[ptr[0]:ptr[-1]]),
+                sums[full] = np.add.reduceat(np.abs(self.data[ptr[0]:ptr[-1]]),
                                              ptr[:-1][full] - ptr[0])
-                d = diag[start:start + rows]
+                d = diag[start:start + len(full)]
                 radius = sums - np.abs(d)
                 # np.minimum, unlike min(), carries a NaN entry into the interval
                 lo = float(np.minimum(lo, (d - radius).min()))
@@ -217,10 +278,11 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
         # np.maximum, unlike max(), carries a NaN amplitude into the defect
         defect = float(np.maximum(defect, np.abs(data[rows, j] - np.conj(there)).max(initial=0.0)))
 
-    flat_cols, flat_data = cols.reshape(-1), data.reshape(-1)
     indptr = np.arange(dim + 1, dtype=index_dtype)
     indptr *= m  # m slots a row (none: H is empty), scaled in place
+    end = dim * m
     if not periodic:  # drop the entries off the grid in place, a chunk of rows at a time
+        flat_cols, flat_data = cols.reshape(-1), data.reshape(-1)
         chunk, end = max(1, 2 ** 16 // max(m, 1)), 0
         for start in range(0, dim, chunk):
             keep = cols[start:start + chunk] < dim
@@ -230,9 +292,14 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
             flat_cols[nnz:end] = cols[start:start + chunk][keep]
             flat_data[nnz:end] = data[start:start + chunk][keep]
         np.cumsum(indptr, out=indptr)
-        flat_cols, flat_data = flat_cols[:end], flat_data[:end]
-    mat = sp.csr_matrix((flat_data, flat_cols, indptr), shape=(dim, dim))
-    return SparseHermitianOperator._certified(mat, defect, tol)
+        del flat_cols, flat_data
+    # Flatten both buffers and shrink them to their nnz entries in place: a
+    # realloc, which frees an open grid's dead tail without a copy. No view of
+    # them may outlive this, so none is checked for.
+    del col_grid
+    cols.resize(end, refcheck=False)
+    data.resize(end, refcheck=False)
+    return SparseHermitianOperator._certified(data, cols, indptr, defect, tol)
 
 
 def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):

@@ -9,7 +9,6 @@ indices.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import HopquantError
 
@@ -270,6 +269,8 @@ class InvariantSubspace:
 
     def basis(self):
         """Sparse (hilbert_dim x dimension) matrix of orthonormal columns."""
+        import scipy.sparse as sp
+
         dim = self.labels.size
         data = 1.0 / np.sqrt(self.orbit_sizes[self.labels])
         return sp.csr_matrix((data, (np.arange(dim), self.labels)),

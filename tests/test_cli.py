@@ -477,11 +477,49 @@ def test_gauge_compare_ks_bundled_scan(tmp_path):
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # the propagator's Bessel coefficients must not make scipy.special an import-time cost
-    code = "import sys, hopquant.cli; print('scipy.special' in sys.modules)"
+def _python(code):
+    """Standard output of ``python -c code`` with this tree's sources first on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# the bundled configs that make no sparse product: the particle ones propagate
+# below the dense cutoff, and the gauge symcheck reads the assembler's slots
+SPARSE_FREE_CONFIGS = [
+    "constant_a_drift.cfg", "constants_roundtrip.cfg", "evolve_demo.cfg",
+    "extract_demo.cfg", "free_particle.cfg", "gauge_symcheck_small.cfg",
+    "harmonic_period.cfg", "nn_validate.cfg",
+]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse, and scipy.special or sparse.linalg with it, is loaded only
+    # by a sparse product, so it is no import-time cost of the command line
+    assert _python(f"import sys, hopquant.cli; print({SCIPY_MODULES})") == ["[]"]
+
+
+def test_sparse_free_bundled_configs_load_no_scipy(tmp_path):
+    code = f"""
+import os, sys
+from hopquant.config import ExperimentConfig
+from hopquant.experiments import bundled_config_path, run_experiment
+
+def run(name, out):
+    cfg = ExperimentConfig.from_file(bundled_config_path(name))
+    report = run_experiment(cfg.getstr("run", "experiment"), cfg)
+    report.write(out)
+    assert report.passed, name
+
+for i, name in enumerate({SPARSE_FREE_CONFIGS!r}):
+    run(name, os.path.join({str(tmp_path)!r}, str(i)))
+print({SCIPY_MODULES})
+run("plaquette_spectrum.cfg", os.path.join({str(tmp_path)!r}, "spectrum"))
+print("scipy.sparse" in sys.modules)
+"""
+    assert set(SPARSE_FREE_CONFIGS) < set(bundled_config_names())
+    # the eigensolve of plaquette_spectrum does load it, so the guard is not vacuous
+    assert _python(code) == ["[]", "True"]

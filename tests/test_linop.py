@@ -1,16 +1,20 @@
 """Operator substrate: matvec, propagation, extremal eigenpairs."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from hopquant import LinkLattice, MaxwellPreset, build_gauge_hamiltonian, linop
+from hopquant import (
+    LatticeGrid,
+    LinkLattice,
+    MaxwellPreset,
+    build_gauge_hamiltonian,
+    build_particle_hamiltonian,
+    linop,
+    random_unitary_kernel,
+    reference_ks_hamiltonian,
+)
 from hopquant.errors import EigenConvergenceError, HermiticityError
 from hopquant.linop import SparseHermitianOperator, eigs_extremal, propagate
 
@@ -169,7 +173,7 @@ def test_propagate_reuses_cached_interval():
     def recompute():
         raise AssertionError("the Gershgorin interval was computed again")
 
-    op.matrix.diagonal = recompute
+    op.diagonal = recompute
     assert op.spectral_interval() is interval
     assert np.array_equal(propagate(op, v, 0.8, dense_cutoff=0), first)
 
@@ -343,11 +347,53 @@ def test_available_memory_reads_meminfo(tmp_path):
     assert linop._available_memory_bytes(meminfo) == installed
 
 
-def test_import_leaves_sparse_linalg_and_csgraph_unloaded():
-    code = ("import sys, hopquant; "
-            "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+def _built_operators():
+    """Particle operators on periodic and open grids, and both gauge builders'."""
+    rng = np.random.default_rng(40)
+    reps = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]
+    for boundary in ("periodic", "open"):
+        grid = LatticeGrid((6, 5, 4), 1.0, boundary=boundary)
+        yield build_particle_hamiltonian(random_unitary_kernel(grid, rng, representatives=reps))
+    for dims, n, boundary in (((2, 2), 3, "periodic"), ((2, 2), 2, "open")):
+        lat = LinkLattice(dims, n, boundary=boundary)
+        yield build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+        yield reference_ks_hamiltonian(lat, 1.3, 0.8)
+
+
+def _scipy_interval(m):
+    """The Gershgorin interval from scipy's diagonal() and one reduceat over all rows."""
+    diag = np.real(m.diagonal())
+    full = m.indptr[1:] > m.indptr[:-1]
+    sums = np.zeros(m.shape[0])
+    sums[full] = np.add.reduceat(np.abs(m.data), m.indptr[:-1][full])
+    radius = sums - np.abs(diag)
+    return float((diag - radius).min()), float((diag + radius).max())
+
+
+def test_matrix_wraps_the_operators_own_arrays():
+    for op in _built_operators():
+        m = op.matrix
+        assert isinstance(m, sp.csr_matrix) and op.matrix is m
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(m, name), getattr(op, name)), name
+        assert m.nnz == op.nnz and m.shape == (op.dimension,) * 2
+
+
+def test_dense_diagonal_and_interval_match_scipy_bit_for_bit():
+    # a generic operator whose rows hold duplicates, repeated diagonal
+    # entries and -0.0, in an order that changes their rounded sums
+    rng = np.random.default_rng(41)
+    n, count = 40, 600
+    rows = np.sort(rng.integers(n, size=count))
+    cols = rng.integers(n, size=count)
+    cols[::7] = rows[::7]
+    vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    vals[::11] = -0.0
+    dup = sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    assert not dup.has_canonical_format
+    for op in [*_built_operators(), SparseHermitianOperator(dup, check=False)]:
+        m = op.matrix
+        dense = op.to_dense()
+        assert dense.dtype == m.dtype and dense.tobytes() == m.toarray().tobytes()
+        assert op.diagonal().tobytes() == m.diagonal().tobytes()
+        assert op.spectral_interval() == _scipy_interval(m)

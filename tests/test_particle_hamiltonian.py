@@ -1,5 +1,7 @@
 """Operator assembly: hermiticity, spectra, gauge covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -130,6 +132,25 @@ def test_direct_csr_assembly_matches_coo_oracle():
                                    representatives=[(1, 1), (1, -1)])
     _assert_same_csr(build_particle_hamiltonian(kernel).matrix, _coo_oracle(kernel),
                      rtol=1e-15)
+
+
+def test_open_grid_operator_holds_only_its_entries():
+    # the entries that leave an open grid are dropped, and the operator's
+    # arrays are then exactly nnz long and own their memory: nothing of the
+    # assembler's m slots a row stays allocated behind them
+    grid = LatticeGrid((12, 12, 12), 1.0, boundary="open")
+    kernel = random_unitary_kernel(grid, np.random.default_rng(37), representatives=[
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0), (1, -1, 2)])
+    tracemalloc.start()
+    try:
+        op = build_particle_hamiltonian(kernel)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert op.nnz < grid.n_sites * len(kernel.support)
+    for a in (op.data, op.indices):
+        assert a.nbytes == op.nnz * a.itemsize and a.base is None
+    assert held <= op.data.nbytes + op.indices.nbytes + op.indptr.nbytes + 2 ** 16
 
 
 def test_pairing_defect_equals_generic_defect():
