@@ -496,7 +496,7 @@ SPARSE_FREE_CONFIGS = [
 ]
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.sparse, and scipy.special or sparse.linalg with it, is loaded only
     # by a sparse product, so it is no import-time cost of the command line
     assert _python(f"import sys, hopquant.cli; print({SCIPY_MODULES})") == ["[]"]

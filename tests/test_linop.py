@@ -1,5 +1,10 @@
 """Operator substrate: matvec, propagation, extremal eigenpairs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -345,6 +350,16 @@ def test_available_memory_reads_meminfo(tmp_path):
     assert installed is None or installed > 0
     meminfo.write_text("MemTotal:        8222320 kB\n")  # kernels before 3.14
     assert linop._available_memory_bytes(meminfo) == installed
+
+
+def test_import_leaves_sparse_linalg_and_csgraph_unloaded():
+    code = ("import sys, hopquant; "
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _built_operators():
