@@ -34,9 +34,12 @@ def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
     ``source`` is a prebuilt Hermitian operator, whose clock starts at 0, or
     a HoppingKernel, whose clock starts at ``kernel.grid.t``; a
     time-dependent kernel is rebuilt at each step midpoint. Raises
-    ``IntegratorAccuracyError`` when the norm drifts beyond ``drift_tol`` or
+    ``IntegratorAccuracyError`` when ``dt`` is not finite, which
+    ``propagate`` refuses, and when the norm drifts beyond ``drift_tol`` or
     turns NaN.
     """
+    if not np.isfinite(dt):
+        raise IntegratorAccuracyError(f"integrator accuracy: time step {dt} is not finite")
     if isinstance(source, HoppingKernel):
         kernel = source
         op = None if kernel.time_dependent else build_particle_hamiltonian(kernel)

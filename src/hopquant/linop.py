@@ -1,11 +1,15 @@
 """Sparse Hermitian operators: assembly, matvec, propagation, extremal eigenpairs.
 
-Both solvers run the Chebyshev three-term recurrence over the operator's cached
-Gershgorin interval. Propagation sums a Chebyshev series (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81 (1984) 3967), with truncation error at most 2^-53 * |v|, and
-goes through the exact dense eigendecomposition up to a dimension cutoff.
-Eigenpairs, at every dimension, come from block Chebyshev-filtered subspace
-iteration (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172),
+Both solvers run one Chebyshev three-term recurrence, which writes each term
+over the one before last and adds H times the last into it in place, so no
+term allocates. Propagation sums a Chebyshev series (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81 (1984) 3967), with truncation error at most 2^-53 * |v|, over
+a proven interval: the Collatz-Wielandt bound max_i (|H - cI| w)_i / w_i on
+|lambda - c|, for the Gershgorin centre c and a positive w from three power
+steps, never wider than Gershgorin's. Up to a dimension cutoff it goes through
+the exact dense eigendecomposition instead. Eigenpairs, at every dimension,
+come from block Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago &
+Chelikowsky, J. Comput. Phys. 219 (2006) 172) over the Gershgorin interval,
 which holds every copy of a degenerate level.
 """
 
@@ -79,7 +83,7 @@ class SparseHermitianOperator:
     def _own(self, data, indices, indptr, defect):
         self.data, self.indices, self.indptr = data, indices, indptr
         self.hermiticity_defect = defect
-        self._eig = self._interval = None
+        self._eig = self._interval = self._propagation_interval = None
 
     @property
     def dimension(self):
@@ -114,6 +118,30 @@ class SparseHermitianOperator:
     def matvec(self, v):
         return self.matrix @ v
 
+    def _add_product(self, x, out):
+        """``out += H @ x`` in place, for a vector or an (n, m) block ``x``.
+
+        scipy's product has no ``out=``, so this calls the kernels behind it,
+        the private ``csr_matvec`` and ``csr_matvecs``, which add each row's
+        entries in storage order to ``out``'s entry: into zeros it equals
+        ``matrix @ x`` bit for bit. ``out`` must be C-contiguous, writeable
+        and of the product's dtype, else ``ValueError``; scipy would take the
+        sum into a silent copy.
+        """
+        from scipy.sparse import _sparsetools
+
+        n = self.dimension
+        dtype = np.result_type(self.data.dtype, x.dtype)
+        if (out.dtype != dtype or out.shape != x.shape or x.shape[0] != n
+                or not (out.flags.c_contiguous and out.flags.writeable)):
+            raise ValueError(f"H @ x of shape {x.shape} and dtype {dtype} cannot be added "
+                             f"into a {out.dtype} array of shape {out.shape} in place")
+        if x.ndim == 1:
+            _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.data, x, out)
+        else:  # like scipy, a block that is not C-contiguous is copied
+            _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data,
+                                     x.ravel(), out.reshape(-1))
+
     def _rows(self, start, ptr):
         """The row of each entry ``ptr[0]:ptr[-1]`` of the rows from ``start`` on."""
         return np.repeat(np.arange(start, start + len(ptr) - 1, dtype=self.indices.dtype),
@@ -138,6 +166,12 @@ class SparseHermitianOperator:
         np.add.at(out.reshape(-1), flat, self.data[:nnz])
         return out
 
+    def _diagonal_entries(self):
+        """(first row, positions of the entries in column = row) of each block of rows."""
+        for start, ptr in self._row_blocks():
+            yield start, ptr[0] + np.flatnonzero(self.indices[ptr[0]:ptr[-1]]
+                                                 == self._rows(start, ptr))
+
     def diagonal(self):
         """H_ii for every i, equal bit for bit to scipy's ``diagonal()``.
 
@@ -145,9 +179,8 @@ class SparseHermitianOperator:
         in column i (``indices == row``), read a block of rows at a time.
         """
         diag = np.zeros(self.dimension, dtype=self.data.dtype)
-        for start, ptr in self._row_blocks():
-            hit = np.flatnonzero(self.indices[ptr[0]:ptr[-1]] == self._rows(start, ptr))
-            np.add.at(diag, self.indices[ptr[0] + hit], self.data[ptr[0] + hit])
+        for _, hit in self._diagonal_entries():
+            np.add.at(diag, self.indices[hit], self.data[hit])
         return diag
 
     def dense_eig(self):
@@ -156,6 +189,16 @@ class SparseHermitianOperator:
             w, v = np.linalg.eigh(self.to_dense())
             self._eig = (w, v)
         return self._eig
+
+    def _row_sums(self, entry_values):
+        """Per-row sums of ``entry_values(start, ptr)``, the values of the entries of
+        each block of rows (see ``_row_blocks``); an empty row sums to 0."""
+        sums = np.zeros(self.dimension)
+        for start, ptr in self._row_blocks():
+            full = ptr[1:] > ptr[:-1]  # reduceat needs the empty rows left out
+            block = sums[start:start + len(full)]
+            block[full] = np.add.reduceat(entry_values(start, ptr), ptr[:-1][full] - ptr[0])
+        return sums
 
     def spectral_interval(self):
         """Cached Gershgorin interval [min(d_i - R_i), max(d_i + R_i)].
@@ -167,19 +210,59 @@ class SparseHermitianOperator:
         """
         if self._interval is None:
             diag = np.real(self.diagonal())
-            lo, hi = math.inf, -math.inf
-            for start, ptr in self._row_blocks():
-                full = ptr[1:] > ptr[:-1]  # reduceat needs the empty rows left out
-                sums = np.zeros(len(full))
-                sums[full] = np.add.reduceat(np.abs(self.data[ptr[0]:ptr[-1]]),
-                                             ptr[:-1][full] - ptr[0])
-                d = diag[start:start + len(full)]
-                radius = sums - np.abs(d)
-                # np.minimum, unlike min(), carries a NaN entry into the interval
-                lo = float(np.minimum(lo, (d - radius).min()))
-                hi = float(np.maximum(hi, (d + radius).max()))
-            self._interval = (lo, hi)
+            radius = self._row_sums(lambda start, ptr: np.abs(self.data[ptr[0]:ptr[-1]]))
+            radius -= np.abs(diag)
+            # min() and max() of an array, unlike the builtins, carry a NaN entry
+            self._interval = (float((diag - radius).min(initial=math.inf)),
+                              float((diag + radius).max(initial=-math.inf)))
         return self._interval
+
+    def propagation_interval(self):
+        """Cached centre c and radius rho with |lambda - c| <= rho for every eigenvalue.
+
+        c is the centre of ``spectral_interval()``. For any vector w > 0 the
+        Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, Thms 8.1.18
+        and 8.1.26) gives, with |.| taken entry by entry,
+
+            |lambda - c| <= rho(H - cI) <= rho(|H - cI|) <= max_i (|H - cI| w)_i / w_i.
+
+        w = 1 gives the Gershgorin radius; three power steps follow, each
+        w <- |H - cI| w normalised by its maximum and floored at 2^-40 so that
+        w stays positive. rho is the least of the four bounds times 1 + 2^-40,
+        which covers the rounding of rows of fewer than 2^12 entries, and at
+        most the Gershgorin radius. Off the diagonal each stored entry counts
+        with its absolute value, which bounds the summed duplicates' from
+        above; the diagonal counts as |d_i - c|, d_i as in ``spectral_interval``.
+        |H - cI| w is read from the CSR arrays a block of rows at a time,
+        without a copy of H. Returning c and rho, not c - rho and c + rho,
+        lets ``propagate`` scale H by the very numbers the bound was proven for.
+        """
+        if self._propagation_interval is None:
+            lo, hi = self.spectral_interval()
+            c, radius = (hi + lo) / 2.0, (hi - lo) / 2.0
+            if radius > 0.0:
+                shift = np.abs(np.real(self.diagonal()) - c)
+                hits = dict(self._diagonal_entries())
+                w, bounds = np.ones(self.dimension), []
+
+                def off_diagonal(start, ptr):
+                    terms = np.abs(self.data[ptr[0]:ptr[-1]])
+                    terms *= w[self.indices[ptr[0]:ptr[-1]]]
+                    terms[hits[start] - ptr[0]] = 0.0
+                    return terms
+
+                for _ in range(4):
+                    y = self._row_sums(off_diagonal)
+                    y += shift * w
+                    bounds.append((y / w).max())
+                    top = y.max()
+                    if not top > 0.0:  # |H - cI| = 0
+                        break
+                    w = np.maximum(y / top, 2.0 ** -40)
+                # np.minimum and np.min, unlike the builtins, carry a NaN
+                radius = float(np.minimum(radius, (1.0 + 2.0 ** -40) * np.min(bounds)))
+            self._propagation_interval = (c, radius)
+        return self._propagation_interval
 
 
 def _available_memory_bytes(meminfo="/proc/meminfo"):
@@ -303,22 +386,29 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
 
 
 def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
-    """Unitary propagation exp(-i*H*t/hbar) @ v.
+    """Unitary propagation exp(-i*H*t/hbar) @ v; ``v`` itself is never written.
 
+    ``t`` must be finite and ``hbar`` finite and nonzero, else ``ValueError``.
     Up to ``dense_cutoff`` it uses the exact eigendecomposition, cached on
     ``op``; above it the Chebyshev series of Tal-Ezer & Kosloff (J. Chem.
-    Phys. 81 (1984) 3967). With tau = t/hbar, the Gershgorin interval
-    [c - r, c + r] of ``op`` and Ht = (H - c)/r, whose spectrum lies in
-    [-1, 1],
+    Phys. 81 (1984) 3967). With tau = t/hbar, the centre c and radius r of
+    ``op.propagation_interval()``, a Collatz-Wielandt bound no wider than the
+    Gershgorin interval, and Ht = (H - c)/r, whose spectrum that bound proves
+    to lie in [-1, 1],
 
         exp(-i*H*tau) v = exp(-i*c*tau) sum_k (2 - delta_k0) (-i*sgn(tau))^k
                           J_k(r*|tau|) T_k(Ht) v,
 
-    summed by the three-term recurrence T_{k+1} = 2*Ht*T_k - T_{k-1}: one
-    matvec per term and five work vectors, nothing the size of H. The series
-    stops where the dropped sum of 2|J_k| falls below 2^-53; since
-    |T_k(Ht)| <= 1, that bounds the truncation error by 2^-53 * |v|.
+    summed by the three-term recurrence T_{k+1} = 2*Ht*T_k - T_{k-1}, with
+    T_{k+1} written over T_{k-1}: one matvec per term, added in place, and
+    four work vectors (the sum, T_k, T_{k-1} and a scratch vector) allocated
+    once per call, nothing the size of H. The series stops where the dropped
+    sum of 2|J_k| falls below 2^-53; since |T_k(Ht)| <= 1, that bounds the
+    truncation error by 2^-53 * |v|.
     """
+    if not (math.isfinite(t) and math.isfinite(hbar) and hbar != 0.0):
+        raise ValueError(f"propagation needs a finite t and a finite, nonzero hbar, "
+                         f"not t={t!r}, hbar={hbar!r}")
     op.require_hermitian()
     v = np.asarray(v, dtype=complex)
     if t == 0.0:
@@ -327,8 +417,7 @@ def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
         w, q = op.dense_eig()
         return q @ (np.exp(-1j * w * t / hbar) * (q.conj().T @ v))
     tau = t / hbar
-    lo, hi = op.spectral_interval()
-    c, r = (hi + lo) / 2.0, (hi - lo) / 2.0
+    c, r = op.propagation_interval()
     phase = np.exp(-1j * c * tau)
     if r == 0.0:  # H = c*I
         return phase * v
@@ -336,12 +425,13 @@ def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
     powers = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k, conjugated for tau < 0
     coefs = 2.0 * j * (powers if tau > 0 else powers.conj())[np.arange(len(j)) % 4]
     coefs[0] /= 2.0
-    h, tmp = op.matrix, np.empty_like(v)
-    prev, cur = v, _chebyshev_first(h @ v, v, c, r, tmp)
+    tmp, cur = np.empty(v.shape, dtype=complex), np.zeros(v.shape, dtype=complex)
+    op._add_product(v, cur)
+    prev, cur = v.copy(), _chebyshev_first(cur, v, c, r, tmp)
     out = coefs[0] * v
     out += np.multiply(cur, coefs[1], out=tmp)
     for a in coefs[2:]:
-        prev, cur = cur, _chebyshev_next(h, cur, prev, c, r, tmp)
+        prev, cur = cur, _chebyshev_next(op, cur, prev, c, r, tmp)
         out += np.multiply(cur, a, out=tmp)
     out *= phase
     return out
@@ -354,17 +444,19 @@ def _chebyshev_first(hv, v, c, r, tmp):
     return hv
 
 
-def _chebyshev_next(h, cur, prev, c, r, tmp):
-    """T_{k+1}(Ht) v = 2 Ht T_k(Ht) v - T_{k-1}(Ht) v with Ht = (H - c)/r.
+def _chebyshev_next(op, cur, prev, c, r, tmp):
+    """T_{k+1}(Ht) v = 2 Ht T_k(Ht) v - T_{k-1}(Ht) v with Ht = (H - c)/r, over ``prev``.
 
-    One matvec (of a vector or a block of columns) into a new array, updated
-    in place; ``tmp`` is a work array of the shape of ``cur``.
+    ``cur`` and ``prev`` hold T_k and T_{k-1} (vectors or blocks of columns);
+    ``prev`` is scaled by -r/2, loses c T_k, gains H T_k in place and is
+    scaled by 2/r, so no term allocates. ``prev`` must be C-contiguous and of
+    the product's dtype; ``tmp`` is a work array of the shape of ``cur``.
     """
-    nxt = h @ cur
-    nxt -= np.multiply(cur, c, out=tmp)
-    nxt *= 2.0 / r
-    nxt -= prev
-    return nxt
+    prev *= -r / 2.0
+    prev -= np.multiply(cur, c, out=tmp)
+    op._add_product(cur, prev)
+    prev *= 2.0 / r
+    return prev
 
 
 def _bessel_series(z):
@@ -401,7 +493,7 @@ def eigs_extremal(op, k):
     ``RESIDUAL_TOL``. Otherwise the degree-``EIGS_FILTER_DEGREE`` Chebyshev
     polynomial that is bounded by 1 on [theta_m, hi] filters the block, which
     is then orthonormalized. theta_m is the largest Ritz value and hi the top
-    of the Gershgorin interval that ``propagate`` caches, so every copy of a
+    of the operator's cached Gershgorin interval, so every copy of a
     level below theta_m grows against the rest of the spectrum at the same
     rate. Pairs converged from the lowest up are locked: the filter projects
     them out. m starts at min(n, max(2k, k + 16)), so at n <= k + 16 the
@@ -479,7 +571,7 @@ def _filtered_subspace_iteration(op, k):
         prev, cur = x, deflate(_chebyshev_first(hx, x, c, r, tmp))
         del x, hx
         for _ in range(EIGS_FILTER_DEGREE - 1):
-            prev, cur = cur, deflate(_chebyshev_next(h, cur, prev, c, r, tmp))
+            prev, cur = cur, deflate(_chebyshev_next(op, cur, prev, c, r, tmp))
         del prev, tmp
         cur[:, :locked] = done
         x = _orthonormalize(cur)

@@ -146,7 +146,7 @@ def test_evolve_reports_drift_violation():
 
 
 def test_evolve_nan_time_step_raises():
-    # a NaN state has a NaN norm drift, which must fail the check, not pass it
+    # propagate refuses a NaN step, and evolve reports it as an accuracy failure
     grid = LatticeGrid((8,), 1.0)
     kernel = HoppingKernel.nearest_neighbor(grid, mass=1.0)
     psi = LatticeWavefunction.from_callable(grid, lambda x: np.exp(-x ** 2)).normalized()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from hopquant import (
     LatticeGrid,
@@ -128,27 +128,67 @@ def test_propagate_real_operator_on_strided_vector():
 
 
 def test_propagate_multiple_of_identity_is_a_phase():
-    # the Gershgorin interval of c*I has radius 0, which the series cannot scale by
-    op = SparseHermitianOperator(2.5 * sp.identity(9, format="csr"))
-    assert op.spectral_interval() == (2.5, 2.5)
+    # the Gershgorin interval of c*I has radius 0, which the series cannot scale by;
+    # the propagation interval keeps it, with no warning on the way
     v = np.arange(9) + 1j
-    out = propagate(op, v, 0.7, dense_cutoff=0)
-    assert np.abs(out - np.exp(-1j * 2.5 * 0.7) * v).max() < 1e-15
-    assert np.array_equal(propagate(op, np.zeros(9), 0.7, dense_cutoff=0), np.zeros(9))
+    for op, c in ((SparseHermitianOperator(2.5 * sp.identity(9, format="csr")), 2.5),
+                  (SparseHermitianOperator(sp.csr_matrix((9, 9))), 0.0)):
+        assert op.spectral_interval() == (c, c)
+        assert op.propagation_interval() == (c, 0.0)
+        out = propagate(op, v, 0.7, dense_cutoff=0)
+        assert np.abs(out - np.exp(-1j * c * 0.7) * v).max() < 1e-15
+        assert np.array_equal(propagate(op, np.zeros(9), 0.7, dense_cutoff=0), np.zeros(9))
+
+
+@pytest.mark.parametrize("t, hbar", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                     (1.0, 0.0), (1.0, np.nan), (1.0, np.inf), (0.0, 0.0)])
+def test_propagate_rejects_non_finite_time_and_bad_hbar(t, hbar):
+    # the parent returned NaN on the dense path, and the series raised
+    # ValueError, OverflowError or ZeroDivisionError from deep inside
+    rng = np.random.default_rng(19)
+    op = random_hermitian(20, rng)
+    v = rng.standard_normal(20) + 0j
+    for dense_cutoff in (op.dimension, 0):
+        with pytest.raises(ValueError, match="finite t and a finite, nonzero hbar"):
+            propagate(op, v, t, hbar=hbar, dense_cutoff=dense_cutoff)
+
+
+def _assert_intervals_hold(op, eigenvalues):
+    """Both intervals hold the spectrum; the propagation one lies inside Gershgorin's.
+
+    ``slack`` allows for the rounding of the eigenvalues computed densely, far
+    below the 2^-40 margin of the propagation interval: on a ring both
+    intervals are tight.
+    """
+    lo, hi = op.spectral_interval()
+    c, r = op.propagation_interval()
+    slack = 2.0 ** -45 * np.abs(eigenvalues).max()
+    assert c == (hi + lo) / 2.0 and 0.0 <= r <= (hi - lo) / 2.0
+    assert np.abs(eigenvalues - c).max() <= r + slack
+    assert lo - slack <= eigenvalues.min() and eigenvalues.max() <= hi + slack
 
 
 def test_gershgorin_interval_contains_spectrum():
     rng = np.random.default_rng(15)
     real = sp.random(50, 50, density=0.2, random_state=np.random.RandomState(3))
-    ops = [random_hermitian(50, rng, density=0.2), SparseHermitianOperator(real + real.T)]
+    shifted = sp.random(50, 50, density=0.2, random_state=np.random.RandomState(4))
+    # a ring's rows all sum to 2, so w = 1 is already optimal; its last row is
+    # empty, so without the floor that power step would zero an entry of w
+    sites, right = np.arange(12), (np.arange(12) + 1) % 12
+    ring = sp.csr_matrix((np.ones(24), (np.r_[sites, right], np.r_[right, sites])), shape=(13, 13))
+    ops = [random_hermitian(50, rng, density=0.2), SparseHermitianOperator(real + real.T),
+           SparseHermitianOperator(shifted + shifted.T + 100.0 * sp.identity(50)),
+           SparseHermitianOperator(ring)]
     for op in ops:
-        lo, hi = op.spectral_interval()
-        w = np.linalg.eigvalsh(op.to_dense())
-        assert lo <= w[0] and w[-1] <= hi
+        _assert_intervals_hold(op, np.linalg.eigvalsh(op.to_dense()))
+    assert ops[3].propagation_interval() == (0.0, 2.0)
+    # off the strongly shifted diagonal, the refined radius is well inside Gershgorin's
+    lo, hi = ops[2].spectral_interval()
+    assert ops[2].propagation_interval()[1] < 0.9 * (hi - lo) / 2.0
 
 
 def test_gershgorin_interval_matches_row_sums_across_blocks():
-    # over 2^16 entries, so the interval is read in several blocks of rows,
+    # over 2^16 entries, so the intervals are read in several blocks of rows,
     # and rows 10-19 and the last 5 are empty
     n = 100_000
     rng = np.random.default_rng(16)
@@ -165,22 +205,67 @@ def test_gershgorin_interval_matches_row_sums_across_blocks():
     lo, hi = op.spectral_interval()
     assert lo == pytest.approx((diag - radius).min(), abs=1e-12)
     assert hi == pytest.approx((diag + radius).max(), abs=1e-12)
+    # a Hermitian tridiagonal has the spectrum of the real one with |off|
+    ends = [eigvalsh_tridiagonal(diag, np.abs(off), select="i", select_range=(i, i))
+            for i in (0, n - 1)]
+    _assert_intervals_hold(op, np.concatenate(ends))
 
 
 def test_propagate_reuses_cached_interval():
     rng = np.random.default_rng(17)
     op = random_hermitian(30, rng)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    assert op._interval is None
+    assert op._interval is None and op._propagation_interval is None
     first = propagate(op, v, 0.8, dense_cutoff=0)
-    interval = op.spectral_interval()
+    interval, propagation = op.spectral_interval(), op.propagation_interval()
 
-    def recompute():
-        raise AssertionError("the Gershgorin interval was computed again")
+    def recompute(*args):
+        raise AssertionError("an interval was computed again")
 
-    op.diagonal = recompute
+    op.diagonal = op._row_sums = op._diagonal_entries = recompute
     assert op.spectral_interval() is interval
+    assert op.propagation_interval() is propagation
     assert np.array_equal(propagate(op, v, 0.8, dense_cutoff=0), first)
+
+
+def test_add_product_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20)
+    real = sp.random(60, 60, density=0.2, random_state=np.random.RandomState(5))
+    ops = [random_hermitian(60, rng, density=0.2), SparseHermitianOperator(real + real.T)]
+    wide = rng.standard_normal((120, 3)) + 1j * rng.standard_normal((120, 3))
+    for op in ops:
+        for x in (wide[::2, 0].real, wide[::2, 1], wide[:60].copy(), wide[:60].real.copy()):
+            out = np.zeros(x.shape, dtype=np.result_type(op.data.dtype, x.dtype))
+            op._add_product(x, out)
+            assert out.tobytes() == (op.matrix @ x).tobytes()
+            # a second call adds to what is there
+            op._add_product(x, out)
+            assert np.abs(out - 2.0 * (op.matrix @ x)).max() < 1e-13
+    x, op = wide[:60, 0], ops[1]  # complex x, real H: a complex product
+    for out in (np.zeros(60), np.zeros(120, dtype=complex)[::2],
+                np.zeros((60, 1), dtype=complex), np.zeros(60, dtype=np.complex64)):
+        with pytest.raises(ValueError, match="in place"):
+            op._add_product(x, out)
+    with pytest.raises(ValueError, match="in place"):  # a block in Fortran order
+        op._add_product(wide[:60], np.zeros((3, 60), dtype=complex).T)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_propagate_series_on_kernel_operator(boundary):
+    # the free kernel's rows all sum alike, so only a random kernel tests the refinement
+    rng = np.random.default_rng(21)
+    grid = LatticeGrid((10, 10, 10), 1.0, boundary=boundary)
+    op = build_particle_hamiltonian(random_unitary_kernel(
+        grid, rng, representatives=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]))
+    v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    kept = v.copy()
+    series = propagate(op, v, 0.5, dense_cutoff=0)
+    assert np.array_equal(v, kept)
+    dense = propagate(op, v, 0.5)
+    assert np.linalg.norm(series - dense) < 1e-12 * np.linalg.norm(v)
+    lo, hi = op.spectral_interval()
+    terms = len(linop._bessel_series(op.propagation_interval()[1] * 0.5))
+    assert terms < len(linop._bessel_series((hi - lo) / 2.0 * 0.5))
 
 
 def test_bessel_series_matches_scipy_and_truncates():
