@@ -34,9 +34,9 @@ def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
     ``source`` is a prebuilt Hermitian operator, whose clock starts at 0, or
     a HoppingKernel, whose clock starts at ``kernel.grid.t``; a
     time-dependent kernel is rebuilt at each step midpoint. Raises
-    ``IntegratorAccuracyError`` when ``dt`` is not finite, which
-    ``propagate`` refuses, and when the norm drifts beyond ``drift_tol`` or
-    turns NaN.
+    ``IntegratorAccuracyError`` when ``dt`` is not finite, before any step
+    runs (evolve's one check of ``dt``), and when the norm drifts beyond
+    ``drift_tol`` or is NaN; a NaN or infinite start has a NaN drift.
     """
     if not np.isfinite(dt):
         raise IntegratorAccuracyError(f"integrator accuracy: time step {dt} is not finite")
@@ -48,7 +48,7 @@ def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
         kernel, op, t0 = None, source, 0.0
     v = np.asarray(psi.values, dtype=complex).ravel()
     norm0 = np.linalg.norm(v)
-    drift = 0.0
+    drift = 0.0 if np.isfinite(norm0) else np.nan
     for j in range(steps):
         if op is None:
             t_mid = t0 + (j + 0.5) * dt
@@ -56,7 +56,7 @@ def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
         else:
             step_op = op
         v = linop.propagate(step_op, v, dt, hbar=hbar)
-        if norm0 > 0:
+        if 0 < norm0 < np.inf:
             # np.maximum, unlike max(), carries a NaN drift to the check
             drift = float(np.maximum(drift, abs(np.linalg.norm(v) - norm0) / norm0))
     if not drift <= drift_tol:  # a NaN drift fails too

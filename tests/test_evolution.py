@@ -15,6 +15,7 @@ from hopquant import (
     free_gaussian_problem,
     harmonic_problem,
     kernel_from_potentials,
+    linop,
 )
 from hopquant.errors import IntegratorAccuracyError
 from hopquant.evolution import fit_order
@@ -152,6 +153,34 @@ def test_evolve_nan_time_step_raises():
     psi = LatticeWavefunction.from_callable(grid, lambda x: np.exp(-x ** 2)).normalized()
     with pytest.raises(IntegratorAccuracyError, match="nan"):
         evolve(kernel, psi, dt=float("nan"), steps=3)
+
+
+def test_evolve_nan_state_fails_drift_check():
+    # a NaN start has no norm to drift from; its drift reads NaN and fails the check
+    grid = LatticeGrid((8,), 1.0)
+    kernel = HoppingKernel.nearest_neighbor(grid, mass=1.0)
+    psi = LatticeWavefunction(grid, np.full(grid.shape, np.nan, dtype=complex))
+    for steps in (0, 3):
+        with pytest.raises(IntegratorAccuracyError, match="norm drift nan"):
+            evolve(kernel, psi, dt=0.1, steps=steps)
+
+
+def test_evolve_state_turning_nan_fails_drift_check(monkeypatch):
+    # a step that returns NaN after a finite one must not leave the finite drift standing
+    grid = LatticeGrid((8,), 1.0)
+    kernel = HoppingKernel.nearest_neighbor(grid, mass=1.0)
+    psi = LatticeWavefunction.from_callable(grid, lambda x: np.exp(-x ** 2)).normalized()
+    calls = []
+    exact = linop.propagate
+
+    def nan_on_second_step(op, v, t, hbar=1.0):
+        calls.append(t)
+        return exact(op, v, t, hbar=hbar) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(linop, "propagate", nan_on_second_step)
+    with pytest.raises(IntegratorAccuracyError, match="norm drift nan"):
+        evolve(kernel, psi, dt=0.1, steps=3)
+    assert len(calls) == 3
 
 
 def test_evolve_time_dependent_midpoint_order():
