@@ -11,11 +11,21 @@ the exact dense eigendecomposition instead. Eigenpairs, at every dimension,
 come from block Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago &
 Chelikowsky, J. Comput. Phys. 219 (2006) 172) over the Gershgorin interval,
 which holds every copy of a degenerate level.
+
+Every sparse product goes through ``SparseHermitianOperator._add_product``,
+which calls scipy's compiled CSR kernels (``csr_matvec`` and ``csr_matvecs``
+of the extension module ``scipy.sparse._sparsetools``). ``_kernels`` loads
+that module from its file without importing the ``scipy.sparse`` package, so
+no solver imports a scipy module; only ``matrix``, the generic constructor
+and ``zn.InvariantSubspace.basis`` do.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -45,6 +55,39 @@ EIGS_MAX_PASSES = 100
 # N=5 and 3x3 periodic N=2, and 60-68 bytes for particle kernels of 7, 13
 # and 125 offsets on periodic and open 64^3 and 32^3 grids.
 ASSEMBLY_BYTES_PER_STATE = 68
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+@functools.cache
+def _kernels():
+    """scipy's compiled CSR product module, loaded once and without ``scipy.sparse``.
+
+    Importing the ``scipy.sparse`` package costs a fresh process 0.2-0.35 s
+    and 15 MiB on a 2-core VM (Python 3.11, scipy 1.17) and pulls in some 75
+    scipy modules; the extension module alone loads in under a millisecond
+    and imports nothing. So where scipy has not loaded it already, it is
+    loaded from its file beside scipy's sources, found without importing
+    scipy. Loading it registers it in ``sys.modules``; the entry is dropped
+    again, so that a later ``import scipy.sparse`` makes its own module and
+    sets it as the package's attribute. An install without that file (zipped
+    or frozen) imports it through ``scipy.sparse``.
+    """
+    if _KERNELS in sys.modules:
+        return sys.modules[_KERNELS]
+    scipy = importlib.util.find_spec("scipy")
+    for folder in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_KERNELS, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(_KERNELS, loader))
+                loader.exec_module(module)
+                if sys.modules.get(_KERNELS) is module:
+                    del sys.modules[_KERNELS]
+                return module
+    from scipy.sparse import _sparsetools
+    return _sparsetools
 
 
 class SparseHermitianOperator:
@@ -53,8 +96,9 @@ class SparseHermitianOperator:
     The operator owns its CSR arrays ``data``, ``indices`` and ``indptr`` as
     plain numpy arrays: row i holds the entries ``data[indptr[i]:indptr[i+1]]``
     in the columns ``indices[indptr[i]:indptr[i+1]]``, in any order, with
-    duplicates summed. Everything but a sparse product reads them directly;
-    ``matrix`` wraps them for scipy, which is imported there on first use.
+    duplicates summed. Everything reads them directly, sparse products through
+    ``_add_product``; ``matrix`` wraps them for scipy, which is imported there
+    on first use.
 
     The hermiticity defect max|H_ij - conj(H_ji)| is computed at construction
     and must stay below tolerance before any spectral use.
@@ -98,9 +142,9 @@ class SparseHermitianOperator:
     def matrix(self):
         """The operator as a ``scipy.sparse.csr_matrix`` over its own arrays, uncopied.
 
-        This is the one place a built operator imports scipy, so a run that
-        makes no sparse product (matvec, Chebyshev propagation, eigenpairs)
-        never loads it. The wrapper is made once and shares memory with
+        This is the one place a built operator imports ``scipy.sparse``; no
+        solver reads it, so matvec, Chebyshev propagation and eigenpairs never
+        load the package. The wrapper is made once and shares memory with
         ``data``, ``indices`` and ``indptr``; rows keep their storage order.
         """
         import scipy.sparse as sp
@@ -116,31 +160,43 @@ class SparseHermitianOperator:
             )
 
     def matvec(self, v):
-        return self.matrix @ v
+        """H @ v for a vector or an (n, m) block ``v``, equal bit for bit to ``matrix @ v``.
+
+        The product is added into zeros of dtype ``np.result_type(data, v)``
+        by ``_add_product``, so it loads no ``scipy.sparse``. A ``v`` whose
+        first axis is not n long, or that is neither a vector nor a block,
+        raises ``ValueError``.
+        """
+        v = np.asarray(v)
+        out = np.zeros(v.shape, dtype=np.result_type(self.data, v))
+        self._add_product(v, out)
+        return out
 
     def _add_product(self, x, out):
         """``out += H @ x`` in place, for a vector or an (n, m) block ``x``.
 
         scipy's product has no ``out=``, so this calls the kernels behind it,
-        the private ``csr_matvec`` and ``csr_matvecs``, which add each row's
-        entries in storage order to ``out``'s entry: into zeros it equals
-        ``matrix @ x`` bit for bit. ``out`` must be C-contiguous, writeable
-        and of the product's dtype, else ``ValueError``; scipy would take the
-        sum into a silent copy.
+        ``csr_matvec`` and ``csr_matvecs`` of ``_kernels()``, as scipy does:
+        the first for a vector or an (n, 1) block, the second for wider
+        blocks. Both add each row's entries in storage order to ``out``'s
+        entry, so into zeros it equals ``matrix @ x`` bit for bit. ``out``
+        must be C-contiguous, writeable and of the product's dtype, else
+        ``ValueError``; scipy would take the sum into a silent copy.
         """
-        from scipy.sparse import _sparsetools
-
         n = self.dimension
         dtype = np.result_type(self.data.dtype, x.dtype)
-        if (out.dtype != dtype or out.shape != x.shape or x.shape[0] != n
+        if (x.ndim not in (1, 2) or x.shape[0] != n or out.dtype != dtype
+                or out.shape != x.shape
                 or not (out.flags.c_contiguous and out.flags.writeable)):
             raise ValueError(f"H @ x of shape {x.shape} and dtype {dtype} cannot be added "
                              f"into a {out.dtype} array of shape {out.shape} in place")
-        if x.ndim == 1:
-            _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.data, x, out)
+        kernels = _kernels()
+        if x.ndim == 1 or x.shape[1] == 1:
+            kernels.csr_matvec(n, n, self.indptr, self.indices, self.data, x.reshape(-1),
+                               out.reshape(-1))
         else:  # like scipy, a block that is not C-contiguous is copied
-            _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data,
-                                     x.ravel(), out.reshape(-1))
+            kernels.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data,
+                                x.ravel(), out.reshape(-1))
 
     def _rows(self, start, ptr):
         """The row of each entry ``ptr[0]:ptr[-1]`` of the rows from ``start`` on."""
@@ -510,7 +566,7 @@ def eigs_extremal(op, k):
     if k == 0:
         return np.zeros(0), np.zeros((n, 0))
     values, vectors = _filtered_subspace_iteration(op, k)
-    residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
+    residuals = np.linalg.norm(op.matvec(vectors) - vectors * values, axis=0)
     if residuals.max() > RESIDUAL_TOL:
         raise EigenConvergenceError(
             f"eigenpair residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}",
@@ -521,17 +577,17 @@ def eigs_extremal(op, k):
 
 def _filtered_subspace_iteration(op, k):
     """The ``k`` lowest Ritz pairs, ascending, of the iteration in ``eigs_extremal``."""
-    h, n = op.matrix, op.dimension
+    n = op.dimension
     lo, hi = op.spectral_interval()
     rng = np.random.default_rng(EIGS_SEED)
-    dtype = np.result_type(h.dtype, float)
+    dtype = np.result_type(op.data.dtype, float)
 
     def random_block(columns):
         return rng.standard_normal((n, columns)).astype(dtype, copy=False)
 
     x = _orthonormalize(random_block(min(n, max(2 * k, k + 16))))
     for passes in range(1, EIGS_MAX_PASSES + 1):
-        hx = h @ x
+        hx = op.matvec(x)
         theta, q = np.linalg.eigh(x.conj().T @ hx)
         x = x @ q
         hx = hx @ q
@@ -560,7 +616,7 @@ def _filtered_subspace_iteration(op, k):
         x[:, :locked] = hx[:, :locked] = 0.0
         if passes > 1 and m < n and gain < 2.0:
             extra = random_block(min(m, n - m))
-            x, hx = np.hstack([x, extra]), np.hstack([hx, h @ extra])
+            x, hx = np.hstack([x, extra]), np.hstack([hx, op.matvec(extra)])
             tmp = np.empty_like(x)
 
         def deflate(y):

@@ -487,39 +487,32 @@ def _python(code):
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
-# the bundled configs that make no sparse product: the particle ones propagate
-# below the dense cutoff, and the gauge symcheck reads the assembler's slots
-SPARSE_FREE_CONFIGS = [
-    "constant_a_drift.cfg", "constants_roundtrip.cfg", "evolve_demo.cfg",
-    "extract_demo.cfg", "free_particle.cfg", "gauge_symcheck_small.cfg",
-    "harmonic_period.cfg", "nn_validate.cfg",
-]
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.sparse, and scipy.special or sparse.linalg with it, is loaded only
-    # by a sparse product, so it is no import-time cost of the command line
+    # where an operator is wrapped for scipy, so it is no cost of the command line
     assert _python(f"import sys, hopquant.cli; print({SCIPY_MODULES})") == ["[]"]
 
 
-def test_sparse_free_bundled_configs_load_no_scipy(tmp_path):
+def test_bundled_configs_load_no_scipy(tmp_path):
+    # the solvers load scipy's CSR kernels from their file, not through scipy.sparse
     code = f"""
 import os, sys
+from hopquant import linop
 from hopquant.config import ExperimentConfig
 from hopquant.experiments import bundled_config_path, run_experiment
 
-def run(name, out):
+passed = []
+for i, name in enumerate({bundled_config_names()!r}):
     cfg = ExperimentConfig.from_file(bundled_config_path(name))
     report = run_experiment(cfg.getstr("run", "experiment"), cfg)
-    report.write(out)
+    report.write(os.path.join({str(tmp_path)!r}, str(i)))
     assert report.passed, name
-
-for i, name in enumerate({SPARSE_FREE_CONFIGS!r}):
-    run(name, os.path.join({str(tmp_path)!r}, str(i)))
+    passed.append(name)
 print({SCIPY_MODULES})
-run("plaquette_spectrum.cfg", os.path.join({str(tmp_path)!r}, "spectrum"))
-print("scipy.sparse" in sys.modules)
+print("plaquette_spectrum.cfg" in passed, linop._kernels.cache_info().currsize)
 """
-    assert set(SPARSE_FREE_CONFIGS) < set(bundled_config_names())
-    # the eigensolve of plaquette_spectrum does load it, so the guard is not vacuous
-    assert _python(code) == ["[]", "True"]
+    assert len(bundled_config_names()) == 10
+    # plaquette_spectrum's eigensolve makes sparse products, so the guard is not vacuous
+    assert _python(code) == ["[]", "True 1"]

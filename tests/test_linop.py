@@ -1,10 +1,5 @@
 """Operator substrate: matvec, propagation, extremal eigenpairs."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,6 +17,7 @@ from hopquant import (
 )
 from hopquant.errors import EigenConvergenceError, HermiticityError
 from hopquant.linop import SparseHermitianOperator, eigs_extremal, propagate
+from test_cli import _python
 
 
 def random_hermitian(n, rng, density=0.1):
@@ -248,6 +244,18 @@ def test_add_product_matches_scipy_bit_for_bit():
             op._add_product(x, out)
     with pytest.raises(ValueError, match="in place"):  # a block in Fortran order
         op._add_product(wide[:60], np.zeros((3, 60), dtype=complex).T)
+    # matvec adds into zeros of the product's dtype, so it is scipy's product
+    vectors = [wide[:60, 0].real.astype(dtype) for dtype in (np.int64, np.float32)]
+    vectors += [wide[:60, 0].astype(np.complex64), wide[:60, 0].real, wide[:60, 0],
+                list(wide[:60, 1].real), wide[:60, :1].copy(), wide[:60, 1:]]
+    for op in ops:
+        for x in vectors:
+            hx, expected = op.matvec(x), op.matrix @ x
+            assert hx.dtype == expected.dtype and hx.shape == expected.shape
+            assert hx.tobytes() == expected.tobytes()
+        for x in (np.ones(59), np.ones((61, 2)), np.ones((60, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="in place"):
+                op.matvec(x)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -440,11 +448,55 @@ def test_available_memory_reads_meminfo(tmp_path):
 def test_import_leaves_sparse_linalg_and_csgraph_unloaded():
     code = ("import sys, hopquant; "
             "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _python(code) == ["[]"]
+
+
+# an operator built without scipy, and a block to multiply, in a fresh process
+_GAUGE_OPERATOR = """
+import sys
+import numpy as np
+from hopquant import LinkLattice, MaxwellPreset, build_gauge_hamiltonian, linop
+op = build_gauge_hamiltonian(LinkLattice((2, 2), 3, boundary="open"), MaxwellPreset(1.0, 1.0))
+x = np.random.default_rng(0).standard_normal((op.dimension, 3))
+"""
+
+
+def test_kernels_are_scipys_own_module_once_scipy_sparse_is_loaded():
+    code = "import scipy.sparse as sp; from hopquant import linop; print(linop._kernels() is sp._sparsetools)"
+    assert _python(code) == ["True"]
+
+
+def test_scipy_sparse_imports_after_a_solve():
+    code = _GAUGE_OPERATOR + """
+linop.eigs_extremal(op, 2)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+import scipy.sparse as sp
+print(sp._sparsetools is sys.modules["scipy.sparse._sparsetools"],
+      (op.matrix @ x).tobytes() == op.matvec(x).tobytes())
+"""
+    assert _python(code) == ["[]", "True True"]
+
+
+def test_kernels_fall_back_to_scipy_sparse_without_the_extension_file(tmp_path):
+    # scipy's package directory looked up where its sparse/ holds no extension
+    (tmp_path / "sparse").mkdir()
+    code = _GAUGE_OPERATOR + f"""
+import importlib.machinery, importlib.util
+find_spec = importlib.util.find_spec
+
+def without_extension(name, package=None):
+    spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+    spec.submodule_search_locations = [{str(tmp_path)!r}]
+    return spec
+
+importlib.util.find_spec = without_extension
+kernels = linop._kernels()
+importlib.util.find_spec = find_spec
+print(kernels is sys.modules["scipy.sparse._sparsetools"],
+      (op.matrix @ x).tobytes() == op.matvec(x).tobytes(),
+      np.abs(op.matvec(x) - op.to_dense() @ x).max() < 1e-12)
+"""
+    assert _python(code) == ["True True True"]
 
 
 def _built_operators():
