@@ -16,8 +16,8 @@ Every sparse product goes through ``SparseHermitianOperator._add_product``,
 which calls scipy's compiled CSR kernels (``csr_matvec`` and ``csr_matvecs``
 of the extension module ``scipy.sparse._sparsetools``). ``_kernels`` loads
 that module from its file without importing the ``scipy.sparse`` package, so
-no solver imports a scipy module; only ``matrix``, the generic constructor
-and ``zn.InvariantSubspace.basis`` do.
+no solver imports a scipy module. ``matrix`` is the package's one import of
+``scipy.sparse``, the fallback of ``_kernels`` aside.
 """
 
 import functools
@@ -91,7 +91,7 @@ def _kernels():
 
 
 class SparseHermitianOperator:
-    """A Hamiltonian stored as a row-grouped (CSR) sparse matrix.
+    """A certified Hamiltonian stored as a row-grouped (CSR) sparse matrix.
 
     The operator owns its CSR arrays ``data``, ``indices`` and ``indptr`` as
     plain numpy arrays: row i holds the entries ``data[indptr[i]:indptr[i+1]]``
@@ -100,31 +100,17 @@ class SparseHermitianOperator:
     ``_add_product``; ``matrix`` wraps them for scipy, which is imported there
     on first use.
 
-    The hermiticity defect max|H_ij - conj(H_ji)| is computed at construction
-    and must stay below tolerance before any spectral use.
+    ``defect`` is the hermiticity defect max|H_ij - conj(H_ji)| that the
+    builder of the arrays measured. Construction raises ``HermiticityError``
+    when it exceeds ``tol`` or is NaN, so every operator that exists is
+    Hermitian within the tolerance it was built with, and no solver checks
+    it again.
     """
 
-    def __init__(self, matrix, check=True, tol=HERMITICITY_TOL):
-        import scipy.sparse as sp
-
-        csr = sp.csr_matrix(matrix)
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError("operator must be square")
-        delta = (csr - csr.conj().T).tocoo()
-        self._own(csr.data, csr.indices, csr.indptr,
-                  float(np.abs(delta.data).max()) if delta.nnz else 0.0)
-        if check:
-            self.require_hermitian(tol)
-
-    @classmethod
-    def _certified(cls, data, indices, indptr, defect, tol=HERMITICITY_TOL):
-        """Wrap square CSR arrays whose defect max|H - H^H| their builder measured."""
-        op = cls.__new__(cls)
-        op._own(data, indices, indptr, defect)
-        op.require_hermitian(tol)
-        return op
-
-    def _own(self, data, indices, indptr, defect):
+    def __init__(self, data, indices, indptr, defect, tol=HERMITICITY_TOL):
+        if not defect <= tol:  # a NaN defect fails too
+            raise HermiticityError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}",
+                                   defect=defect)
         self.data, self.indices, self.indptr = data, indices, indptr
         self.hermiticity_defect = defect
         self._eig = self._interval = self._propagation_interval = None
@@ -151,13 +137,6 @@ class SparseHermitianOperator:
 
         n = self.dimension
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
-
-    def require_hermitian(self, tol=HERMITICITY_TOL):
-        if not self.hermiticity_defect <= tol:  # a NaN defect fails too
-            raise HermiticityError(
-                f"hermiticity defect {self.hermiticity_defect:.3e} exceeds {tol:.1e}",
-                defect=self.hermiticity_defect,
-            )
 
     def matvec(self, v):
         """H @ v for a vector or an (n, m) block ``v``, equal bit for bit to ``matrix @ v``.
@@ -438,19 +417,19 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     del col_grid
     cols.resize(end, refcheck=False)
     data.resize(end, refcheck=False)
-    return SparseHermitianOperator._certified(data, cols, indptr, defect, tol)
+    return SparseHermitianOperator(data, cols, indptr, defect, tol)
 
 
-def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
+def propagate(op, v, t, hbar=1.0):
     """Unitary propagation exp(-i*H*t/hbar) @ v; ``v`` itself is never written.
 
     ``t`` must be finite and ``hbar`` finite and nonzero, else ``ValueError``.
-    Up to ``dense_cutoff`` it uses the exact eigendecomposition, cached on
-    ``op``; above it the Chebyshev series of Tal-Ezer & Kosloff (J. Chem.
-    Phys. 81 (1984) 3967). With tau = t/hbar, the centre c and radius r of
-    ``op.propagation_interval()``, a Collatz-Wielandt bound no wider than the
-    Gershgorin interval, and Ht = (H - c)/r, whose spectrum that bound proves
-    to lie in [-1, 1],
+    Up to ``DENSE_CUTOFF``, read at each call, it uses the exact
+    eigendecomposition, cached on ``op``; above it the Chebyshev series of
+    Tal-Ezer & Kosloff (J. Chem. Phys. 81 (1984) 3967). With tau = t/hbar,
+    the centre c and radius r of ``op.propagation_interval()``, a
+    Collatz-Wielandt bound no wider than the Gershgorin interval, and
+    Ht = (H - c)/r, whose spectrum that bound proves to lie in [-1, 1],
 
         exp(-i*H*tau) v = exp(-i*c*tau) sum_k (2 - delta_k0) (-i*sgn(tau))^k
                           J_k(r*|tau|) T_k(Ht) v,
@@ -465,11 +444,10 @@ def propagate(op, v, t, hbar=1.0, dense_cutoff=DENSE_CUTOFF):
     if not (math.isfinite(t) and math.isfinite(hbar) and hbar != 0.0):
         raise ValueError(f"propagation needs a finite t and a finite, nonzero hbar, "
                          f"not t={t!r}, hbar={hbar!r}")
-    op.require_hermitian()
     v = np.asarray(v, dtype=complex)
     if t == 0.0:
         return v.copy()
-    if op.dimension <= dense_cutoff:
+    if op.dimension <= DENSE_CUTOFF:
         w, q = op.dense_eig()
         return q @ (np.exp(-1j * w * t / hbar) * (q.conj().T @ v))
     tau = t / hbar
@@ -559,7 +537,6 @@ def eigs_extremal(op, k):
     ``EIGS_SEED``; after ``EIGS_MAX_PASSES`` passes ``EigenConvergenceError``
     carries the residuals.
     """
-    op.require_hermitian()
     n = op.dimension
     if not 0 <= k <= n:
         raise ValueError(f"requested {k} eigenpairs of a dimension-{n} operator")

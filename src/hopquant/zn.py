@@ -267,15 +267,6 @@ class InvariantSubspace:
     labels: np.ndarray
     orbit_sizes: np.ndarray
 
-    def basis(self):
-        """Sparse (hilbert_dim x dimension) matrix of orthonormal columns."""
-        import scipy.sparse as sp
-
-        dim = self.labels.size
-        data = 1.0 / np.sqrt(self.orbit_sizes[self.labels])
-        return sp.csr_matrix((data, (np.arange(dim), self.labels)),
-                             shape=(dim, self.dimension))
-
 
 def project_gauge_invariant(lattice, sites=None):
     """Decompose the basis into gauge orbits; equivalent to group averaging.

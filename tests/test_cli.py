@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hopquant import linop
 from hopquant.cli import build_parser, main
 from hopquant.config import ExperimentConfig
 from hopquant.errors import ConfigError
@@ -286,6 +287,26 @@ def test_bundled_evolve_config(tmp_path):
     out = str(tmp_path / "out")
     assert main(["particle", "evolve", cfg, "--out", out]) == 0
     assert (tmp_path / "out" / "final_state.csv").exists()
+
+
+@pytest.mark.parametrize("tolerance, code", [("0.1", 0), ("1e-3", 1)])
+def test_evolve_builds_with_the_run_tolerance(tmp_path, capsys, tolerance, code):
+    # the perturbed kernel's hermiticity defect, 5.7e-3, lies between the two
+    text = Path(bundled_config_path("evolve_demo.cfg")).read_text()
+    text = text.replace("seed = 1", f"seed = 1\ntolerance = {tolerance}")
+    cfg = write(tmp_path, text.replace("mass = 1.0", "mass = 1.0\nperturb = true"))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == code
+    if code:
+        assert "exceeds 1.0e-03" in capsys.readouterr().err
+
+
+def test_validate_refused_build_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # a build refused for memory measured no defect: no hermiticity check fails
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 2 ** 16)
+    cfg = bundled_config_path("nn_validate.cfg")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "more than the" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_extract_writes_potentials_table(tmp_path):

@@ -33,7 +33,8 @@ from hopquant.errors import (
     ReflectionSymmetryError,
 )
 from hopquant.gauge_ham import GaugeHoppingSpec, LinearLinkFunctional, commutator_norms
-from zn_oracle import LinkConfig, plaquette
+from sparse_oracle import from_matrix
+from zn_oracle import LinkConfig, basis, plaquette
 
 
 def single_link(n):
@@ -339,7 +340,7 @@ def test_pairing_defect_equals_generic_defect():
         cases += [(lambda pair=pair: _rule_operator(lat, pair), _rule_oracle(lat, pair))
                   for pair in rules]
         for build, oracle in cases:
-            want = SparseHermitianOperator(oracle, check=False)
+            want = from_matrix(oracle, tol=np.inf)
             if want.hermiticity_defect <= 1e-12:
                 assert build().hermiticity_defect == want.hermiticity_defect
                 continue
@@ -436,9 +437,9 @@ def test_projected_sector_invariant_under_hamiltonian():
     lat = single_plaquette(3)
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
     sub = project_gauge_invariant(lat)
-    basis = sub.basis()
-    hb = op.matrix @ basis
-    inside = basis @ (basis.T @ hb)
+    span = basis(sub)
+    hb = op.matrix @ span
+    inside = span @ (span.T @ hb)
     leak = (hb - inside).tocoo()
     assert (np.abs(leak.data).max() if leak.nnz else 0.0) <= 1e-12
 
@@ -531,8 +532,7 @@ def test_commutator_rejects_entries_off_the_moves():
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.tolil()
     h[0, 4] = h[4, 0] = 0.25  # configuration 4 differs from 0 on two links
     with pytest.raises(ValueError, match="outside the one-link moves"):
-        commutator_norms(SparseHermitianOperator(h.tocsr()), lat,
-                         [zn._charge_link_map(lat)])
+        commutator_norms(from_matrix(h.tocsr()), lat, [zn._charge_link_map(lat)])
 
 
 def test_commutator_rejects_rows_out_of_move_order():
@@ -540,7 +540,7 @@ def test_commutator_rejects_rows_out_of_move_order():
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
     h.sort_indices()
     with pytest.raises(ValueError, match="outside the one-link moves"):
-        commutator_norms(SparseHermitianOperator(h), lat, [zn._charge_link_map(lat)])
+        commutator_norms(from_matrix(h), lat, [zn._charge_link_map(lat)])
 
 
 def test_nan_amplitude_fails_every_certificate():
@@ -550,9 +550,11 @@ def test_nan_amplitude_fails_every_certificate():
     assert np.isnan(info.value.defect)
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
     h.data[7] = np.nan
-    op = SparseHermitianOperator(h, check=False)
-    with pytest.raises(HermiticityError):
-        op.require_hermitian()
+    with pytest.raises(HermiticityError) as info:
+        from_matrix(h, tol=np.inf)
+    assert np.isnan(info.value.defect)
+    # the commutators of that operator, certified with a defect supplied by hand
+    op = SparseHermitianOperator(h.data, h.indices, h.indptr, 0.0)
     report = symmetry_commutator_norms(op, lat)
     assert np.isnan(report.gauge) and np.isnan(report.charge_conjugation)
     assert np.isnan(report.parity) and np.isnan(report.max_norm)
@@ -674,8 +676,8 @@ def test_plaquette_rotor_harmonic_gap_uniformity_trend():
     def uniformity(n, lam_b):
         lat = single_plaquette(n)
         op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, lam_b))
-        basis = project_gauge_invariant(lat).basis()
-        phys = (basis.T @ (op.matrix @ basis)).toarray()
+        span = basis(project_gauge_invariant(lat))
+        phys = (span.T @ (op.matrix @ span)).toarray()
         w = np.linalg.eigvalsh(phys)
         gaps = np.diff(w[:4])
         return gaps.std() / gaps.mean()

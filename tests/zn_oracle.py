@@ -2,11 +2,22 @@
 
 They apply the link maps of ``hopquant.zn`` to one configuration at a time,
 so the tests can check the vectorized basis permutations against them.
+``basis`` spans a gauge-invariant subspace with scipy.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from hopquant import zn
+
+
+def basis(subspace):
+    """Sparse (hilbert_dim x dimension) matrix of the orthonormal orbit sums of
+    a ``zn.InvariantSubspace``, one uniform superposition per orbit."""
+    dim = subspace.labels.size
+    data = 1.0 / np.sqrt(subspace.orbit_sizes[subspace.labels])
+    return sp.csr_matrix((data, (np.arange(dim), subspace.labels)),
+                         shape=(dim, subspace.dimension))
 
 
 class LinkConfig:
