@@ -5,10 +5,9 @@ Exit codes: 0 all checks pass, 1 runtime error, 2 validation failure,
 """
 
 import argparse
-import os
 import sys
 
-from .config import ExperimentConfig, parse_tolerance
+from .config import ExperimentConfig
 from .errors import ConfigError, HopquantError
 from .experiments import REGISTRY, SECTORS, list_experiments, run_experiment
 
@@ -64,23 +63,13 @@ def main(argv=None):
             print(f"{name:20s} {doc}")
         return EXIT_PASS
 
-    tol = None
-    env_tol = os.environ.get("HOPQUANT_TOL")
-    if env_tol is not None:
-        try:
-            tol = parse_tolerance(env_tol)
-        except ValueError:
-            print(f"hopquant: HOPQUANT_TOL={env_tol!r} is not a finite "
-                  "non-negative number", file=sys.stderr)
-            return EXIT_RUNTIME
-
     try:
         cfg = ExperimentConfig.from_file(args.config)
         if getattr(args, "count", None) is not None:
             cfg.sections.setdefault("spectrum", {})["count"] = str(args.count)
             cfg.locations.setdefault("spectrum", {})["count"] = (None, None)  # no file location
         name = args.experiment if "experiment" in args else cfg.getstr("run", "experiment")
-        report = run_experiment(name, cfg, seed=args.seed, tol=tol)
+        report = run_experiment(name, cfg, seed=args.seed)
     except ConfigError as exc:
         print(f"hopquant: config error: {exc}", file=sys.stderr)
         return EXIT_PARSE

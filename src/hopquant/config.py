@@ -22,14 +22,6 @@ class _Required:
 REQUIRED = _Required()
 
 
-def parse_tolerance(raw):
-    """A tolerance from text: a finite, non-negative number, else ``ValueError``."""
-    value = float(raw)
-    if not 0.0 <= value < math.inf:  # also false for NaN
-        raise ValueError(raw)
-    return value
-
-
 class ExperimentConfig:
     """Parsed config: sections of raw string values plus source locations."""
 
@@ -117,8 +109,13 @@ class ExperimentConfig:
         return self._fetch(section, key, default, float, "number")
 
     def gettolerance(self, section, key, default=REQUIRED):
-        return self._fetch(section, key, default, parse_tolerance,
-                           "finite non-negative number")
+        def conv(s):
+            value = float(s)
+            if not 0.0 <= value < math.inf:  # also false for NaN
+                raise ValueError(s)
+            return value
+
+        return self._fetch(section, key, default, conv, "finite non-negative number")
 
     def getbool(self, section, key, default=REQUIRED):
         def conv(s):

@@ -31,28 +31,27 @@ class EvolveResult:
 def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
     """Propagate ``psi`` through ``steps`` intervals of length ``dt``.
 
-    ``source`` is a prebuilt Hermitian operator, whose clock starts at 0, or
-    a HoppingKernel, whose clock starts at ``kernel.grid.t``; a
-    time-dependent kernel is rebuilt at each step midpoint. Raises
-    ``IntegratorAccuracyError`` when ``dt`` is not finite, before any step
-    runs (evolve's one check of ``dt``), and when the norm drifts beyond
-    ``drift_tol`` or is NaN; a NaN or infinite start has a NaN drift.
+    ``source`` is a prebuilt Hermitian operator or a HoppingKernel; a
+    time-dependent kernel is rebuilt at each step midpoint, on a clock that
+    starts at ``psi.t``, so chained calls continue where the last one
+    stopped. Raises ``IntegratorAccuracyError`` when ``dt`` is not finite,
+    before any step runs (evolve's one check of ``dt``), and when the norm
+    drifts beyond ``drift_tol`` or is NaN; a NaN or infinite start has a NaN
+    drift.
     """
     if not np.isfinite(dt):
         raise IntegratorAccuracyError(f"integrator accuracy: time step {dt} is not finite")
     if isinstance(source, HoppingKernel):
         kernel = source
         op = None if kernel.time_dependent else build_particle_hamiltonian(kernel)
-        t0 = kernel.grid.t
     else:
-        kernel, op, t0 = None, source, 0.0
+        kernel, op = None, source
     v = np.asarray(psi.values, dtype=complex).ravel()
     norm0 = np.linalg.norm(v)
     drift = 0.0 if np.isfinite(norm0) else np.nan
     for j in range(steps):
         if op is None:
-            t_mid = t0 + (j + 0.5) * dt
-            step_op = build_particle_hamiltonian(kernel, t=t_mid)
+            step_op = build_particle_hamiltonian(kernel, t=psi.t + (j + 0.5) * dt)
         else:
             step_op = op
         v = linop.propagate(step_op, v, dt, hbar=hbar)
@@ -112,16 +111,15 @@ def continuum_residual(kernel, state, t=None, hbar=1.0, charge=1.0):
 class ContinuumProblem:
     """A continuum initial-value problem posed over a fixed physical domain.
 
-    ``initial`` maps coordinate arrays to the t=0 state; ``reference`` maps
-    (coordinate arrays, t) to the exact solution, or is None to compare
-    against a finer-grid run instead. Potentials are callables of the
-    coordinate arrays (or None).
+    ``initial`` maps coordinate arrays to the t=0 state and ``reference``
+    maps (coordinate arrays, t) to the exact solution. Potentials are
+    callables of the coordinate arrays (or None).
     """
 
     initial: callable
     duration: float
     domain: tuple  # ((lo, hi), ...) per axis
-    reference: callable = None
+    reference: callable
     mass: float = 1.0
     vector_potential: callable = None
     scalar_potential: callable = None
@@ -160,52 +158,28 @@ def _grid_for(problem, a):
     return LatticeGrid(dims, a, boundary=problem.boundary, origin=lo)
 
 
-def _final_state(problem, a, hbar, charge):
+def _relative_error(problem, a):
+    """Relative L2 error at spacing ``a`` of one propagation over the duration."""
     grid = _grid_for(problem, a)
     kernel = kernel_from_potentials(problem.vector_potential,
-                                    problem.scalar_potential,
-                                    problem.mass, grid, hbar=hbar, charge=charge)
+                                    problem.scalar_potential, problem.mass, grid,
+                                    hbar=problem.hbar, charge=problem.charge)
     psi0 = LatticeWavefunction.from_callable(grid, problem.initial)
-    result = evolve(kernel, psi0, problem.duration, 1, hbar=hbar)
-    return grid, result.psi.values
-
-
-def _run_spacing(problem, a, hbar, charge, fine=None):
-    grid, values = _final_state(problem, a, hbar, charge)
-    if problem.reference is not None:
-        coords = grid.coordinates()
-        ref = np.asarray(problem.reference(*coords, problem.duration),
-                         dtype=complex)
-    else:
-        fine_grid, fine_values = fine
-        ratio = a / fine_grid.spacing
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(f"spacing {a} is not a multiple of the fine "
-                             f"reference spacing {fine_grid.spacing}")
-        step = int(round(ratio))
-        ref = fine_values[tuple(slice(None, None, step) for _ in grid.dims)]
-        if ref.shape != grid.shape:
-            raise ValueError("coarse grid does not nest into the fine reference")
-    err = np.linalg.norm((values - ref).ravel()) / np.linalg.norm(ref.ravel())
-    return float(err)
+    values = evolve(kernel, psi0, problem.duration, 1, hbar=problem.hbar).psi.values
+    ref = np.asarray(problem.reference(*grid.coordinates(), problem.duration),
+                     dtype=complex)
+    return float(np.linalg.norm((values - ref).ravel()) / np.linalg.norm(ref.ravel()))
 
 
 def convergence_study(problem, spacings):
-    """Errors against the reference over a ladder of spacings.
+    """Errors against the problem's analytic solution over a ladder of spacings.
 
-    The reference is the problem's analytic solution when given, otherwise a
-    run at half the finest spacing restricted to the coarser grids (which
-    must then nest). Non-monotone error tables are flagged in the report
-    rather than raised.
+    Non-monotone error tables are flagged in the report rather than raised.
     """
     spacings = sorted((float(a) for a in spacings), reverse=True)
     if len(spacings) < 3:
         raise ValueError("need >=3 spacings")
-    hbar, charge = problem.hbar, problem.charge
-    fine = None
-    if problem.reference is None:
-        fine = _final_state(problem, spacings[-1] / 2.0, hbar, charge)
-    errors = [_run_spacing(problem, a, hbar, charge, fine) for a in spacings]
+    errors = [_relative_error(problem, a) for a in spacings]
     order = fit_order(spacings, errors)
     monotone = all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     return ConvergenceReport(spacings=list(spacings), errors=errors, order=order,

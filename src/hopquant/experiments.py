@@ -41,10 +41,8 @@ _PARTICLE_SECTIONS = {
     "kernel": {"preset", "mass", "hbar", "onsite", "scale", "perturb", "k0(*",
                "potential", "omega", "center", "strength"},
 }
-_GAUGE_SECTIONS = {
-    "gauge": {"dims", "n", "boundary"},
-    "preset": {"type", "lambda_e", "lambda_b"},
-}
+_PRESET_SECTION = {"preset": {"type", "lambda_e", "lambda_b"}}
+_GAUGE_SECTIONS = {"gauge": {"dims", "n", "boundary"}, **_PRESET_SECTION}
 
 
 def _grid_from_config(cfg):
@@ -116,7 +114,7 @@ def _kernel_from_config(cfg, grid, rng):
     return kernel
 
 
-def _state_from_config(cfg, grid):
+def _state_from_config(cfg, grid, mass, hbar):
     kind = cfg.getstr("state", "type", default="gaussian",
                       choices={"gaussian", "coherent", "drifting"})
     x0 = cfg.getfloat("state", "x0", default=0.0)
@@ -126,19 +124,20 @@ def _state_from_config(cfg, grid):
         fn = lambda x: free_gaussian(x, 0.0, x0=x0, sigma=sigma, k0=k0)
     elif kind == "coherent":
         omega = cfg.getfloat("state", "omega", default=1.0)
-        fn = lambda x: coherent_oscillator(x, 0.0, x0=x0, omega=omega)
+        fn = lambda x: coherent_oscillator(x, 0.0, x0=x0, mass=mass, omega=omega,
+                                           hbar=hbar)
     else:
         sigma = cfg.getfloat("state", "sigma", default=1.0)
         strength = cfg.getfloat("state", "strength", default=0.0)
-        fn = lambda x: drifting_gaussian(x, 0.0, strength, x0=x0, sigma=sigma)
+        fn = lambda x: drifting_gaussian(x, 0.0, strength, x0=x0, sigma=sigma,
+                                         mass=mass, hbar=hbar)
     if grid.ndim != 1:
         raise ConfigError("bundled state presets are one-dimensional")
     return LatticeWavefunction.from_callable(grid, fn)
 
 
-def _lattice_from_config(cfg, n_override=None):
+def _lattice_from_config(cfg, n):
     dims = cfg.getints("gauge", "dims")
-    n = n_override if n_override is not None else cfg.getint("gauge", "n")
     boundary = cfg.getstr("gauge", "boundary", default="periodic",
                           choices={"periodic", "open"})
     return zn.LinkLattice(dims, n, boundary=boundary)
@@ -170,7 +169,7 @@ def _particle_kernel(cfg, report):
 
 def _gauge_operator(cfg, tol):
     """The lattice of ``[gauge]`` and the certified Hamiltonian of ``[preset]`` on it."""
-    lattice = _lattice_from_config(cfg)
+    lattice = _lattice_from_config(cfg, cfg.getint("gauge", "n"))
     op = gauge_ham.build_gauge_hamiltonian(lattice, _spec_from_config(cfg), tol=tol)
     return lattice, op
 
@@ -228,14 +227,17 @@ def run_particle_extract(cfg, report, tol):
 
 def run_particle_evolve(cfg, report, tol):
     grid, kernel = _particle_kernel(cfg, report)
-    psi0 = _state_from_config(cfg, grid).normalized()
+    # the kernel's mass and hbar also set the state and the equation of motion
+    mass = cfg.getfloat("kernel", "mass", default=1.0)
+    hbar = cfg.getfloat("kernel", "hbar", default=1.0)
+    psi0 = _state_from_config(cfg, grid, mass, hbar).normalized()
     dt = cfg.getfloat("evolve", "dt")
     if not np.isfinite(dt):
         raise cfg.invalid("evolve", "dt", f"[evolve] dt must be finite, got {dt}")
     steps = _count(cfg, "evolve", key="steps")
     drift_tol = cfg.gettolerance("evolve", "drift_tol", default=1e-8)
     op = build_particle_hamiltonian(kernel, tol=tol)
-    result = evolve(op, psi0, dt, steps, drift_tol=drift_tol)
+    result = evolve(op, psi0, dt, steps, hbar=hbar, drift_tol=drift_tol)
     report.results["norm_drift"] = result.norm_drift
     report.results["final_norm"] = result.psi.norm()
     report.results["overlap_with_initial"] = abs(psi0.overlap(result.psi))
@@ -330,7 +332,7 @@ def run_gauge_compare_ks(cfg, report, tol):
     rows = []
     max_devs = []
     for n in n_list:
-        lattice = _lattice_from_config(cfg, n_override=n)
+        lattice = _lattice_from_config(cfg, n)
         op_hop = gauge_ham.build_gauge_hamiltonian(lattice, spec, tol=tol)
         op_ref = gauge_ham.reference_ks_hamiltonian(lattice, spec.electric,
                                                     spec.magnetic, tol=tol)
@@ -428,11 +430,11 @@ REGISTRY = {
     "gauge-compare-ks": Experiment(
         run_gauge_compare_ks,
         "gap deviations against the standard reference Hamiltonian over N",
-        {**_GAUGE_SECTIONS,
+        {"gauge": {"dims", "boundary"}, **_PRESET_SECTION,
          "compare": {"n_list", "count", "require_trend", "zero_magnetic_tol"}}),
     "gauge-constants": Experiment(
         run_gauge_constants, "extract the emergent electric/magnetic constants",
-        {**_GAUGE_SECTIONS, "constants": {"n", "spacing", "identity_tol"}}),
+        {**_PRESET_SECTION, "constants": {"n", "spacing", "identity_tol"}}),
 }
 
 
@@ -454,16 +456,15 @@ def bundled_config_names():
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
-def run_experiment(name, cfg, seed=None, tol=None):
-    """Resolve the seed, then the tolerance, check the config against the
-    experiment's sections, and return the report its runner filled in."""
+def run_experiment(name, cfg, seed=None):
+    """Resolve the seed, then the ``[run] tolerance``, check the config against
+    the experiment's sections, and return the report its runner filled in."""
     if name not in REGISTRY:
         raise ConfigError(f"unknown experiment {name!r}; "
                           f"known: {', '.join(sorted(REGISTRY))}")
     if seed is None:
         seed = cfg.getint("run", "seed", default=0)
-    if tol is None:
-        tol = cfg.gettolerance("run", "tolerance", default=HERMITICITY_TOL)
+    tol = cfg.gettolerance("run", "tolerance", default=HERMITICITY_TOL)
     experiment = REGISTRY[name]
     cfg.validate_schema({"run": _BASE_RUN_KEYS, **experiment.sections})
     report = Report(name, seed, cfg.resolved())

@@ -299,17 +299,16 @@ def allowed_parity_centers(lattice):
     return centers
 
 
-def symmetry_commutator_norms(op, lattice, centers=None):
+def symmetry_commutator_norms(op, lattice):
     """Exact max commutator norms of H with the gauge generators, C and parity.
 
     ``gauge`` is the largest norm over the site generators, ``parity`` the
-    largest over ``centers`` (default: every allowed reflection center), each
-    from ``commutator_norms``.
+    largest over every allowed reflection center, each from
+    ``commutator_norms``.
     """
-    if centers is None:
-        centers = allowed_parity_centers(lattice)
     gauge_maps = zn.site_generator_link_maps(lattice)
-    parity_maps = [zn._parity_link_map(lattice, s0) for s0 in centers]
+    parity_maps = [zn._parity_link_map(lattice, s0)
+                   for s0 in allowed_parity_centers(lattice)]
     norms = commutator_norms(op, lattice,
                              [*gauge_maps, zn._charge_link_map(lattice), *parity_maps])
     gauge, conj, parity = (norms[:len(gauge_maps)], norms[len(gauge_maps)],
@@ -367,7 +366,6 @@ class ContinuumConstants:
     eps0: float
     mu0: float
     vacuum_energy_per_link: float
-    vacuum_energy: float  # None when the lattice size is not supplied
     light_speed: float    # None when degenerate or sign-indefinite
     degenerate: bool
     kappa0: float
@@ -381,7 +379,7 @@ def _probe_response(spec, n, pattern):
 
 
 def extract_continuum_constants(spec, n, spacing=1.0, hbar=1.0, charge=1.0,
-                                n_links=None, require_ground_state=False):
+                                require_ground_state=False):
     """Read the quadratic flux response of a plaquette rule.
 
     The constant part is read at zero plaquettes; the quadratic part comes
@@ -432,7 +430,6 @@ def extract_continuum_constants(spec, n, spacing=1.0, hbar=1.0, charge=1.0,
         eps0=1.0 / inv_eps0 if inv_eps0 != 0.0 else np.inf,
         mu0=1.0 / inv_mu0 if inv_mu0 != 0.0 else np.inf,
         vacuum_energy_per_link=2.0 * kappa0,
-        vacuum_energy=2.0 * kappa0 * n_links if n_links is not None else None,
         light_speed=float(np.sqrt(prod)) if prod > 0.0 else None,
         degenerate=degenerate,
         kappa0=kappa0,

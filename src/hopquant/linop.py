@@ -440,6 +440,11 @@ def propagate(op, v, t, hbar=1.0):
     once per call, nothing the size of H. The series stops where the dropped
     sum of 2|J_k| falls below 2^-53; since |T_k(Ht)| <= 1, that bounds the
     truncation error by 2^-53 * |v|.
+
+    The two paths agree only on a Hermitian H. An operator certified above
+    the default 1e-12 tolerance may not be one: the dense path then evolves
+    the Hermitian matrix that ``eigh`` reads from H's lower triangle, unitarily,
+    while the series applies H itself, and the norm drifts.
     """
     if not (math.isfinite(t) and math.isfinite(hbar) and hbar != 0.0):
         raise ValueError(f"propagation needs a finite t and a finite, nonzero hbar, "

@@ -21,10 +21,10 @@ class LatticeGrid:
     """Cubic grid in 1 to 3 dimensions with spacing ``a``.
 
     ``boundary`` is "periodic" (hops wrap) or "open" (hops off the edge are
-    dropped). ``t`` is a reference time carried for time-dependent kernels.
+    dropped).
     """
 
-    def __init__(self, dims, spacing, boundary="periodic", origin=None, t=0.0):
+    def __init__(self, dims, spacing, boundary="periodic", origin=None):
         dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
         if not 1 <= len(dims) <= 3:
             raise ValueError("grid must have 1 to 3 axes")
@@ -41,7 +41,6 @@ class LatticeGrid:
             else (0.0,) * len(dims)
         if len(self.origin) != len(dims):
             raise ValueError("origin must match grid dimensionality")
-        self.t = float(t)
 
     @property
     def ndim(self):
@@ -173,7 +172,7 @@ class HoppingKernel:
 
     @property
     def support(self):
-        """All offsets carrying amplitude at the reference time."""
+        """All offsets carrying amplitude at t = 0."""
         return sorted(set(self.kappa0).union(self._at(None)._kappa1))
 
     @property
@@ -181,7 +180,7 @@ class HoppingKernel:
         return max((max(abs(c) for c in n) for n in self.support), default=0)
 
     def _at(self, t):
-        """This kernel with kappa1 fixed at ``t`` (None: the reference time).
+        """This kernel with kappa1 fixed at ``t`` (None: t = 0).
 
         A time-dependent kappa1 is called once, and the offsets and fields it
         gives at ``t`` get the checks ``__init__`` gives a fixed kappa1.
@@ -189,7 +188,7 @@ class HoppingKernel:
         if self._kappa1_fn is None:
             return self
         return HoppingKernel(self.grid, self.kappa0,
-                             self._kappa1_fn(self.grid.t if t is None else t),
+                             self._kappa1_fn(0.0 if t is None else t),
                              self.free_symmetric)
 
     def kappa0_value(self, n):

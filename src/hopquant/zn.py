@@ -77,10 +77,10 @@ class LinkLattice:
             raise HopquantError(f"link {key} does not exist on this lattice")
         return self._link_index[key]
 
-    def shift_site(self, s, k, step=1):
-        """Site displaced along axis k; None when it leaves an open lattice."""
+    def shift_site(self, s, k):
+        """Site one step along axis k; None when it leaves an open lattice."""
         out = list(s)
-        out[k] += step
+        out[k] += 1
         if self.boundary == "periodic":
             out[k] %= self.dims[k]
         elif not 0 <= out[k] < self.dims[k]:
@@ -236,21 +236,15 @@ def permutation_from_link_map(lattice, assignments):
     return sigma.reshape(-1)
 
 
-def site_generator_link_maps(lattice, sites=None):
+def site_generator_link_maps(lattice):
     """Unit gauge increments, one per site; they generate the full gauge group."""
-    sites = lattice.sites if sites is None else [tuple(s) for s in sites]
-    maps = []
-    for s in sites:
-        g = np.zeros(lattice.n_sites, dtype=np.int64)
-        g[lattice.site_index(s)] = 1
-        maps.append(_gauge_link_map(lattice, g))
-    return maps
+    return [_gauge_link_map(lattice, g) for g in np.eye(lattice.n_sites, dtype=np.int64)]
 
 
-def site_generator_permutations(lattice, sites=None):
+def site_generator_permutations(lattice):
     """The permutations of ``site_generator_link_maps``."""
     return [permutation_from_link_map(lattice, assignments)
-            for assignments in site_generator_link_maps(lattice, sites)]
+            for assignments in site_generator_link_maps(lattice)]
 
 
 # --- gauge-invariant subspace ----------------------------------------------
@@ -268,18 +262,10 @@ class InvariantSubspace:
     orbit_sizes: np.ndarray
 
 
-def project_gauge_invariant(lattice, sites=None):
-    """Decompose the basis into gauge orbits; equivalent to group averaging.
-
-    ``sites`` restricts which gauge generators act; an empty list leaves the
-    full space invariant.
-    """
+def project_gauge_invariant(lattice):
+    """Decompose the basis into gauge orbits; equivalent to group averaging."""
     dim = lattice.hilbert_dim
-    if sites is not None and len(sites) == 0:
-        return InvariantSubspace(dimension=dim,
-                                 labels=np.arange(dim, dtype=np.int64),
-                                 orbit_sizes=np.ones(dim, dtype=np.int64))
-    gens = site_generator_permutations(lattice, sites)
+    gens = site_generator_permutations(lattice)
     # Min-label propagation: each state takes the smallest label among its
     # images, then its label's label, until nothing changes. Every label stays
     # a member of its state's orbit, and at the fixed point each generator's

@@ -1,11 +1,13 @@
 """Config parsing, experiment dispatch, report emission, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hopquant import linop
@@ -19,6 +21,7 @@ from hopquant.experiments import (
     list_experiments,
     run_experiment,
 )
+from hopquant.states import coherent_oscillator
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -79,10 +82,11 @@ def test_unknown_key_rejected():
     cfg = ExperimentConfig.parse(VALIDATE_CFG + "unknown_key = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         run_experiment("particle-validate", cfg)
-    # every declared section of every experiment, and the removed [gauge] spacing
+    # every declared section of every experiment, and [gauge] spacing wherever [gauge] is read
     cases = [(name, section, "unknown_key") for name, exp in REGISTRY.items()
              for section in ["run", *exp.sections]]
-    cases += [(name, "gauge", "spacing") for name in REGISTRY if name.startswith("gauge-")]
+    cases += [(name, "gauge", "spacing") for name, exp in REGISTRY.items()
+              if "gauge" in exp.sections]
     for name, section, key in cases:
         cfg = ExperimentConfig.parse(f"[{section}]\n{key} = 1\n")
         with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\]"):
@@ -215,23 +219,17 @@ def test_cli_seed_override_recorded(tmp_path):
     assert report["seed"] == 99
 
 
-def test_cli_tolerance_env_override(tmp_path, monkeypatch):
-    cfg = write(tmp_path, VALIDATE_CFG)
-    out = str(tmp_path / "out")
-    monkeypatch.setenv("HOPQUANT_TOL", "1e-6")
-    assert main(["run", cfg, "--out", out]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["checks"][0]["tolerance"] == 1e-6
-
-
-def test_cli_rejects_non_finite_or_negative_env_tolerance(tmp_path, monkeypatch, capsys):
-    cfg = write(tmp_path, VALIDATE_CFG)
-    for raw in ("nan", "inf", "-1"):
-        monkeypatch.setenv("HOPQUANT_TOL", raw)
-        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert f"HOPQUANT_TOL={raw!r} is not a finite non-negative number" in err
-    assert not (tmp_path / "out").exists()
+def test_tolerance_comes_from_the_config_alone(tmp_path, monkeypatch):
+    # [run] tolerance (default 1e-12) is the one source; no environment variable
+    # overrides it, so the report's config block describes the run
+    for tolerance in ("", "tolerance = 0.1\n"):
+        cfg = write(tmp_path, VALIDATE_CFG.replace("seed = 3\n", "seed = 3\n" + tolerance))
+        monkeypatch.delenv("HOPQUANT_TOL", raising=False)
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setenv("HOPQUANT_TOL", "1e-6")
+        assert main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "report.json").read_bytes()
+                == (tmp_path / "b" / "report.json").read_bytes())
 
 
 def test_run_tolerance_key_rejects_non_finite_or_negative(tmp_path, capsys):
@@ -272,6 +270,24 @@ def test_reports_byte_stable(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+@pytest.mark.parametrize("config, old, new, error", [
+    pytest.param("constants_roundtrip.cfg", "[constants]",
+                 "[gauge]\ndims = 2, 2\n\n[constants]", "unknown section [gauge]",
+                 id="constants-gauge-section"),
+    pytest.param("plaquette_n_scan.cfg", "boundary = open", "boundary = open\nn = 4",
+                 "unknown key 'n' in [gauge]", id="compare-ks-gauge-n"),
+])
+def test_gauge_entries_an_experiment_does_not_read_exit_three(tmp_path, capsys, config,
+                                                               old, new, error):
+    # gauge-constants reads no lattice, and gauge-compare-ks takes N from n_list
+    text = Path(bundled_config_path(config)).read_text()
+    assert old in text
+    cfg = write(tmp_path, text.replace(old, new))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bundled_gauge_constants_config(tmp_path):
@@ -393,8 +409,10 @@ sigma = 1.0
 def test_counts_and_n_lists_without_a_result_exit_three(tmp_path, capsys, experiment,
                                                          extra, flags, key):
     sector, action = experiment.split("-", 1)
-    cfg = write(tmp_path, {"gauge": SMALL_GAUGE_CFG, "particle": SMALL_EVOLVE_CFG}[sector]
-                + extra)
+    text = {"gauge": SMALL_GAUGE_CFG, "particle": SMALL_EVOLVE_CFG}[sector]
+    if experiment == "gauge-compare-ks":
+        text = text.replace("n = 3\n", "")  # its clock orders come from [compare] n_list
+    cfg = write(tmp_path, text + extra)
     assert main([sector, action, cfg, "--out", str(tmp_path / "out"), *flags]) == 3
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -447,6 +465,45 @@ def test_run_tolerance_key(tmp_path):
     assert main(["run", cfg, "--out", out]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["checks"][0]["tolerance"] == 1e-9
+
+
+def test_evolve_reads_mass_and_hbar_of_the_kernel(tmp_path):
+    # a quarter period of the m = 2, hbar = 0.5 well: the state, the kernel and
+    # the propagator all take [kernel] mass and hbar (with m = hbar = 1 in the
+    # state and the propagator, the error was 1.11)
+    text = f"""
+[run]
+experiment = particle-evolve
+
+[grid]
+dims = 321
+spacing = 0.05
+boundary = open
+origin = -8
+
+[kernel]
+preset = from-potentials
+potential = harmonic
+mass = 2.0
+hbar = 0.5
+
+[state]
+type = coherent
+x0 = 1.0
+
+[evolve]
+dt = {math.pi / 16!r}
+steps = 8
+"""
+    out = tmp_path / "out"
+    assert main(["run", write(tmp_path, text), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "final_state.csv", delimiter=",", skiprows=1)
+    psi = rows[:, 1] + 1j * rows[:, 2]
+    exact = coherent_oscillator(-8.0 + 0.05 * np.arange(321), math.pi / 2, x0=1.0,
+                                mass=2.0, hbar=0.5)
+    overlap = np.vdot(exact, psi)
+    error = np.linalg.norm(psi - overlap / abs(overlap) * exact) / np.linalg.norm(exact)
+    assert error < 0.02  # 1.1e-2, the lattice's own error at this spacing
 
 
 def test_evolve_drifting_state(tmp_path):
@@ -534,6 +591,6 @@ for i, name in enumerate({bundled_config_names()!r}):
 print({SCIPY_MODULES})
 print("plaquette_spectrum.cfg" in passed, linop._kernels.cache_info().currsize)
 """
-    assert len(bundled_config_names()) == 10
+    assert len(bundled_config_names()) == 11
     # plaquette_spectrum's eigensolve makes sparse products, so the guard is not vacuous
     assert _python(code) == ["[]", "True 1"]

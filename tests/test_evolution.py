@@ -209,6 +209,27 @@ def test_evolve_time_dependent_midpoint_order():
     assert 1.7 < order < 2.3
 
 
+def test_evolve_chained_calls_continue_the_kernel_clock():
+    # a kernel's clock starts at the state's time, so two calls of 4 steps
+    # sample H(t) where one call of 8 does
+    grid = LatticeGrid((16,), 1.0)
+    base = HoppingKernel.nearest_neighbor(grid, mass=1.0)
+
+    def kappa1(t):
+        return {(0,): np.full(grid.shape, 3.0 * np.cos(2.0 * t), dtype=complex),
+                (1,): np.full(grid.shape, 0.4j * t),
+                (-1,): np.full(grid.shape, -0.4j * t)}
+
+    kernel = HoppingKernel(grid, kappa0=base.kappa0, kappa1=kappa1)
+    psi0 = LatticeWavefunction.from_callable(
+        grid, lambda x: np.exp(-((x - 8.0) ** 2) / 4.0 + 0.7j * x)).normalized()
+    once = evolve(kernel, psi0, dt=0.1, steps=8).psi
+    half = evolve(kernel, psi0, dt=0.1, steps=4).psi
+    twice = evolve(kernel, half, dt=0.1, steps=4).psi
+    assert twice.t == once.t == pytest.approx(0.8)
+    assert np.abs(twice.values - once.values).max() <= 1e-12
+
+
 # --- continuum residual -----------------------------------------------------------
 
 def test_residual_free_kernel_plane_wave_quadratic():
@@ -291,23 +312,6 @@ def test_convergence_harmonic_coherent_period():
     study = convergence_study(harmonic_problem(), [0.2, 0.1, 0.05])
     assert study.monotone
     assert study.order > 1.8
-
-
-def test_convergence_fine_grid_reference():
-    from dataclasses import replace
-
-    problem = replace(free_gaussian_problem(), reference=None)
-    study = convergence_study(problem, [0.2, 0.1, 0.05])
-    assert study.monotone
-    assert 1.7 < study.order < 2.4
-
-
-def test_convergence_fine_grid_requires_nesting():
-    from dataclasses import replace
-
-    problem = replace(free_gaussian_problem(), reference=None)
-    with pytest.raises(ValueError):
-        convergence_study(problem, [0.2, 0.1, 0.075])
 
 
 def test_constant_field_momentum_shift():

@@ -186,8 +186,9 @@ def test_open_cube_symmetries():
     lat = LinkLattice((2, 2, 2), 2, boundary="open")
     assert lat.n_links == 12
     assert len(lat.plaquettes) == 6
+    assert gauge_ham.allowed_parity_centers(lat) == [(0.5, 0.5, 0.5)]
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
-    report = symmetry_commutator_norms(op, lat, centers=[(0.5, 0.5, 0.5)])
+    report = symmetry_commutator_norms(op, lat)
     assert report.gauge <= 1e-12
     assert report.charge_conjugation <= 1e-12
     assert report.parity <= 1e-12
@@ -724,9 +725,8 @@ def test_constants_degenerate_spec():
 
 def test_constants_vacuum_energy_with_lattice_size():
     lat = single_plaquette(8)
-    consts = extract_continuum_constants(MaxwellPreset(1.5, 0.0), 8,
-                                         n_links=lat.n_links)
-    assert consts.vacuum_energy == pytest.approx(-2.0 * 1.5 * 4)
+    consts = extract_continuum_constants(MaxwellPreset(1.5, 0.0), 8)
+    assert consts.vacuum_energy_per_link * lat.n_links == pytest.approx(-2.0 * 1.5 * 4)
 
 
 def test_constants_reject_odd_response():
