@@ -34,7 +34,6 @@ from .evolution import (
     harmonic_problem,
 )
 from .gauge_ham import (
-    CallableResponseSpec,
     ContinuumConstants,
     GapComparison,
     GaugeHoppingSpec,

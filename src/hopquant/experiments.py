@@ -123,12 +123,17 @@ def _state_from_config(cfg, grid, mass, hbar):
         k0 = cfg.getfloat("state", "k0", default=0.0)
         fn = lambda x: free_gaussian(x, 0.0, x0=x0, sigma=sigma, k0=k0)
     elif kind == "coherent":
-        omega = cfg.getfloat("state", "omega", default=1.0)
+        # the frequency of the kernel's well, and below the field of its
+        # constant A, unless [state] sets its own
+        omega = cfg.getfloat("state", "omega",
+                             default=cfg.getfloat("kernel", "omega", default=1.0))
         fn = lambda x: coherent_oscillator(x, 0.0, x0=x0, mass=mass, omega=omega,
                                            hbar=hbar)
     else:
         sigma = cfg.getfloat("state", "sigma", default=1.0)
-        strength = cfg.getfloat("state", "strength", default=0.0)
+        field = (cfg.getfloat("kernel", "strength", default=0.0)
+                 if cfg.getstr("kernel", "potential", default="none") == "constant-a" else 0.0)
+        strength = cfg.getfloat("state", "strength", default=field)
         fn = lambda x: drifting_gaussian(x, 0.0, strength, x0=x0, sigma=sigma,
                                          mass=mass, hbar=hbar)
     if grid.ndim != 1:

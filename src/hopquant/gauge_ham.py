@@ -26,6 +26,8 @@ from .evolution import fit_order
 DIMENSION_CAP = 2 ** 24
 # relative size of an odd or mixed flux response that counts as a violation
 DETECTION_TOL = 1e-10
+# rows of H that commutator_norms reads at a time, at most: a block stays in cache
+_BLOCK_ROWS = 4096
 
 
 class GaugeHoppingSpec:
@@ -62,21 +64,6 @@ class MaxwellPreset(GaugeHoppingSpec):
         mag = 2.0 * np.sin(np.pi * pvals / n) ** 2  # 1 - cos(2 pi p / n), stable near 0
         total = mag.sum(axis=0)
         return -self.electric + (self.magnetic / 8.0) * total
-
-
-@dataclass
-class CallableResponseSpec(GaugeHoppingSpec):
-    """Wrap a response function fn(pvals, n) -> amplitude.
-
-    ``fn`` is bound by ``GaugeHoppingSpec``'s contract: column c of its
-    result depends only on column c of ``pvals``, because the builder calls
-    it on a table of plaquette-value combinations, not on configurations.
-    """
-
-    fn: callable
-
-    def response(self, pvals, n):
-        return self.fn(np.asarray(pvals, dtype=float), n)
 
 
 def _plaquette_dtype(n):
@@ -219,7 +206,8 @@ def commutator_norms(op, lattice, link_maps):
     permuted. H must come from the hopping
     assembler, whose row x holds one slot per move H stores, in the order of
     the move offsets. Each a_o is copied from its slot once, a move H does
-    not store reads as zero, and no copy of H is made.
+    not store reads as zero, a pair of moves H stores neither of is skipped,
+    and no copy of H is made.
 
     Raises ``ValueError`` when H has entries off the moves or rows in another
     order, or a link map is not a bijection of the links with signs +-1, and
@@ -234,28 +222,21 @@ def commutator_norms(op, lattice, link_maps):
     link_maps = list(link_maps)
     images = [_move_image(lattice, assignments, moves) for assignments in link_maps]
     # beside H and the amplitudes, index arrays and gathers: tracemalloc measured
-    # 32-34 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3
+    # 24-26 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3
     dtype = op.data.dtype
     linop._require_memory(
         op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
         + len(moves) * dim * dtype.itemsize + 6 * dim * np.dtype(np.intp).itemsize,
         f"certifying dimension {dim}")
-    m = op.nnz // dim  # slots a row, if every row has as many
-    layout = np.array_equal(op.indptr, np.arange(dim + 1) * m)
-    grid = np.arange(dim, dtype=op.indices.dtype).reshape(zn._basis_grid_shape(lattice))
-    amps, slot = np.zeros((len(moves), dim), dtype=dtype), 0
-    for k, move in enumerate(moves if layout else ()):
-        cols = np.roll(grid, [-c for c in move], axis=range(grid.ndim))
-        if slot < m and np.array_equal(op.indices[slot::m], cols.reshape(-1)):
-            amps[k], slot = op.data[slot::m], slot + 1
-    if not layout or slot < m:
-        raise ValueError("operator has entries outside the one-link moves or out of their order")
+    amps, stored = _stored_amplitudes(op, lattice, moves)
 
     moved, norms = np.empty(dim, dtype=dtype), []
     for assignments, image in zip(link_maps, images):
         sigma = zn.permutation_from_link_map(lattice, assignments)
         norm = 0.0
         for k, j in enumerate(image):
+            if not (stored[k] or stored[j]):
+                continue  # zero on both sides, such as the hopping operator's diagonal
             # sigma is a permutation, so "clip" never clips; it skips the bounds check
             np.take(amps[j], sigma, out=moved, mode="clip")
             if np.array_equal(amps[k], moved):
@@ -265,6 +246,54 @@ def commutator_norms(op, lattice, link_maps):
             norm = np.maximum(norm, np.abs(moved).max())
         norms.append(float(norm))
     return norms
+
+
+def _stored_amplitudes(op, lattice, moves):
+    """The amplitudes a_o of ``commutator_norms`` for every move o in
+    ``moves``, zero for a move H does not store, and which moves H stores.
+
+    Move k adds step[k] mod N to one link, whose place value in a basis
+    index is place[k], so its column at row x is x + shift, with shift =
+    ((v + step) mod N - v) * place and v that link's value in x. The slots
+    are matched to moves on row 0, where distinct moves have distinct
+    columns. Then H is read a block of N**q rows at a time, which stays in
+    cache: within a block only the q lowest links change, so the shifts of
+    row start + r are those of row r plus one offset per slot.
+    """
+    n, dim = lattice.n, lattice.hilbert_dim
+    m = op.nnz // dim  # slots a row, if every row has as many
+    layout_error = "operator has entries outside the one-link moves or out of their order"
+    # a move's one nonzero entry is on basis-grid axis a, which holds link n_links - 1 - a
+    step = np.array([max(move) for move in moves], dtype=np.int64)
+    place = n ** np.array([lattice.n_links - 1 - int(np.argmax(move)) for move in moves],
+                          dtype=np.int64)
+
+    def shift(x, k):
+        value = x // place[k] % n
+        return ((value + step[k]) % n - value) * place[k]
+
+    layout = np.array_equal(op.indptr, np.arange(dim + 1) * m)
+    slots = []  # the move each slot holds
+    for k in range(len(moves) if layout else 0):
+        if len(slots) < m and op.indices[len(slots)] == step[k] * place[k]:
+            slots.append(k)
+    if not layout or len(slots) < m:
+        raise ValueError(layout_error)
+    q = 1
+    while q < lattice.n_links and n ** (q + 1) <= _BLOCK_ROWS:
+        q += 1
+    r = np.arange(n ** q, dtype=np.int64)[:, np.newaxis]
+    base, corner = r + shift(r, slots), shift(0, slots)
+    want = np.empty_like(base)
+    data, indices = op.data.reshape(dim, m), op.indices.reshape(dim, m)
+    amps = np.zeros((len(moves), dim), dtype=op.data.dtype)
+    for start in range(0, dim, n ** q):
+        rows = slice(start, start + n ** q)
+        np.add(base, start + shift(start, slots) - corner, out=want)
+        if not np.array_equal(indices[rows], want):
+            raise ValueError(layout_error)
+        amps[slots, rows] = data[rows].T
+    return amps, np.isin(np.arange(len(moves)), slots)
 
 
 def _move_image(lattice, assignments, moves):
@@ -287,9 +316,16 @@ def _move_image(lattice, assignments, moves):
 
 
 def allowed_parity_centers(lattice):
-    """All half-integer centers whose reflection maps the link set onto itself."""
+    """One half-integer center per distinct reflection that maps the link set
+    onto itself.
+
+    On a periodic axis of length L the centers c and c + L/2 give the same
+    reflection, so twice the center runs over range(L) there and over
+    range(2 L) on an open axis.
+    """
+    span = 1 if lattice.boundary == "periodic" else 2
     centers = []
-    for twice in product(*(range(2 * L) for L in lattice.dims)):
+    for twice in product(*(range(span * L) for L in lattice.dims)):
         s0 = tuple(c / 2.0 for c in twice)
         try:
             zn._parity_link_map(lattice, s0)
@@ -303,7 +339,7 @@ def symmetry_commutator_norms(op, lattice):
     """Exact max commutator norms of H with the gauge generators, C and parity.
 
     ``gauge`` is the largest norm over the site generators, ``parity`` the
-    largest over every allowed reflection center, each from
+    largest over every distinct allowed reflection, each from
     ``commutator_norms``.
     """
     gauge_maps = zn.site_generator_link_maps(lattice)

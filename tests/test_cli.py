@@ -534,6 +534,45 @@ steps = 2
     assert main(["run", cfg, "--out", out]) == 0
 
 
+@pytest.mark.parametrize("kernel, state", [
+    ("potential = harmonic\nomega = 2.0", "type = coherent\nx0 = 1.0\nomega = 2.0"),
+    ("potential = constant-a\nstrength = 0.5", "type = drifting\nstrength = 0.5"),
+], ids=["coherent-omega", "drifting-strength"])
+def test_evolve_state_defaults_follow_the_kernel(tmp_path, kernel, state):
+    # the same run with the state's key left out and set to the kernel's value
+    template = """
+[run]
+experiment = particle-evolve
+
+[grid]
+dims = 161
+spacing = 0.1
+boundary = open
+origin = -8
+
+[kernel]
+preset = from-potentials
+{kernel}
+
+[state]
+{state}
+
+[evolve]
+dt = 0.1
+steps = 4
+"""
+    outputs = []
+    for name, lines in (("implied", state.splitlines()[:-1]), ("explicit", state.splitlines())):
+        cfg = write(tmp_path, template.format(kernel=kernel, state="\n".join(lines)),
+                    name=f"{name}.cfg")
+        out = tmp_path / name
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        outputs.append((report["results"], report["checks"],
+                        (out / "final_state.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_gauge_build_reports_dimensions(tmp_path):
     cfg = bundled_config_path("gauge_symcheck_small.cfg")
     out = str(tmp_path / "out")

@@ -1,5 +1,6 @@
 """Link-field Hamiltonians: build, symmetries, spectra, constants."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 import scipy.sparse as sp
 
 from hopquant import (
-    CallableResponseSpec,
     HoppingKernel,
     LatticeGrid,
     LinkLattice,
@@ -30,6 +30,7 @@ from hopquant.errors import (
     GroundStateSignError,
     HermiticityError,
     HilbertDimensionError,
+    HopquantError,
     ReflectionSymmetryError,
 )
 from hopquant.gauge_ham import GaugeHoppingSpec, LinearLinkFunctional, commutator_norms
@@ -43,6 +44,21 @@ def single_link(n):
 
 def single_plaquette(n):
     return LinkLattice((2, 2), n, boundary="open")
+
+
+class CallableResponseSpec(GaugeHoppingSpec):
+    """Wrap a response function fn(pvals, n) -> amplitude.
+
+    ``fn`` is bound by ``GaugeHoppingSpec``'s contract: column c of its
+    result depends only on column c of ``pvals``, because the builder calls
+    it on a table of plaquette-value combinations, not on configurations.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def response(self, pvals, n):
+        return self.fn(np.asarray(pvals, dtype=float), n)
 
 
 class OddResponseSpec(GaugeHoppingSpec):
@@ -434,6 +450,38 @@ def test_site_dependent_spec_breaks_parity():
     assert report.parity > 1e-3
 
 
+def _every_parity_center(lat):
+    """Every half-integer center in [0, L) whose reflection maps the links onto
+    themselves, c and c + L/2 both listed on a periodic axis."""
+    centers = []
+    for twice in itertools.product(*(range(2 * L) for L in lat.dims)):
+        s0 = tuple(c / 2.0 for c in twice)
+        try:
+            centers.append((s0, zn._parity_link_map(lat, s0)))
+        except HopquantError:
+            pass
+    return centers
+
+
+def test_parity_centers_are_distinct_reflections():
+    for dims, n in (((2, 2), 3), ((3, 2), 2)):
+        lat = LinkLattice(dims, n, boundary="periodic")
+        maps = [zn._parity_link_map(lat, s0) for s0 in gauge_ham.allowed_parity_centers(lat)]
+        assert len(maps) == np.prod(dims)
+        assert all(a != b for a, b in itertools.combinations(maps, 2))
+        assert all(m in maps for _, m in _every_parity_center(lat))
+    # the parity norm is the same maximum over the same distinct permutations
+    lat = LinkLattice((2, 2), 3, boundary="periodic")
+    op = _rule_operator(lat, site_dependent_rule)
+    old = commutator_norms(op, lat, [m for _, m in _every_parity_center(lat)])
+    assert max(old) > 1e-3
+    assert symmetry_commutator_norms(op, lat).parity == max(old)
+    for dims, centers in (((2, 2), [(0.5, 0.5)]), ((2, 2, 2), [(0.5, 0.5, 0.5)])):
+        lat = LinkLattice(dims, 2, boundary="open")
+        assert gauge_ham.allowed_parity_centers(lat) == centers
+        assert centers == [s0 for s0, _ in _every_parity_center(lat)]
+
+
 def test_projected_sector_invariant_under_hamiltonian():
     lat = single_plaquette(3)
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
@@ -540,6 +588,22 @@ def test_commutator_rejects_rows_out_of_move_order():
     lat = single_plaquette(3)
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
     h.sort_indices()
+    with pytest.raises(ValueError, match="outside the one-link moves"):
+        commutator_norms(from_matrix(h), lat, [zn._charge_link_map(lat)])
+
+
+def test_commutator_reads_h_in_blocks(monkeypatch):
+    # blocks of 9 rows, so the shifts of the two high links change from block to block
+    monkeypatch.setattr(gauge_ham, "_BLOCK_ROWS", 9)
+    lat = single_plaquette(3)
+    maps = _symmetry_link_maps(lat, np.random.default_rng(7)) + [_link_cycle(lat)]
+    for op in (_rule_operator(lat, link_value_rule), reference_ks_hamiltonian(lat, 1.3, 0.8)):
+        want = [_dense_commutator_oracle(op, zn.permutation_from_link_map(lat, m)) for m in maps]
+        assert commutator_norms(op, lat, maps) == want
+    # the same matrix with the last row's first two entries swapped
+    h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
+    last = slice(h.indptr[-2], h.indptr[-2] + 2)
+    h.indices[last], h.data[last] = h.indices[last][::-1].copy(), h.data[last][::-1].copy()
     with pytest.raises(ValueError, match="outside the one-link moves"):
         commutator_norms(from_matrix(h), lat, [zn._charge_link_map(lat)])
 
