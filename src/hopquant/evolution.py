@@ -31,38 +31,27 @@ class EvolveResult:
 def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
     """Propagate ``psi`` through ``steps`` intervals of length ``dt``.
 
-    ``source`` is a prebuilt Hermitian operator or a HoppingKernel; a
-    time-dependent kernel is rebuilt at each step midpoint, on a clock that
-    starts at ``psi.t``, so chained calls continue where the last one
-    stopped. Raises ``IntegratorAccuracyError`` when ``dt`` is not finite,
-    before any step runs (evolve's one check of ``dt``), and when the norm
-    drifts beyond ``drift_tol`` or is NaN; a NaN or infinite start has a NaN
-    drift.
+    ``source`` is a prebuilt Hermitian operator or a HoppingKernel, whose
+    operator is built once. Raises ``IntegratorAccuracyError`` when ``dt`` is
+    not finite, before any step runs (evolve's one check of ``dt``), and when
+    the norm drifts beyond ``drift_tol`` or is NaN; a NaN or infinite start
+    has a NaN drift.
     """
     if not np.isfinite(dt):
         raise IntegratorAccuracyError(f"integrator accuracy: time step {dt} is not finite")
-    if isinstance(source, HoppingKernel):
-        kernel = source
-        op = None if kernel.time_dependent else build_particle_hamiltonian(kernel)
-    else:
-        kernel, op = None, source
+    op = build_particle_hamiltonian(source) if isinstance(source, HoppingKernel) else source
     v = np.asarray(psi.values, dtype=complex).ravel()
     norm0 = np.linalg.norm(v)
     drift = 0.0 if np.isfinite(norm0) else np.nan
-    for j in range(steps):
-        if op is None:
-            step_op = build_particle_hamiltonian(kernel, t=psi.t + (j + 0.5) * dt)
-        else:
-            step_op = op
-        v = linop.propagate(step_op, v, dt, hbar=hbar)
+    for _ in range(steps):
+        v = linop.propagate(op, v, dt, hbar=hbar)
         if 0 < norm0 < np.inf:
             # np.maximum, unlike max(), carries a NaN drift to the check
             drift = float(np.maximum(drift, abs(np.linalg.norm(v) - norm0) / norm0))
     if not drift <= drift_tol:  # a NaN drift fails too
         raise IntegratorAccuracyError(
             f"integrator accuracy: norm drift {drift:.3e} exceeds {drift_tol:.1e}")
-    out = LatticeWavefunction(psi.grid, v.reshape(psi.grid.shape),
-                              t=psi.t + steps * dt)
+    out = LatticeWavefunction(psi.grid, v.reshape(psi.grid.shape))
     return EvolveResult(psi=out, norm_drift=drift, steps=steps, dt=dt)
 
 
@@ -78,7 +67,7 @@ def _divergence(components, grid):
     return div
 
 
-def continuum_residual(kernel, state, t=None, hbar=1.0, charge=1.0):
+def continuum_residual(kernel, state, hbar=1.0, charge=1.0):
     """Relative L2 mismatch between H psi and the continuum right-hand side.
 
     The right-hand side uses the mass, potentials and background energy
@@ -86,13 +75,13 @@ def continuum_residual(kernel, state, t=None, hbar=1.0, charge=1.0):
     test state evaluated exactly.
     """
     grid = kernel.grid
-    fields = extract_potentials(kernel, t=t, hbar=hbar, charge=charge)
+    fields = extract_potentials(kernel, hbar=hbar, charge=charge)
     coords = grid.coordinates()
     psi = np.asarray(state.value(*coords), dtype=complex)
     grad = [np.asarray(g, dtype=complex) for g in state.gradient(*coords)]
     lap = np.asarray(state.laplacian(*coords), dtype=complex)
 
-    h_psi = apply_kernel(kernel, psi, t=t)
+    h_psi = apply_kernel(kernel, psi)
     a_comp = fields.vector_potential
     a_sq = sum(c * c for c in a_comp)
     div_a = _divergence(a_comp, grid)

@@ -1,7 +1,7 @@
 """Single-particle hopping dynamics on cubic lattices.
 
-A kernel maps (site, offset, time) to a complex amplitude of units energy and
-fully determines the dynamics i*hbar dpsi/dt = sum_n kappa(x, n, t) psi(x+a*n).
+A kernel maps (site, offset) to a complex amplitude of units energy and fully
+determines the dynamics i*hbar dpsi/dt = sum_n kappa(x, n) psi(x+a*n).
 This module validates the probability-conservation constraint, builds the
 corresponding Hermitian operator, and extracts the emergent continuum data
 (mass, background energy, vector and scalar potentials).
@@ -71,17 +71,16 @@ class LatticeGrid:
 class LatticeWavefunction:
     """Complex amplitudes on a grid, with discrete L2 norm a^d * sum |psi|^2."""
 
-    def __init__(self, grid, values, t=0.0):
+    def __init__(self, grid, values):
         values = np.asarray(values, dtype=complex)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid {grid.shape}")
         self.grid = grid
         self.values = values
-        self.t = float(t)
 
     @classmethod
-    def from_callable(cls, grid, fn, t=0.0):
-        return cls(grid, np.asarray(fn(*grid.coordinates()), dtype=complex), t=t)
+    def from_callable(cls, grid, fn):
+        return cls(grid, np.asarray(fn(*grid.coordinates()), dtype=complex))
 
     def norm(self):
         return float(np.sqrt(self.grid.spacing ** self.grid.ndim
@@ -91,7 +90,7 @@ class LatticeWavefunction:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return LatticeWavefunction(self.grid, self.values / n, t=self.t)
+        return LatticeWavefunction(self.grid, self.values / n)
 
     def overlap(self, other):
         """<self|other> with the discrete measure."""
@@ -123,14 +122,13 @@ def _neg(n):
 
 
 class HoppingKernel:
-    """Finite-support hopping amplitudes kappa(x, n, t) on a grid.
+    """Finite-support hopping amplitudes kappa(x, n) on a grid.
 
     ``kappa0`` holds the homogeneous part (offset -> scalar), ``kappa1`` the
-    site-dependent deviation (offset -> complex array of grid shape, or a
-    callable t -> such a dict for time-dependent kernels). ``free_symmetric``
-    declares that kappa0 is inversion symmetric and real, which the cubic
-    symmetry of a free particle forces. Offsets must lie within
-    ``MAX_SUPPORT_RADIUS`` and fit within the grid, at every time used.
+    site-dependent deviation (offset -> complex array of grid shape).
+    ``free_symmetric`` declares that kappa0 is inversion symmetric and real,
+    which the cubic symmetry of a free particle forces. Offsets must lie
+    within ``MAX_SUPPORT_RADIUS`` and fit within the grid.
     """
 
     def __init__(self, grid, kappa0=None, kappa1=None, free_symmetric=False):
@@ -138,17 +136,15 @@ class HoppingKernel:
         self.kappa0 = {}
         for n, val in (kappa0 or {}).items():
             self.kappa0[_normalize_offset(n, grid.ndim)] = complex(val)
-        self._kappa1_fn = None
-        self._kappa1 = {}
         if callable(kappa1):
-            self._kappa1_fn = kappa1
-        elif kappa1:
-            self._kappa1 = {_normalize_offset(n, grid.ndim):
-                            np.asarray(v, dtype=complex) for n, v in kappa1.items()}
-            for n, v in self._kappa1.items():
-                if v.shape != grid.shape:
-                    raise ValueError(f"kappa1 field for offset {n} has shape "
-                                     f"{v.shape}, expected {grid.shape}")
+            raise TypeError("kappa1 must be a dict of fields: time-dependent "
+                            "kernels were removed")
+        self._kappa1 = {_normalize_offset(n, grid.ndim): np.asarray(v, dtype=complex)
+                        for n, v in (kappa1 or {}).items()}
+        for n, v in self._kappa1.items():
+            if v.shape != grid.shape:
+                raise ValueError(f"kappa1 field for offset {n} has shape "
+                                 f"{v.shape}, expected {grid.shape}")
         self.free_symmetric = bool(free_symmetric)
         if self.radius > MAX_SUPPORT_RADIUS:
             raise ValueError(f"support radius {self.radius} exceeds maximum "
@@ -167,44 +163,27 @@ class HoppingKernel:
                         f"kappa0({n}) must be real for a symmetric kernel")
 
     @property
-    def time_dependent(self):
-        return self._kappa1_fn is not None
-
-    @property
     def support(self):
-        """All offsets carrying amplitude at t = 0."""
-        return sorted(set(self.kappa0).union(self._at(None)._kappa1))
+        """All offsets carrying amplitude."""
+        return sorted(set(self.kappa0).union(self._kappa1))
 
     @property
     def radius(self):
         return max((max(abs(c) for c in n) for n in self.support), default=0)
 
-    def _at(self, t):
-        """This kernel with kappa1 fixed at ``t`` (None: t = 0).
-
-        A time-dependent kappa1 is called once, and the offsets and fields it
-        gives at ``t`` get the checks ``__init__`` gives a fixed kappa1.
-        """
-        if self._kappa1_fn is None:
-            return self
-        return HoppingKernel(self.grid, self.kappa0,
-                             self._kappa1_fn(0.0 if t is None else t),
-                             self.free_symmetric)
-
     def kappa0_value(self, n):
         return self.kappa0.get(_normalize_offset(n, self.grid.ndim), 0.0 + 0.0j)
 
-    def kappa1_field(self, n, t=None):
+    def kappa1_field(self, n):
         """Inhomogeneous part at offset ``n``; zeros if absent."""
         n = _normalize_offset(n, self.grid.ndim)
-        snap = self._at(t)._kappa1
-        if n in snap:
-            return snap[n]
+        if n in self._kappa1:
+            return self._kappa1[n]
         return np.zeros(self.grid.shape, dtype=complex)
 
-    def field(self, n, t=None):
-        """Full amplitude field kappa(x, n, t) over all sites."""
-        return self.kappa0_value(n) + self.kappa1_field(n, t)
+    def field(self, n):
+        """Full amplitude field kappa(x, n) over all sites."""
+        return self.kappa0_value(n) + self.kappa1_field(n)
 
     @classmethod
     def free(cls, grid, kappa0):
@@ -254,7 +233,7 @@ def random_unitary_kernel(grid, rng, representatives=None, scale=1.0):
 
 def perturb_kernel(kernel, rng, epsilon=1e-3):
     """Break the conservation pairing by noising a single forward field."""
-    snap = dict(kernel._at(None)._kappa1)
+    snap = dict(kernel._kappa1)
     offs = [n for n in snap if any(c != 0 for c in n)]
     n = offs[rng.integers(len(offs))] if offs else (0,) * kernel.grid.ndim
     noise = epsilon * (rng.standard_normal(kernel.grid.shape)
@@ -286,13 +265,13 @@ def _open_valid_slices(shape, n):
     return tuple(src), tuple(shifted)
 
 
-def validate_kernel_unitarity(kernel, t=None, tol=HERMITICITY_TOL):
+def validate_kernel_unitarity(kernel, tol=HERMITICITY_TOL):
     """Check the probability-conservation constraint at every site and offset.
 
     On open grids, (site, offset) pairs whose partner site falls outside the
     lattice are skipped and counted separately.
     """
-    grid, kernel = kernel.grid, kernel._at(t)
+    grid = kernel.grid
     offsets = set(kernel.support)
     offsets.update(_neg(n) for n in kernel.support)
     max_violation = 0.0
@@ -318,9 +297,9 @@ def validate_kernel_unitarity(kernel, t=None, tol=HERMITICITY_TOL):
                            skipped_pairs=skipped)
 
 
-def apply_kernel(kernel, values, t=None):
-    """(H psi)(x) = sum_n kappa(x, n, t) psi(x + a*n) without building H."""
-    grid, kernel = kernel.grid, kernel._at(t)
+def apply_kernel(kernel, values):
+    """(H psi)(x) = sum_n kappa(x, n) psi(x + a*n) without building H."""
+    grid = kernel.grid
     out = np.zeros(grid.shape, dtype=complex)
     for n in kernel.support:
         fld = kernel.field(n)
@@ -332,15 +311,15 @@ def apply_kernel(kernel, values, t=None):
     return out
 
 
-def build_particle_hamiltonian(kernel, t=None, tol=HERMITICITY_TOL):
+def build_particle_hamiltonian(kernel, tol=HERMITICITY_TOL):
     """Assemble the hopping operator as a sparse Hermitian matrix.
 
-    H[x, x + a*n] = kappa(x, n, t) for every offset n of the support.
+    H[x, x + a*n] = kappa(x, n) for every offset n of the support.
     Raises ``HermiticityError`` when the kernel violates the conservation
     constraint, which is equivalent to H losing hermiticity, and
     ``HilbertDimensionError`` when the build would not fit in memory.
     """
-    grid, kernel = kernel.grid, kernel._at(t)
+    grid = kernel.grid
     support = kernel.support
     return _assemble_hopping(grid.shape, grid.boundary == "periodic", support,
                              (kernel.field(n) for n in support),
@@ -396,9 +375,9 @@ def vacuum_energy(kernel):
     return float(total.real)
 
 
-def vector_potential_from_kernel(kernel, mass=None, t=None, hbar=1.0, charge=1.0):
-    """A_i(x) = (m a / (e hbar)) sum_n n_i Im kappa1(x, n, t)."""
-    grid, kernel = kernel.grid, kernel._at(t)
+def vector_potential_from_kernel(kernel, mass=None, hbar=1.0, charge=1.0):
+    """A_i(x) = (m a / (e hbar)) sum_n n_i Im kappa1(x, n)."""
+    grid = kernel.grid
     if mass is None:
         if not kernel.free_symmetric:
             raise MassRequiredError("mass required first")
@@ -413,10 +392,10 @@ def vector_potential_from_kernel(kernel, mass=None, t=None, hbar=1.0, charge=1.0
     return comps
 
 
-def scalar_potential_from_kernel(kernel, vector_potential, mass=None, t=None,
-                                 hbar=1.0, charge=1.0):
-    """U(x) = E0 + sum_n Re kappa1(x, n, t) - (e^2/2m) A(x)^2."""
-    grid, kernel = kernel.grid, kernel._at(t)
+def scalar_potential_from_kernel(kernel, vector_potential, mass=None, hbar=1.0,
+                                 charge=1.0):
+    """U(x) = E0 + sum_n Re kappa1(x, n) - (e^2/2m) A(x)^2."""
+    grid = kernel.grid
     if mass is None:
         if not kernel.free_symmetric:
             raise MassRequiredError("mass required first")
@@ -428,13 +407,13 @@ def scalar_potential_from_kernel(kernel, vector_potential, mass=None, t=None,
     return u - (charge ** 2 / (2.0 * mass)) * a_sq
 
 
-def extract_potentials(kernel, t=None, hbar=1.0, charge=1.0):
+def extract_potentials(kernel, hbar=1.0, charge=1.0):
     """Full continuum readout: mass, background energy, A and U fields."""
     fit = mass_from_kernel(kernel, hbar=hbar)
-    a_field = vector_potential_from_kernel(kernel, mass=fit.mass, t=t,
-                                           hbar=hbar, charge=charge)
-    u_field = scalar_potential_from_kernel(kernel, a_field, mass=fit.mass, t=t,
-                                           hbar=hbar, charge=charge)
+    a_field = vector_potential_from_kernel(kernel, mass=fit.mass, hbar=hbar,
+                                           charge=charge)
+    u_field = scalar_potential_from_kernel(kernel, a_field, mass=fit.mass, hbar=hbar,
+                                           charge=charge)
     return PotentialFields(mass=fit.mass,
                            background_energy=vacuum_energy(kernel),
                            vector_potential=a_field,
@@ -463,7 +442,7 @@ def kernel_from_potentials(vector_potential, scalar_potential, mass, grid,
     coords = grid.coordinates()
     a = grid.spacing
 
-    def vp_at(points):
+    def vp_on(points):
         if vector_potential is None:
             return [np.zeros(grid.shape) for _ in range(grid.ndim)]
         if callable(vector_potential):
@@ -475,14 +454,14 @@ def kernel_from_potentials(vector_potential, scalar_potential, mass, grid,
             return out
         return [np.asarray(c, dtype=float) for c in vector_potential]
 
-    site_a = vp_at(coords)
+    site_a = vp_on(coords)
     kappa1 = {}
     gamma = charge * hbar / (2.0 * mass * a)
     for ax in range(grid.ndim):
         if callable(vector_potential):
             mid = [c.copy() for c in coords]
             mid[ax] = mid[ax] + a / 2.0
-            a_mid = vp_at(mid)[ax]
+            a_mid = vp_on(mid)[ax]
         else:
             a_mid = 0.5 * (site_a[ax] + np.roll(site_a[ax], shift=-1, axis=ax))
         fwd = 1j * gamma * a_mid
@@ -503,13 +482,13 @@ def kernel_from_potentials(vector_potential, scalar_potential, mass, grid,
                          free_symmetric=True)
 
 
-def gauge_shift_kernel(kernel, chi, t=None, hbar=1.0, charge=1.0):
+def gauge_shift_kernel(kernel, chi, hbar=1.0, charge=1.0):
     """Conjugate the kernel by the site phases exp(i e chi(x) / hbar).
 
     This shifts the extracted vector potential by a discrete pure gradient
     and leaves the operator spectrum unchanged.
     """
-    grid, kernel = kernel.grid, kernel._at(t)
+    grid = kernel.grid
     chi = np.asarray(chi, dtype=float)
     if chi.shape != grid.shape:
         raise ValueError("chi must be a per-site field")

@@ -183,53 +183,6 @@ def test_evolve_state_turning_nan_fails_drift_check(monkeypatch):
     assert len(calls) == 3
 
 
-def test_evolve_time_dependent_midpoint_order():
-    # H(t) = (1 + t^2) H0 commutes with itself; midpoint sampling is O(dt^2)
-    grid = LatticeGrid((12,), 1.0)
-    base = HoppingKernel.nearest_neighbor(grid, mass=1.0)
-
-    def kappa1(t):
-        return {n: t ** 2 * base.kappa0[n] * np.ones(grid.shape)
-                for n in base.kappa0}
-
-    kernel = HoppingKernel(grid, kappa0=base.kappa0, kappa1=kappa1)
-    op = build_particle_hamiltonian(base)
-    rng = np.random.default_rng(1)
-    psi0 = LatticeWavefunction(grid, rng.standard_normal(grid.shape)
-                               + 1j * rng.standard_normal(grid.shape))
-    total = 1.0
-    effective = total + total ** 3 / 3.0  # integral of (1 + t^2)
-    from hopquant.linop import propagate
-    exact = propagate(op, psi0.values.ravel(), effective).reshape(grid.shape)
-    errs = []
-    for steps in (4, 8, 16):
-        out = evolve(kernel, psi0, dt=total / steps, steps=steps).psi
-        errs.append(np.linalg.norm(out.values - exact))
-    order = fit_order([1.0 / 4, 1.0 / 8, 1.0 / 16], errs)
-    assert 1.7 < order < 2.3
-
-
-def test_evolve_chained_calls_continue_the_kernel_clock():
-    # a kernel's clock starts at the state's time, so two calls of 4 steps
-    # sample H(t) where one call of 8 does
-    grid = LatticeGrid((16,), 1.0)
-    base = HoppingKernel.nearest_neighbor(grid, mass=1.0)
-
-    def kappa1(t):
-        return {(0,): np.full(grid.shape, 3.0 * np.cos(2.0 * t), dtype=complex),
-                (1,): np.full(grid.shape, 0.4j * t),
-                (-1,): np.full(grid.shape, -0.4j * t)}
-
-    kernel = HoppingKernel(grid, kappa0=base.kappa0, kappa1=kappa1)
-    psi0 = LatticeWavefunction.from_callable(
-        grid, lambda x: np.exp(-((x - 8.0) ** 2) / 4.0 + 0.7j * x)).normalized()
-    once = evolve(kernel, psi0, dt=0.1, steps=8).psi
-    half = evolve(kernel, psi0, dt=0.1, steps=4).psi
-    twice = evolve(kernel, half, dt=0.1, steps=4).psi
-    assert twice.t == once.t == pytest.approx(0.8)
-    assert np.abs(twice.values - once.values).max() <= 1e-12
-
-
 # --- continuum residual -----------------------------------------------------------
 
 def test_residual_free_kernel_plane_wave_quadratic():

@@ -49,13 +49,13 @@ def test_constraint_equivalent_to_hermiticity_both_directions():
             build_particle_hamiltonian(perturb_kernel(kernel, rng))
 
 
-def _coo_oracle(kernel, t=None):
-    """H[x, x + n] = kappa(x, n, t) from COO triplets, one block per offset."""
+def _coo_oracle(kernel):
+    """H[x, x + n] = kappa(x, n) from COO triplets, one block per offset."""
     grid = kernel.grid
     idx = np.arange(grid.n_sites).reshape(grid.shape)
     rows, cols, data = [], [], []
     for n in kernel.support:
-        fld = kernel.field(n, t)
+        fld = kernel.field(n)
         if grid.boundary == "periodic":
             rows.append(idx.ravel())
             cols.append(np.roll(idx, shift=[-c for c in n], axis=range(grid.ndim)).ravel())
@@ -84,13 +84,13 @@ def _assert_same_csr(got, want, rtol=0.0):
             assert np.array_equal(a, b), name
 
 
-def _assert_offset_order(got, kernel, t=None):
+def _assert_offset_order(got, kernel):
     """Row x holds x + n for each distinct offset n of the support, in support
     order: wrapped on a periodic grid, and left out where it leaves an open one."""
     grid = kernel.grid
     for x, site in enumerate(np.ndindex(grid.shape)):
         want = []
-        for n in kernel._at(t).support:
+        for n in kernel.support:
             y = np.add(site, n)
             if grid.boundary == "periodic":
                 y = np.mod(y, grid.shape)
@@ -109,24 +109,24 @@ def _oracle_kernels():
                            ((5, 4), [(1, 0), (0, 1), (1, -1)]),
                            ((4, 3, 5), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])):
             grid = LatticeGrid(dims, 0.5, boundary=boundary)
-            yield random_unitary_kernel(grid, rng, representatives=reps), None
+            yield random_unitary_kernel(grid, rng, representatives=reps)
     # offsets that coincide on the periodic grid share one entry
     for dims, reps in (((2,), [(1,)]), ((4,), [(2,), (1,)]), ((2, 3), [(1, 0), (1, 1)])):
         grid = LatticeGrid(dims, 1.0)
-        yield random_unitary_kernel(grid, rng, representatives=reps), None
+        yield random_unitary_kernel(grid, rng, representatives=reps)
     grid = LatticeGrid((6,), 1.0)
-    yield HoppingKernel(grid, kappa0={(1,): 1.0}), None  # unpaired
-    yield HoppingKernel(grid), None  # empty support
-    yield HoppingKernel(grid, kappa0={(1,): -0.5, (-1,): -0.5},
-                        kappa1=lambda t: {(0,): np.full(grid.shape, t, dtype=complex),
-                                          (1,): np.full(grid.shape, 1j * t)}), 0.7
+    yield HoppingKernel(grid, kappa0={(1,): 1.0})  # unpaired
+    yield HoppingKernel(grid)  # empty support
+    yield HoppingKernel(grid, kappa0={(1,): -0.5, (-1,): -0.5},  # complex, unpaired
+                        kappa1={(0,): np.full(grid.shape, 0.7, dtype=complex),
+                                (1,): np.full(grid.shape, 0.7j)})
 
 
 def test_direct_csr_assembly_matches_coo_oracle():
-    for kernel, t in _oracle_kernels():
-        op = build_particle_hamiltonian(kernel, t=t, tol=np.inf)
-        _assert_same_csr(op.matrix, _coo_oracle(kernel, t))
-        _assert_offset_order(op.matrix, kernel, t)
+    for kernel in _oracle_kernels():
+        op = build_particle_hamiltonian(kernel, tol=np.inf)
+        _assert_same_csr(op.matrix, _coo_oracle(kernel))
+        _assert_offset_order(op.matrix, kernel)
     # four offsets meet on a 2x2 torus; scipy sums duplicates in no fixed order
     kernel = random_unitary_kernel(LatticeGrid((2, 2), 1.0), np.random.default_rng(35),
                                    representatives=[(1, 1), (1, -1)])
@@ -156,8 +156,8 @@ def test_open_grid_operator_holds_only_its_entries():
 def test_pairing_defect_equals_generic_defect():
     rng = np.random.default_rng(36)
     kernels = []
-    for kernel, t in _oracle_kernels():
-        if t is None and kernel.support:  # the unpaired kernel is one of them
+    for kernel in _oracle_kernels():
+        if kernel.support:  # the unpaired kernels are among them
             kernels += [kernel, perturb_kernel(kernel, rng)]
     rejected = 0
     for kernel in kernels:
@@ -195,46 +195,6 @@ def test_matrix_matches_direct_application():
         via_matrix = (op.matvec(psi.ravel())).reshape(grid.shape)
         direct = apply_kernel(kernel, psi)
         assert np.abs(via_matrix - direct).max() < 1e-13
-
-
-def test_time_dependent_kernel_rebuild():
-    grid = LatticeGrid((6,), 1.0)
-
-    def kappa1(t):
-        return {(0,): np.full(grid.shape, t, dtype=complex)}
-
-    kernel = HoppingKernel(grid, kappa0={(1,): -0.5, (-1,): -0.5},
-                           kappa1=kappa1)
-    assert kernel.time_dependent
-    h0 = build_particle_hamiltonian(kernel, t=0.0).to_dense()
-    h1 = build_particle_hamiltonian(kernel, t=2.0).to_dense()
-    assert np.abs((h1 - h0) - 2.0 * np.eye(6)).max() < 1e-14
-
-
-def test_time_dependent_kernel_offsets_taken_at_build_time():
-    # the +-1 pair carries amplitude only at t=1, and it breaks the pairing
-    grid = LatticeGrid((8,), 1.0)
-    calls = []
-
-    def kappa1(t):
-        calls.append(t)
-        if t == 0.0:
-            return {}
-        if t == 2.0:
-            return {(5,): np.ones(grid.shape)}
-        return {n: np.full(grid.shape, -0.5 + 0.25j) for n in ((1,), (-1,))}
-
-    kernel = HoppingKernel(grid, kappa0={(0,): 1.0}, kappa1=kappa1)
-    calls.clear()
-    op = build_particle_hamiltonian(kernel, t=1.0, tol=np.inf)
-    assert op.matrix.nnz == 24
-    assert op.hermiticity_defect == 0.5
-    assert calls == [1.0]
-    report = validate_kernel_unitarity(kernel, t=1.0)
-    assert not report.passed and report.max_violation == 0.5
-    assert validate_kernel_unitarity(kernel).passed
-    with pytest.raises(ValueError, match="exceeds maximum"):
-        build_particle_hamiltonian(kernel, t=2.0)
 
 
 def test_gauge_shift_preserves_spectrum():

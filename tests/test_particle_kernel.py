@@ -73,10 +73,16 @@ def test_validate_open_boundary_counts_skipped_pairs():
     assert report.checked_pairs == 8 + 7 + 7
 
 
-def test_kernel_rejects_oversized_support():
-    grid = grid1d()
-    with pytest.raises(ValueError):
-        HoppingKernel(grid, kappa0={(5,): 1.0})
+@pytest.mark.parametrize("n_sites, kappa0, kappa1, error, message", [
+    (16, {(5,): 1.0}, None, ValueError, "exceeds maximum"),
+    (16, None, {(5,): np.ones(16)}, ValueError, "exceeds maximum"),
+    (3, {(3,): 1.0}, None, ValueError, "does not fit within grid"),
+    (16, None, {(1,): np.ones(15)}, ValueError, "has shape"),
+    (16, None, lambda t: {}, TypeError, "time-dependent kernels were removed"),
+], ids=["radius-kappa0", "radius-kappa1", "grid-fit", "field-shape", "callable"])
+def test_kernel_rejects_oversized_support(n_sites, kappa0, kappa1, error, message):
+    with pytest.raises(error, match=message):
+        HoppingKernel(grid1d(n_sites), kappa0=kappa0, kappa1=kappa1)
 
 
 # --- mass ---------------------------------------------------------------------
