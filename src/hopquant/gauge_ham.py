@@ -222,11 +222,12 @@ def commutator_norms(op, lattice, link_maps):
     link_maps = list(link_maps)
     images = [_move_image(lattice, assignments, moves) for assignments in link_maps]
     # beside H and the amplitudes, index arrays and gathers: tracemalloc measured
-    # 24-26 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3
+    # 24-26 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3,
+    # so four 8-byte words per state bound them
     dtype = op.data.dtype
     linop._require_memory(
         op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
-        + len(moves) * dim * dtype.itemsize + 6 * dim * np.dtype(np.intp).itemsize,
+        + len(moves) * dim * dtype.itemsize + 4 * dim * np.dtype(np.intp).itemsize,
         f"certifying dimension {dim}")
     amps, stored = _stored_amplitudes(op, lattice, moves)
 

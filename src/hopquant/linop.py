@@ -1,8 +1,11 @@
 """Sparse Hermitian operators: assembly, matvec, propagation, extremal eigenpairs.
 
 Both solvers run one Chebyshev three-term recurrence, which writes each term
-over the one before last and adds H times the last into it in place, so no
-term allocates. Propagation sums a Chebyshev series (Tal-Ezer & Kosloff,
+over the one before last and adds H times the last into it in place, one
+block of rows at a time that stays in cache through the term's steps, so no
+term allocates. Propagation holds three vectors and one row block of
+scratch, the eigensolver a fixed workspace of three blocks of columns.
+Propagation sums a Chebyshev series (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81 (1984) 3967), with truncation error at most 2^-53 * |v|, over
 a proven interval: the Collatz-Wielandt bound max_i (|H - cI| w)_i / w_i on
 |lambda - c|, for the Gershgorin centre c and a positive w from three power
@@ -151,7 +154,7 @@ class SparseHermitianOperator:
         self._add_product(v, out)
         return out
 
-    def _add_product(self, x, out):
+    def _add_product(self, x, out, ptr=None):
         """``out += H @ x`` in place, for a vector or an (n, m) block ``x``.
 
         scipy's product has no ``out=``, so this calls the kernels behind it,
@@ -161,20 +164,27 @@ class SparseHermitianOperator:
         entry, so into zeros it equals ``matrix @ x`` bit for bit. ``out``
         must be C-contiguous, writeable and of the product's dtype, else
         ``ValueError``; scipy would take the sum into a silent copy.
+
+        ``ptr``, an ``indptr`` slice as ``_row_blocks`` yields it, limits the
+        product to those rows, and ``out`` then holds only them. The kernels
+        read its offsets as positions in ``indices`` and ``data``, so nothing
+        is copied; an ``x`` that is not C-contiguous is, at every call.
         """
         n = self.dimension
+        ptr = self.indptr if ptr is None else ptr
+        rows = len(ptr) - 1
         dtype = np.result_type(self.data.dtype, x.dtype)
         if (x.ndim not in (1, 2) or x.shape[0] != n or out.dtype != dtype
-                or out.shape != x.shape
+                or out.shape != (rows,) + x.shape[1:]
                 or not (out.flags.c_contiguous and out.flags.writeable)):
             raise ValueError(f"H @ x of shape {x.shape} and dtype {dtype} cannot be added "
                              f"into a {out.dtype} array of shape {out.shape} in place")
         kernels = _kernels()
         if x.ndim == 1 or x.shape[1] == 1:
-            kernels.csr_matvec(n, n, self.indptr, self.indices, self.data, x.reshape(-1),
+            kernels.csr_matvec(rows, n, ptr, self.indices, self.data, x.reshape(-1),
                                out.reshape(-1))
         else:  # like scipy, a block that is not C-contiguous is copied
-            kernels.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data,
+            kernels.csr_matvecs(rows, n, x.shape[1], ptr, self.indices, self.data,
                                 x.ravel(), out.reshape(-1))
 
     def _rows(self, start, ptr):
@@ -182,11 +192,15 @@ class SparseHermitianOperator:
         return np.repeat(np.arange(start, start + len(ptr) - 1, dtype=self.indices.dtype),
                          np.diff(ptr))
 
+    def _block_rows(self):
+        """Rows in each block of ``_row_blocks`` but the last: about 2^16 entries."""
+        n = self.dimension
+        return max(1, min(n, 2 ** 16 * n // max(self.nnz, 1)))
+
     def _row_blocks(self):
         """(first row, indptr slice) of consecutive blocks of about 2^16 entries."""
-        n = self.dimension
-        rows = max(1, 2 ** 16 * n // max(self.nnz, 1))
-        for start in range(0, n, rows):
+        rows = self._block_rows()
+        for start in range(0, self.dimension, rows):
             yield start, self.indptr[start:start + rows + 1]
 
     def to_dense(self):
@@ -435,11 +449,12 @@ def propagate(op, v, t, hbar=1.0):
                           J_k(r*|tau|) T_k(Ht) v,
 
     summed by the three-term recurrence T_{k+1} = 2*Ht*T_k - T_{k-1}, with
-    T_{k+1} written over T_{k-1}: one matvec per term, added in place, and
-    four work vectors (the sum, T_k, T_{k-1} and a scratch vector) allocated
-    once per call, nothing the size of H. The series stops where the dropped
-    sum of 2|J_k| falls below 2^-53; since |T_k(Ht)| <= 1, that bounds the
-    truncation error by 2^-53 * |v|.
+    T_{k+1} written over T_{k-1}: one matvec per term, added in place a row
+    block at a time, with the block's share of the sum added while it is in
+    cache. Three work vectors (the sum, T_k and T_{k-1}) and one row block of
+    scratch are allocated once per call, nothing the size of H. The series
+    stops where the dropped sum of 2|J_k| falls below 2^-53; since
+    |T_k(Ht)| <= 1, that bounds the truncation error by 2^-53 * |v|.
 
     The two paths agree only on a Hermitian H. An operator certified above
     the default 1e-12 tolerance may not be one: the dense path then evolves
@@ -464,37 +479,53 @@ def propagate(op, v, t, hbar=1.0):
     powers = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k, conjugated for tau < 0
     coefs = 2.0 * j * (powers if tau > 0 else powers.conj())[np.arange(len(j)) % 4]
     coefs[0] /= 2.0
-    tmp, cur = np.empty(v.shape, dtype=complex), np.zeros(v.shape, dtype=complex)
+    tmp = np.empty((op._block_rows(),) + v.shape[1:], dtype=complex)
+    cur = np.zeros(v.shape, dtype=complex)
     op._add_product(v, cur)
-    prev, cur = v.copy(), _chebyshev_first(cur, v, c, r, tmp)
     out = coefs[0] * v
-    out += np.multiply(cur, coefs[1], out=tmp)
+    prev, cur = v.copy(), _chebyshev_first(op, cur, v, c, r, tmp, out, coefs[1])
     for a in coefs[2:]:
-        prev, cur = cur, _chebyshev_next(op, cur, prev, c, r, tmp)
-        out += np.multiply(cur, a, out=tmp)
+        prev, cur = cur, _chebyshev_next(op, cur, prev, c, r, tmp, out, a)
     out *= phase
     return out
 
 
-def _chebyshev_first(hv, v, c, r, tmp):
-    """T_1(Ht) v = (H v - c v) / r, written over ``hv`` = H v; ``tmp`` is a work array."""
-    hv -= np.multiply(v, c, out=tmp)
-    hv *= 1.0 / r
+def _chebyshev_first(op, hv, v, c, r, tmp, out=None, coef=None):
+    """T_1(Ht) v = (H v - c v) / r, written over ``hv`` = H v a row block at a time.
+
+    ``tmp`` and ``out`` are as in ``_chebyshev_next``.
+    """
+    for start, ptr in op._row_blocks():
+        rows = slice(start, start + len(ptr) - 1)
+        block, scratch = hv[rows], tmp[:len(ptr) - 1]
+        block -= np.multiply(v[rows], c, out=scratch)
+        block *= 1.0 / r
+        if out is not None:
+            out[rows] += np.multiply(block, coef, out=scratch)
     return hv
 
 
-def _chebyshev_next(op, cur, prev, c, r, tmp):
+def _chebyshev_next(op, cur, prev, c, r, tmp, out=None, coef=None):
     """T_{k+1}(Ht) v = 2 Ht T_k(Ht) v - T_{k-1}(Ht) v with Ht = (H - c)/r, over ``prev``.
 
-    ``cur`` and ``prev`` hold T_k and T_{k-1} (vectors or blocks of columns);
-    ``prev`` is scaled by -r/2, loses c T_k, gains H T_k in place and is
-    scaled by 2/r, so no term allocates. ``prev`` must be C-contiguous and of
-    the product's dtype; ``tmp`` is a work array of the shape of ``cur``.
+    ``cur`` and ``prev`` hold T_k and T_{k-1} (C-contiguous vectors or blocks
+    of columns, ``prev`` of the product's dtype). The term is made one block
+    of ``op._row_blocks()`` at a time, which stays in cache through its four
+    steps: its rows of ``prev`` are scaled by -r/2, lose c T_k, gain H T_k in
+    place and are scaled by 2/r, so no term allocates, and with ``out``
+    ``coef`` times them is added into ``out``'s. Each step acts on every
+    entry alone, so the result equals the unblocked formula bit for bit.
+    ``tmp`` is a work array whose leading rows hold one block of ``cur``.
     """
-    prev *= -r / 2.0
-    prev -= np.multiply(cur, c, out=tmp)
-    op._add_product(cur, prev)
-    prev *= 2.0 / r
+    for start, ptr in op._row_blocks():
+        rows = slice(start, start + len(ptr) - 1)
+        block, scratch = prev[rows], tmp[:len(ptr) - 1]
+        block *= -r / 2.0
+        block -= np.multiply(cur[rows], c, out=scratch)
+        op._add_product(cur, block, ptr)
+        block *= 2.0 / r
+        if out is not None:
+            out[rows] += np.multiply(block, coef, out=scratch)
     return prev
 
 
@@ -541,6 +572,16 @@ def eigs_extremal(op, k):
     cluster reaches the edge of the block. The block is seeded from
     ``EIGS_SEED``; after ``EIGS_MAX_PASSES`` passes ``EigenConvergenceError``
     carries the residuals.
+
+    A solve holds a workspace of three n x m blocks, allocated once and again
+    only when the block widens: X, H X and a third that takes each rotation
+    X Q and H X Q, the conjugate of X for X^H H X, the residuals, the
+    deflation's product and the filter terms' row-block scratch. Each filter
+    term is made a row block at a time (see ``_chebyshev_next``).
+    ``HilbertDimensionError`` is raised, before
+    anything of size n is allocated, when the three blocks would not fit in
+    the available memory, and again before widening. The vectors returned
+    are a copy of the k wanted columns.
     """
     n = op.dimension
     if not 0 <= k <= n:
@@ -548,6 +589,8 @@ def eigs_extremal(op, k):
     if k == 0:
         return np.zeros(0), np.zeros((n, 0))
     values, vectors = _filtered_subspace_iteration(op, k)
+    # a copy, so that the vectors a caller keeps do not hold the solver's block
+    vectors = vectors.copy()
     residuals = np.linalg.norm(op.matvec(vectors) - vectors * values, axis=0)
     if residuals.max() > RESIDUAL_TOL:
         raise EigenConvergenceError(
@@ -558,28 +601,33 @@ def eigs_extremal(op, k):
 
 
 def _filtered_subspace_iteration(op, k):
-    """The ``k`` lowest Ritz pairs, ascending, of the iteration in ``eigs_extremal``."""
+    """The ``k`` lowest Ritz pairs, ascending, of the iteration in ``eigs_extremal``;
+    the vectors are a view of the workspace's block."""
     n = op.dimension
+    m = min(n, max(2 * k, k + 16))
+    dtype = np.result_type(op.data.dtype, float)
+    _require_memory(3 * n * m * dtype.itemsize, f"eigensolve of dimension {n}, {m} columns")
     lo, hi = op.spectral_interval()
     rng = np.random.default_rng(EIGS_SEED)
-    dtype = np.result_type(op.data.dtype, float)
 
     def random_block(columns):
         return rng.standard_normal((n, columns)).astype(dtype, copy=False)
 
-    x = _orthonormalize(random_block(min(n, max(2 * k, k + 16))))
+    # The workspace: x holds the block, hx H times it and w the rest; each
+    # product is written into a spare block and the names swapped.
+    x = random_block(m)
+    x, w = _orthonormalize(x, np.empty_like(x))
+    hx = np.zeros_like(x)
     for passes in range(1, EIGS_MAX_PASSES + 1):
-        hx = op.matvec(x)
-        theta, q = np.linalg.eigh(x.conj().T @ hx)
-        x = x @ q
-        hx = hx @ q
-        tmp = np.empty_like(x)
-        residuals = _column_norms(np.subtract(hx, np.multiply(x, theta, out=tmp), out=tmp))
+        op._add_product(x, hx)
+        theta, q = np.linalg.eigh(_conjugate(x, w).T @ hx)
+        x, w = np.matmul(x, q, out=w), x
+        hx, w = np.matmul(hx, q, out=w), hx
+        residuals = _column_norms(np.subtract(hx, np.multiply(x, theta, out=w), out=w))
         if residuals[:k].max(initial=0.0) <= RESIDUAL_TOL:
             return theta[:k], x[:, :k]
         if passes == EIGS_MAX_PASSES:
             break
-        m = x.shape[1]
         # T_d((H - c)/r) is bounded by 1 on [theta_m, hi]; a floor on the
         # width of that interval keeps T_d finite below it.
         a = min(theta[-1], hi - (hi - lo) * 2.0 ** -20)
@@ -597,22 +645,35 @@ def _filtered_subspace_iteration(op, k):
         done = x[:, :locked].copy()
         x[:, :locked] = hx[:, :locked] = 0.0
         if passes > 1 and m < n and gain < 2.0:
-            extra = random_block(min(m, n - m))
-            x, hx = np.hstack([x, extra]), np.hstack([hx, op.matvec(extra)])
-            tmp = np.empty_like(x)
+            wider = m + min(m, n - m)
+            _require_memory(3 * n * wider * dtype.itemsize,
+                            f"eigensolve of dimension {n}, {wider} columns")
+            # the old blocks go as the new ones come, so at most three are held
+            del w
+            extra = random_block(wider - m)
+            h_extra = op.matvec(extra)
+            x = np.hstack([x, extra])
+            del extra
+            hx = np.hstack([hx, h_extra])
+            del h_extra
+            w, m = np.empty_like(x), wider
+
+        done_h = done.conj().T  # once a pass, not once a term
 
         def deflate(y):
             if locked:
-                y -= np.matmul(done, done.conj().T @ y, out=tmp)
+                y -= np.matmul(done, done_h @ y, out=w)
             return y
 
-        prev, cur = x, deflate(_chebyshev_first(hx, x, c, r, tmp))
+        # w is the terms' row-block scratch as well as the deflation's output
+        prev, cur = x, deflate(_chebyshev_first(op, hx, x, c, r, w))
         del x, hx
         for _ in range(EIGS_FILTER_DEGREE - 1):
-            prev, cur = cur, deflate(_chebyshev_next(op, cur, prev, c, r, tmp))
-        del prev, tmp
+            prev, cur = cur, deflate(_chebyshev_next(op, cur, prev, c, r, w))
         cur[:, :locked] = done
-        x = _orthonormalize(cur)
+        x, hx = _orthonormalize(cur, prev)
+        del prev, cur  # else a widening would keep the old blocks alive
+        hx.fill(0.0)
     raise EigenConvergenceError(
         f"filtered subspace iteration stopped after {EIGS_MAX_PASSES} passes with "
         f"{int(np.sum(residuals[:k] <= RESIDUAL_TOL))}/{k} pairs converged",
@@ -620,7 +681,7 @@ def _filtered_subspace_iteration(op, k):
     )
 
 
-def _orthonormalize(y):
+def _orthonormalize(y, spare):
     """An orthonormal basis of the span of the columns of ``y``, which it rescales.
 
     SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23 (2002) 2165): scale the
@@ -629,17 +690,25 @@ def _orthonormalize(y):
     largest value) come out as rounding noise, which the next sweep or the
     next filter pass treats like any other vector. A sweep that starts from
     a Gram matrix with eigenvalues above 1/2 leaves columns orthonormal to
-    rounding, so the sweeps stop there, or after four. Unlike numpy's Householder QR, which
-    holds four copies of the block, it holds two, and its work is three
-    matrix products.
+    rounding, so the sweeps stop there, or after four. Unlike numpy's
+    Householder QR, which holds four copies of the block, it holds two: each
+    sweep writes the conjugate of a complex ``y`` and then its product into
+    ``spare``, a C-contiguous block of ``y``'s shape and dtype, and swaps the
+    two. It returns (basis, spare), which are ``y`` and ``spare`` in some
+    order, and its work is three matrix products.
     """
     for _ in range(4):
         y /= _column_norms(y)
-        s, v = np.linalg.eigh(y.conj().T @ y)
-        y = y @ (v / np.sqrt(np.maximum(s, s[-1] * 2.0 ** -52)))
+        s, v = np.linalg.eigh(_conjugate(y, spare).T @ y)
+        y, spare = np.matmul(y, v / np.sqrt(np.maximum(s, s[-1] * 2.0 ** -52)), out=spare), y
         if s[0] > 0.5:
             break
-    return y
+    return y, spare
+
+
+def _conjugate(a, out):
+    """conj(``a``), written into ``out`` for a complex ``a``; a real ``a`` is its own."""
+    return np.conjugate(a, out=out) if np.iscomplexobj(a) else a
 
 
 def _column_norms(a):

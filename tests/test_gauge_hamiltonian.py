@@ -641,6 +641,26 @@ def test_certifier_memory_checked_before_allocating(monkeypatch):
     assert peak < 2 ** 20
 
 
+def test_certifier_peak_within_its_memory_budget(monkeypatch):
+    # the check budgets four 8-byte words per state beside H and the amplitudes
+    lat = LinkLattice((2, 2), 4, boundary="periodic")
+    dim, op = lat.hilbert_dim, build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    amplitudes = len({tuple(np.mod(o, lat.n)) for o in gauge_ham._move_offsets(lat)}) * dim * 8
+    tracemalloc.start()
+    try:
+        symmetry_commutator_norms(op, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - amplitudes <= 4 * 8 * dim
+    held = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes + amplitudes
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: held + 4 * 8 * dim - 1)
+    with pytest.raises(HilbertDimensionError, match="certifying dimension 65536"):
+        symmetry_commutator_norms(op, lat)
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: held + 4 * 8 * dim)
+    symmetry_commutator_norms(op, lat)
+
+
 def test_spectrum_invariant_under_global_direction_shift():
     lat = LinkLattice((2, 2), 3, boundary="periodic")
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))

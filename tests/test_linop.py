@@ -1,5 +1,7 @@
 """Operator substrate: matvec, propagation, extremal eigenpairs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,7 @@ from hopquant import (
     random_unitary_kernel,
     reference_ks_hamiltonian,
 )
-from hopquant.errors import EigenConvergenceError, HermiticityError
+from hopquant.errors import EigenConvergenceError, HermiticityError, HilbertDimensionError
 from hopquant.linop import eigs_extremal, propagate
 from sparse_oracle import from_matrix
 from test_cli import _python
@@ -300,6 +302,120 @@ def test_propagate_series_on_kernel_operator(monkeypatch, boundary):
     assert terms < len(linop._bessel_series((hi - lo) / 2.0 * 0.5))
 
 
+@pytest.fixture(scope="module")
+def gauge_n4():
+    """The Maxwell Hamiltonian on 2x2 periodic N=4 (dim 65,536), 16 row blocks."""
+    return build_gauge_hamiltonian(LinkLattice((2, 2), 4, boundary="periodic"),
+                                   MaxwellPreset(1.0, 1.0))
+
+
+def _particle_32():
+    rng = np.random.default_rng(22)
+    op = build_particle_hamiltonian(random_unitary_kernel(
+        LatticeGrid((32, 32, 32), 1.0), rng,
+        representatives=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]))
+    return op, rng
+
+
+def _unblocked_term(op, cur, prev, c, r):
+    """The term of ``_chebyshev_next`` made over all rows at once."""
+    prev = prev.copy()
+    prev *= -r / 2.0
+    prev -= c * cur
+    op._add_product(cur, prev)
+    prev *= 2.0 / r
+    return prev
+
+
+@pytest.mark.parametrize("case", ["real 22-column block", "complex vector"])
+def test_chebyshev_terms_by_row_block_match_the_unblocked_formula(case, gauge_n4):
+    if case == "real 22-column block":
+        op, rng, coef = gauge_n4, np.random.default_rng(23), 0.3
+        cur, prev, total = rng.standard_normal((3, op.dimension, 22))
+    else:
+        (op, rng), coef = _particle_32(), 0.3 - 0.7j
+        cur, prev, total = (rng.standard_normal((3, op.dimension))
+                            + 1j * rng.standard_normal((3, op.dimension)))
+    assert len(list(op._row_blocks())) > 1
+    lo, hi = op.spectral_interval()
+    c, r = (hi + lo) / 2.0, (hi - lo) / 2.0
+    tmp = np.empty((op._block_rows(),) + cur.shape[1:], dtype=cur.dtype)
+    # each block's rows of the product are the whole product's, bit for bit
+    whole = op.matvec(cur)
+    for start, ptr in op._row_blocks():
+        rows = np.zeros((len(ptr) - 1,) + cur.shape[1:], dtype=cur.dtype)
+        op._add_product(cur, rows, ptr)
+        assert rows.tobytes() == whole[start:start + len(ptr) - 1].tobytes()
+    want = _unblocked_term(op, cur, prev, c, r)
+    assert linop._chebyshev_next(op, cur, prev.copy(), c, r, tmp).tobytes() == want.tobytes()
+    # with out and coef, the sum gains coef times the term, as it would after it
+    want_total = total + np.multiply(want, coef)  # the order of a complex product counts
+    got = linop._chebyshev_next(op, cur, prev.copy(), c, r, tmp, total, coef)
+    assert got.tobytes() == want.tobytes() and total.tobytes() == want_total.tobytes()
+    first = linop._chebyshev_first(op, whole.copy(), cur, c, r, tmp)
+    assert first.tobytes() == ((whole - c * cur) * (1.0 / r)).tobytes()
+
+
+def test_propagate_holds_three_vectors_and_one_row_block():
+    op, rng = _particle_32()
+    v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    propagate(op, v, 0.5)  # caches the interval and loads the kernels
+    tracemalloc.start()
+    try:
+        propagate(op, v, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the series' coefficients, a few hundred numbers, take the last 16 KiB
+    assert peak <= 16 * (3 * op.dimension + op._block_rows()) + 2 ** 14
+
+
+@pytest.mark.parametrize("case, blocks", [
+    ("real gauge", 3.25),
+    # a complex block's locked columns are held conjugated as well
+    ("complex particle", 3.5),
+])
+def test_eigensolve_holds_three_blocks(monkeypatch, gauge_n4, case, blocks):
+    if case == "real gauge":
+        op = gauge_n4
+    else:
+        op = build_particle_hamiltonian(random_unitary_kernel(
+            LatticeGrid((16, 16, 16), 1.0), np.random.default_rng(24),
+            representatives=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]))
+    widths = _record_block_widths(monkeypatch)
+    op.matvec(np.ones(op.dimension))  # loads the kernels
+    tracemalloc.start()
+    try:
+        eigs_extremal(op, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(widths) == {22}
+    assert peak <= blocks * op.dimension * 22 * np.result_type(op.data, float).itemsize
+
+
+def test_oversize_eigensolve_fails_before_allocating(monkeypatch, gauge_n4):
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 2 ** 24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HilbertDimensionError, match="eigensolve of dimension 65536, 22 "):
+            eigs_extremal(gauge_n4, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_eigensolve_checks_memory_before_widening(monkeypatch):
+    # the (10, 52) case below: the block starts 26 columns wide and doubles
+    op = build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
+                                 MaxwellPreset(1.0, 1.0))
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 3 * 256 * 26 * 8)
+    with pytest.raises(HilbertDimensionError, match="eigensolve of dimension 256, 52 "):
+        eigs_extremal(op, 10)
+    eigs_extremal(op, 9)  # 25 columns, which never widen
+
+
 def test_bessel_series_matches_scipy_and_truncates():
     from scipy.special import jv
 
@@ -388,9 +504,9 @@ def _record_block_widths(monkeypatch):
     widths = []
     orthonormalize = linop._orthonormalize
 
-    def recording(y):
+    def recording(y, *rest):
         widths.append(y.shape[1])
-        return orthonormalize(y)
+        return orthonormalize(y, *rest)
 
     monkeypatch.setattr(linop, "_orthonormalize", recording)
     return widths
