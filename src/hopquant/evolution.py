@@ -100,15 +100,14 @@ def continuum_residual(kernel, state, hbar=1.0, charge=1.0):
 class ContinuumProblem:
     """A continuum initial-value problem posed over a fixed physical domain.
 
-    ``initial`` maps coordinate arrays to the t=0 state and ``reference``
-    maps (coordinate arrays, t) to the exact solution. Potentials are
-    callables of the coordinate arrays (or None).
+    ``solution`` maps (coordinate arrays, t) to the exact solution, whose
+    value at t=0 is the initial state. Potentials are callables of the
+    coordinate arrays (or None).
     """
 
-    initial: callable
+    solution: callable
     duration: float
     domain: tuple  # ((lo, hi), ...) per axis
-    reference: callable
     mass: float = 1.0
     vector_potential: callable = None
     scalar_potential: callable = None
@@ -153,9 +152,9 @@ def _relative_error(problem, a):
     kernel = kernel_from_potentials(problem.vector_potential,
                                     problem.scalar_potential, problem.mass, grid,
                                     hbar=problem.hbar, charge=problem.charge)
-    psi0 = LatticeWavefunction.from_callable(grid, problem.initial)
+    psi0 = LatticeWavefunction.from_callable(grid, lambda *x: problem.solution(*x, 0.0))
     values = evolve(kernel, psi0, problem.duration, 1, hbar=problem.hbar).psi.values
-    ref = np.asarray(problem.reference(*grid.coordinates(), problem.duration),
+    ref = np.asarray(problem.solution(*grid.coordinates(), problem.duration),
                      dtype=complex)
     return float(np.linalg.norm((values - ref).ravel()) / np.linalg.norm(ref.ravel()))
 
@@ -179,10 +178,8 @@ def free_gaussian_problem(domain=(-12.0, 12.0), duration=1.0, x0=0.0, sigma=1.0,
                           k0=0.0, mass=1.0, hbar=1.0):
     """Free packet spreading against the closed-form Gaussian solution."""
     return ContinuumProblem(
-        initial=lambda x: free_gaussian(x, 0.0, x0=x0, sigma=sigma, k0=k0,
-                                        mass=mass, hbar=hbar),
-        reference=lambda x, t: free_gaussian(x, t, x0=x0, sigma=sigma, k0=k0,
-                                             mass=mass, hbar=hbar),
+        solution=lambda x, t: free_gaussian(x, t, x0=x0, sigma=sigma, k0=k0,
+                                            mass=mass, hbar=hbar),
         duration=duration, domain=(domain,), mass=mass, hbar=hbar,
         name="free-gaussian")
 
@@ -193,10 +190,8 @@ def harmonic_problem(domain=(-8.0, 8.0), duration=None, x0=1.0, mass=1.0,
     if duration is None:
         duration = 2.0 * np.pi / omega
     return ContinuumProblem(
-        initial=lambda x: coherent_oscillator(x, 0.0, x0=x0, mass=mass,
-                                              omega=omega, hbar=hbar),
-        reference=lambda x, t: coherent_oscillator(x, t, x0=x0, mass=mass,
-                                                   omega=omega, hbar=hbar),
+        solution=lambda x, t: coherent_oscillator(x, t, x0=x0, mass=mass,
+                                                  omega=omega, hbar=hbar),
         duration=duration, domain=(domain,), mass=mass,
         scalar_potential=lambda x: 0.5 * mass * omega ** 2 * x ** 2,
         boundary="open", hbar=hbar, name="harmonic")
@@ -206,12 +201,9 @@ def constant_field_problem(a_strength, domain=(-12.0, 12.0), duration=2.0,
                            x0=0.0, sigma=1.0, mass=1.0, hbar=1.0, charge=1.0):
     """Packet drift under a constant vector potential (kinetic momentum shift)."""
     return ContinuumProblem(
-        initial=lambda x: drifting_gaussian(x, 0.0, a_strength, x0=x0,
-                                            sigma=sigma, mass=mass, hbar=hbar,
-                                            charge=charge),
-        reference=lambda x, t: drifting_gaussian(x, t, a_strength, x0=x0,
-                                                 sigma=sigma, mass=mass,
-                                                 hbar=hbar, charge=charge),
+        solution=lambda x, t: drifting_gaussian(x, t, a_strength, x0=x0,
+                                                sigma=sigma, mass=mass,
+                                                hbar=hbar, charge=charge),
         duration=duration, domain=(domain,), mass=mass,
         vector_potential=lambda x: [np.full_like(x, a_strength)],
         hbar=hbar, charge=charge, name="constant-field")

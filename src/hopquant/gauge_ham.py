@@ -191,26 +191,24 @@ class SymmetryReport:
         return _fold_max([self.gauge, self.charge_conjugation, self.parity])
 
 
-def commutator_norms(op, lattice, link_maps):
-    """Exact max-norms of [H, P] for the permutation P of each link map.
+def commutator_norms(op, lattice, maps):
+    """Exact max-norms of [H, P] for the permutation P of each map (A, b).
 
     H must be a sum of one-link moves on ``lattice``: H = sum_o D_o T_o over
     the move offsets o of ``_move_offsets`` taken mod N (raise and lower
     coincide at N=2), where T_o shifts a configuration by o and D_o holds its
-    amplitudes a_o(x) = H[x, x + o]. A link map in
-    ``zn.permutation_from_link_map``'s format sends configuration x to
-    sigma(x) and offset o to A o, whose step on link dest is sign times the
-    step of o on link src, mod N. So P H P^T - H holds exactly the entries
-    a_o(x) - a_{A o}(sigma(x)), and each norm is their largest modulus. That
-    is max|P H P^T - H|, the max-norm of the commutator with its columns
-    permuted. H must come from the hopping
-    assembler, whose row x holds one slot per move H stores, in the order of
-    the move offsets. Each a_o is copied from its slot once, a move H does
-    not store reads as zero, a pair of moves H stores neither of is skipped,
-    and no copy of H is made.
+    amplitudes a_o(x) = H[x, x + o]. A map (A, b) in ``zn.permutation``'s
+    format sends configuration x to sigma(x) = A x + b and offset o to A o,
+    mod N. So P H P^T - H holds exactly the entries a_o(x) - a_{A o}(sigma(x)),
+    and each norm is their largest modulus. That is max|P H P^T - H|, the
+    max-norm of the commutator with its columns permuted. H must come from
+    the hopping assembler, whose row x holds one slot per move H stores, in
+    the order of the move offsets. Each a_o is copied from its slot once, a
+    move H does not store reads as zero, a pair of moves H stores neither of
+    is skipped, and no copy of H is made.
 
     Raises ``ValueError`` when H has entries off the moves or rows in another
-    order, or a link map is not a bijection of the links with signs +-1, and
+    order, or an A does not permute the moves, and
     ``HilbertDimensionError`` when H and the amplitude arrays together
     would not fit in the available memory.
     """
@@ -219,8 +217,8 @@ def commutator_norms(op, lattice, link_maps):
         raise ValueError(f"operator of dimension {op.dimension} does not act on {lattice}")
     moves = list(dict.fromkeys(tuple(int(c) for c in np.mod(o, n))
                                for o in _move_offsets(lattice)))
-    link_maps = list(link_maps)
-    images = [_move_image(lattice, assignments, moves) for assignments in link_maps]
+    maps = list(maps)
+    images = [_move_image(lattice, symmetry, moves) for symmetry in maps]
     # beside H and the amplitudes, index arrays and gathers: tracemalloc measured
     # 24-26 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3,
     # so four 8-byte words per state bound them
@@ -232,8 +230,8 @@ def commutator_norms(op, lattice, link_maps):
     amps, stored = _stored_amplitudes(op, lattice, moves)
 
     moved, norms = np.empty(dim, dtype=dtype), []
-    for assignments, image in zip(link_maps, images):
-        sigma = zn.permutation_from_link_map(lattice, assignments)
+    for symmetry, image in zip(maps, images):
+        sigma = zn.permutation(lattice, symmetry)
         norm = 0.0
         for k, j in enumerate(image):
             if not (stored[k] or stored[j]):
@@ -297,22 +295,17 @@ def _stored_amplitudes(op, lattice, moves):
     return amps, np.isin(np.arange(len(moves)), slots)
 
 
-def _move_image(lattice, assignments, moves):
-    """The index in ``moves`` of A o for every move offset o, with A as in
-    ``commutator_norms``, or ``ValueError``."""
-    n = lattice.n
-    srcs = sorted(src for src, _, _ in assignments.values())
-    if (sorted(assignments) != list(range(lattice.n_links))
-            or srcs != list(range(lattice.n_links))
-            or any((sign % n) not in (1, n - 1) for _, sign, _ in assignments.values())):
-        raise ValueError("link map is not a bijection of the links with signs +-1")
+def _move_image(lattice, symmetry, moves):
+    """The index in ``moves`` of A o mod N for every move o, or ``ValueError``
+    when A does not permute the moves: A fixes the zero move, so it does
+    exactly when A is a signed permutation of the links mod N."""
+    a, _ = symmetry
     index = {move: k for k, move in enumerate(moves)}
-    image = []
-    for move in moves:
-        moved = [0] * lattice.n_links
-        for dest, (src, sign, _) in assignments.items():
-            moved[zn._link_axis(lattice, dest)] = sign * move[zn._link_axis(lattice, src)] % n
-        image.append(index[tuple(moved)])
+    # a move is a basis-grid offset, whose axes hold the links in reverse order
+    image = [index.get(tuple(int(c) for c in a.dot(move[::-1]) % lattice.n)[::-1])
+             for move in moves]
+    if set(image) != set(index.values()):
+        raise ValueError("map is not a bijection of the link moves")
     return image
 
 
@@ -329,7 +322,7 @@ def allowed_parity_centers(lattice):
     for twice in product(*(range(span * L) for L in lattice.dims)):
         s0 = tuple(c / 2.0 for c in twice)
         try:
-            zn._parity_link_map(lattice, s0)
+            zn._parity_map(lattice, s0)
         except HopquantError:
             continue
         centers.append(s0)
@@ -343,11 +336,10 @@ def symmetry_commutator_norms(op, lattice):
     largest over every distinct allowed reflection, each from
     ``commutator_norms``.
     """
-    gauge_maps = zn.site_generator_link_maps(lattice)
-    parity_maps = [zn._parity_link_map(lattice, s0)
-                   for s0 in allowed_parity_centers(lattice)]
+    gauge_maps = zn.site_generator_maps(lattice)
+    parity_maps = [zn._parity_map(lattice, s0) for s0 in allowed_parity_centers(lattice)]
     norms = commutator_norms(op, lattice,
-                             [*gauge_maps, zn._charge_link_map(lattice), *parity_maps])
+                             [*gauge_maps, zn._charge_map(lattice), *parity_maps])
     gauge, conj, parity = (norms[:len(gauge_maps)], norms[len(gauge_maps)],
                            norms[len(gauge_maps) + 1:])
     return SymmetryReport(gauge=_fold_max(gauge), charge_conjugation=conj,

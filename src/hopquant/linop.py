@@ -577,11 +577,13 @@ def eigs_extremal(op, k):
     only when the block widens: X, H X and a third that takes each rotation
     X Q and H X Q, the conjugate of X for X^H H X, the residuals, the
     deflation's product and the filter terms' row-block scratch. Each filter
-    term is made a row block at a time (see ``_chebyshev_next``).
-    ``HilbertDimensionError`` is raised, before
-    anything of size n is allocated, when the three blocks would not fit in
-    the available memory, and again before widening. The vectors returned
-    are a copy of the k wanted columns.
+    term is made a row block at a time (see ``_chebyshev_next``). Beside them
+    it holds the locked columns, up to k - 1: twice while they are replaced,
+    and a complex block their conjugate as well. ``HilbertDimensionError`` is
+    raised, before anything of size n is allocated, when the three blocks and
+    three times k - 1 columns would not fit in the available memory, and
+    again before widening. The vectors returned are a copy of the k wanted
+    columns.
     """
     n = op.dimension
     if not 0 <= k <= n:
@@ -606,7 +608,14 @@ def _filtered_subspace_iteration(op, k):
     n = op.dimension
     m = min(n, max(2 * k, k + 16))
     dtype = np.result_type(op.data.dtype, float)
-    _require_memory(3 * n * m * dtype.itemsize, f"eigensolve of dimension {n}, {m} columns")
+
+    def require_workspace(columns):
+        # three blocks, and up to k - 1 locked columns, held twice while they
+        # are replaced and once more conjugated for a complex block
+        _require_memory((3 * columns + 3 * (k - 1)) * n * dtype.itemsize,
+                        f"eigensolve of dimension {n}, {columns} columns")
+
+    require_workspace(m)
     lo, hi = op.spectral_interval()
     rng = np.random.default_rng(EIGS_SEED)
 
@@ -646,8 +655,7 @@ def _filtered_subspace_iteration(op, k):
         x[:, :locked] = hx[:, :locked] = 0.0
         if passes > 1 and m < n and gain < 2.0:
             wider = m + min(m, n - m)
-            _require_memory(3 * n * wider * dtype.itemsize,
-                            f"eigensolve of dimension {n}, {wider} columns")
+            require_workspace(wider)
             # the old blocks go as the new ones come, so at most three are held
             del w
             extra = random_block(wider - m)

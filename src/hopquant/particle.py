@@ -434,9 +434,9 @@ def kernel_from_potentials(vector_potential, scalar_potential, mass, grid,
     diagonal carries U plus the A^2 compensation, so that extracting (A, U)
     from the result reproduces the inputs to O(a).
 
-    ``vector_potential`` is None, a callable of the coordinate arrays
-    returning one array per axis, or a list of per-site arrays; the scalar
-    potential likewise (single array).
+    ``vector_potential`` is None or a callable of the coordinate arrays
+    returning a list of one array per axis; ``scalar_potential`` is None or
+    a callable returning one array.
     """
     kern = HoppingKernel.nearest_neighbor(grid, mass, hbar=hbar)
     coords = grid.coordinates()
@@ -445,35 +445,26 @@ def kernel_from_potentials(vector_potential, scalar_potential, mass, grid,
     def vp_on(points):
         if vector_potential is None:
             return [np.zeros(grid.shape) for _ in range(grid.ndim)]
-        if callable(vector_potential):
-            out = vector_potential(*points)
-            out = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape)
-                   for c in (out if isinstance(out, (list, tuple)) else [out])]
-            if len(out) != grid.ndim:
-                raise ValueError("vector potential must supply one component per axis")
-            return out
-        return [np.asarray(c, dtype=float) for c in vector_potential]
+        out = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape)
+               for c in vector_potential(*points)]
+        if len(out) != grid.ndim:
+            raise ValueError("vector potential must supply one component per axis")
+        return out
 
     site_a = vp_on(coords)
     kappa1 = {}
     gamma = charge * hbar / (2.0 * mass * a)
     for ax in range(grid.ndim):
-        if callable(vector_potential):
-            mid = [c.copy() for c in coords]
-            mid[ax] = mid[ax] + a / 2.0
-            a_mid = vp_on(mid)[ax]
-        else:
-            a_mid = 0.5 * (site_a[ax] + np.roll(site_a[ax], shift=-1, axis=ax))
-        fwd = 1j * gamma * a_mid
+        mid = list(coords)
+        mid[ax] = mid[ax] + a / 2.0
+        fwd = 1j * gamma * vp_on(mid)[ax]
         kappa1[_axis_offset(ax, +1, grid.ndim)] = fwd
         kappa1[_axis_offset(ax, -1, grid.ndim)] = np.conj(
             np.roll(fwd, shift=_axis_offset(ax, +1, grid.ndim), axis=range(grid.ndim)))
     if scalar_potential is None:
         u = np.zeros(grid.shape)
-    elif callable(scalar_potential):
-        u = np.asarray(scalar_potential(*coords), dtype=float)
     else:
-        u = np.asarray(scalar_potential, dtype=float)
+        u = np.asarray(scalar_potential(*coords), dtype=float)
     a_sq = sum(c * c for c in site_a)
     diag = u + (charge ** 2 / (2.0 * mass)) * a_sq
     if np.any(diag != 0.0):

@@ -121,19 +121,18 @@ class LinkLattice:
                 f"boundary={self.boundary!r})")
 
 
-# --- symmetries as link maps ------------------------------------------------
-# Each symmetry is defined once, as a link map in the format documented at
-# ``permutation_from_link_map``, which applies it to the whole basis.
+# --- symmetries as Z_N-affine maps -------------------------------------------
+# Each symmetry is defined once, as a pair (A, b) of int64 arrays in link
+# order that sends the link values x to A x + b mod N: rows of A are the
+# destination links, columns the source links. ``permutation`` applies it to
+# the whole basis.
 
-def _gauge_link_map(lattice, g):
+def _gauge_map(lattice, g):
     """Gauge transform g: l'(s,k) = l(s,k) + g(s+k) - g(s) mod N."""
     g = _gauge_array(lattice, g)
-    assignments = {}
-    for idx, (s, k) in enumerate(lattice.links):
-        head = lattice.shift_site(s, k)
-        delta = int(g[lattice.site_index(head)] - g[lattice.site_index(s)])
-        assignments[idx] = (idx, 1, delta)
-    return assignments
+    tails = [lattice.site_index(s) for s, _ in lattice.links]
+    heads = [lattice.site_index(lattice.shift_site(s, k)) for s, k in lattice.links]
+    return np.eye(lattice.n_links, dtype=np.int64), g[heads] - g[tails]
 
 
 def _gauge_array(lattice, g):
@@ -150,9 +149,10 @@ def _gauge_array(lattice, g):
     return arr
 
 
-def _charge_link_map(lattice):
+def _charge_map(lattice):
     """Charge conjugation: every link value negated mod N."""
-    return {idx: (idx, -1, 0) for idx in range(lattice.n_links)}
+    return (np.diag(np.full(lattice.n_links, -1, dtype=np.int64)),
+            np.zeros(lattice.n_links, dtype=np.int64))
 
 
 def _parity_center(lattice, s0):
@@ -164,13 +164,13 @@ def _parity_center(lattice, s0):
     return np.round(twice).astype(np.int64)
 
 
-def _parity_link_map(lattice, s0):
+def _parity_map(lattice, s0):
     """Point reflection about s0 with negation: l'(s,k) = -l(2*s0 - s - e_k, k).
 
     On an open lattice every source link must exist.
     """
     twice = _parity_center(lattice, s0)
-    assignments = {}
+    a = np.zeros((lattice.n_links, lattice.n_links), dtype=np.int64)
     for idx, (s, k) in enumerate(lattice.links):
         src = twice - np.asarray(s, dtype=np.int64)
         src[k] -= 1
@@ -180,8 +180,8 @@ def _parity_link_map(lattice, s0):
         if key not in lattice._link_index:
             raise HopquantError(
                 f"parity image of link ({s}, {k}) is not a link of this lattice")
-        assignments[idx] = (lattice._link_index[key], -1, 0)
-    return assignments
+        a[idx, lattice._link_index[key]] = -1
+    return a, np.zeros(lattice.n_links, dtype=np.int64)
 
 
 def wrap_plaquette(p, n):
@@ -222,29 +222,28 @@ def _along_link(lattice, link_idx, table):
     return np.reshape(table, shape)
 
 
-def permutation_from_link_map(lattice, assignments):
-    """Permutation sigma with sigma[j] = index of the transformed config.
-
-    ``assignments`` maps each destination link index to (source link index,
-    sign, shift): new value = sign * old[source] + shift mod N.
-    """
+def permutation(lattice, symmetry):
+    """Permutation sigma with sigma[j] = index of the image of config j under
+    ``symmetry`` (A, b), whose link dest holds b[dest] + sum A[dest, src] x[src] mod N."""
+    a, b = symmetry
     n = lattice.n
     values = np.arange(n, dtype=np.int64)
     sigma = np.zeros(_basis_grid_shape(lattice), dtype=np.int64)
-    for dest, (src, sign, shift) in assignments.items():
-        sigma += _along_link(lattice, src, ((sign * values + shift) % n) * n ** dest)
+    for dest in range(lattice.n_links):
+        digit = b[dest] + sum(_along_link(lattice, src, a[dest, src] * values)
+                              for src in np.flatnonzero(a[dest]))
+        sigma += (digit % n) * n ** dest
     return sigma.reshape(-1)
 
 
-def site_generator_link_maps(lattice):
+def site_generator_maps(lattice):
     """Unit gauge increments, one per site; they generate the full gauge group."""
-    return [_gauge_link_map(lattice, g) for g in np.eye(lattice.n_sites, dtype=np.int64)]
+    return [_gauge_map(lattice, g) for g in np.eye(lattice.n_sites, dtype=np.int64)]
 
 
 def site_generator_permutations(lattice):
-    """The permutations of ``site_generator_link_maps``."""
-    return [permutation_from_link_map(lattice, assignments)
-            for assignments in site_generator_link_maps(lattice)]
+    """The permutations of ``site_generator_maps``."""
+    return [permutation(lattice, symmetry) for symmetry in site_generator_maps(lattice)]
 
 
 # --- gauge-invariant subspace ----------------------------------------------

@@ -111,7 +111,7 @@ def test_criterion_3_continuum_limit():
         grid = LatticeGrid((480,), 0.05, origin=(-12.0,))
         problem = constant_field_problem(strength, domain=(-12, 12), duration=3.0)
         kernel = kernel_from_potentials(problem.vector_potential, None, 1.0, grid)
-        psi0 = LatticeWavefunction.from_callable(grid, problem.initial)
+        psi0 = LatticeWavefunction.from_callable(grid, lambda x: problem.solution(x, 0.0))
         out = evolve(kernel, psi0, dt=3.0, steps=1).psi
         x = grid.axes()[0]
         prob = np.abs(out.values) ** 2

@@ -35,7 +35,7 @@ from hopquant.errors import (
 )
 from hopquant.gauge_ham import GaugeHoppingSpec, LinearLinkFunctional, commutator_norms
 from sparse_oracle import from_matrix
-from zn_oracle import LinkConfig, basis, plaquette
+from zn_oracle import LinkConfig, basis, direction_shift, plaquette, shift_map
 
 
 def single_link(n):
@@ -457,19 +457,25 @@ def _every_parity_center(lat):
     for twice in itertools.product(*(range(2 * L) for L in lat.dims)):
         s0 = tuple(c / 2.0 for c in twice)
         try:
-            centers.append((s0, zn._parity_link_map(lat, s0)))
+            centers.append((s0, zn._parity_map(lat, s0)))
         except HopquantError:
             pass
     return centers
 
 
+def _map_key(symmetry):
+    """A map (A, b) as bytes, which compare equal when the maps are equal."""
+    a, b = symmetry
+    return a.tobytes() + b.tobytes()
+
+
 def test_parity_centers_are_distinct_reflections():
     for dims, n in (((2, 2), 3), ((3, 2), 2)):
         lat = LinkLattice(dims, n, boundary="periodic")
-        maps = [zn._parity_link_map(lat, s0) for s0 in gauge_ham.allowed_parity_centers(lat)]
+        maps = [_map_key(zn._parity_map(lat, s0)) for s0 in gauge_ham.allowed_parity_centers(lat)]
         assert len(maps) == np.prod(dims)
         assert all(a != b for a, b in itertools.combinations(maps, 2))
-        assert all(m in maps for _, m in _every_parity_center(lat))
+        assert all(_map_key(m) in maps for _, m in _every_parity_center(lat))
     # the parity norm is the same maximum over the same distinct permutations
     lat = LinkLattice((2, 2), 3, boundary="periodic")
     op = _rule_operator(lat, site_dependent_rule)
@@ -505,13 +511,13 @@ def _dense_commutator_oracle(op, sigma, block=512):
     return worst
 
 
-def _symmetry_link_maps(lat, rng):
+def _symmetry_maps(lat, rng):
     """Site generators, a random gauge transform, C, every parity, the direction shifts."""
-    maps = zn.site_generator_link_maps(lat)
-    maps.append(zn._gauge_link_map(lat, rng.integers(0, lat.n, lat.n_sites)))
-    maps.append(zn._charge_link_map(lat))
-    maps += [zn._parity_link_map(lat, s0) for s0 in gauge_ham.allowed_parity_centers(lat)]
-    maps += [{idx: (idx, 1, 1 if k == direction else 0) for idx, (_, k) in enumerate(lat.links)}
+    maps = zn.site_generator_maps(lat)
+    maps.append(zn._gauge_map(lat, rng.integers(0, lat.n, lat.n_sites)))
+    maps.append(zn._charge_map(lat))
+    maps += [zn._parity_map(lat, s0) for s0 in gauge_ham.allowed_parity_centers(lat)]
+    maps += [direction_shift(lat, direction)
              for direction in range(lat.ndim) if lat.dims[direction] > 1]
     return maps
 
@@ -519,9 +525,9 @@ def _symmetry_link_maps(lat, rng):
 def _link_cycle(lat):
     """A 3-cycle of links with a sign flip: no symmetry, but a bijection whose
     move map A is not an involution, so pairing sigma with A^-1 shows."""
-    cycle = {idx: (idx, 1, 0) for idx in range(lat.n_links)}
-    cycle.update({0: (1, -1, 1), 1: (2, 1, 0), 2: (0, 1, 0)})
-    return cycle
+    a, b = shift_map(lat, np.arange(lat.n_links) == 0)
+    a[:3, :3] = [[0, -1, 0], [0, 0, 1], [1, 0, 0]]
+    return a, b
 
 
 def _random_move_operator(lat, rng):
@@ -541,24 +547,24 @@ def test_exact_commutator_matches_dense_oracle():
     breaking = set()
     for lat in (single_link(5), single_plaquette(3), single_plaquette(4),
                 LinkLattice((2, 2), 2, boundary="periodic")):
-        symmetries = _symmetry_link_maps(lat, rng)
+        symmetries = _symmetry_maps(lat, rng)
         maps = symmetries + ([_link_cycle(lat)] if lat.n_links >= 3 else [])
         ops = [build_gauge_hamiltonian(lat, spec) for spec in specs]
         ops += [_rule_operator(lat, pair) for pair in rules]
         ops += [reference_ks_hamiltonian(lat, 1.3, 0.8), _random_move_operator(lat, rng)]
         for i, op in enumerate(ops):
-            want = [_dense_commutator_oracle(op, zn.permutation_from_link_map(lat, m))
+            want = [_dense_commutator_oracle(op, zn.permutation(lat, m))
                     for m in maps]
             assert commutator_norms(op, lat, maps) == want
             breaking.update(i for w in want[:len(symmetries)] if w > 1e-3)
     assert breaking == {1, 2, 3, 4, 6}  # every symmetry-breaking operator was caught
     # the open cube (dim 4096): two generators, a gauge transform, C, parity, a shift, the cycle
     cube = LinkLattice((2, 2, 2), 2, boundary="open")
-    maps = _symmetry_link_maps(cube, rng)
+    maps = _symmetry_maps(cube, rng)
     maps = maps[:2] + maps[len(cube.sites):len(cube.sites) + 3] + [maps[-1], _link_cycle(cube)]
     for op in (_rule_operator(cube, site_dependent_rule),
                reference_ks_hamiltonian(cube, 1.3, 0.8)):
-        want = [_dense_commutator_oracle(op, zn.permutation_from_link_map(cube, m))
+        want = [_dense_commutator_oracle(op, zn.permutation(cube, m))
                 for m in maps]
         assert commutator_norms(op, cube, maps) == want
 
@@ -566,13 +572,14 @@ def test_exact_commutator_matches_dense_oracle():
 def test_commutator_rejects_non_permutation():
     lat = single_plaquette(5)
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
-    identity = {idx: (idx, 1, 0) for idx in range(lat.n_links)}
-    repeated = {**identity, 1: (0, 1, 0)}
-    missing = {idx: identity[idx] for idx in range(lat.n_links - 1)}
-    doubling = {**identity, 2: (2, 2, 0)}  # a bijection of Z_5, but not of the moves
-    for assignments in (repeated, missing, doubling):
+    identity = shift_map(lat, np.zeros(lat.n_links))
+    repeated, missing, doubling = (identity[0].copy() for _ in range(3))
+    repeated[1] = identity[0][0]
+    missing[-1] = 0
+    doubling[2, 2] = 2  # a bijection of Z_5, but not of the moves
+    for a in (repeated, missing, doubling):
         with pytest.raises(ValueError, match="not a bijection"):
-            commutator_norms(op, lat, [identity, assignments])
+            commutator_norms(op, lat, [identity, (a, identity[1])])
     assert commutator_norms(op, lat, [identity]) == [0.0]
 
 
@@ -581,7 +588,7 @@ def test_commutator_rejects_entries_off_the_moves():
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.tolil()
     h[0, 4] = h[4, 0] = 0.25  # configuration 4 differs from 0 on two links
     with pytest.raises(ValueError, match="outside the one-link moves"):
-        commutator_norms(from_matrix(h.tocsr()), lat, [zn._charge_link_map(lat)])
+        commutator_norms(from_matrix(h.tocsr()), lat, [zn._charge_map(lat)])
 
 
 def test_commutator_rejects_rows_out_of_move_order():
@@ -589,23 +596,23 @@ def test_commutator_rejects_rows_out_of_move_order():
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
     h.sort_indices()
     with pytest.raises(ValueError, match="outside the one-link moves"):
-        commutator_norms(from_matrix(h), lat, [zn._charge_link_map(lat)])
+        commutator_norms(from_matrix(h), lat, [zn._charge_map(lat)])
 
 
 def test_commutator_reads_h_in_blocks(monkeypatch):
     # blocks of 9 rows, so the shifts of the two high links change from block to block
     monkeypatch.setattr(gauge_ham, "_BLOCK_ROWS", 9)
     lat = single_plaquette(3)
-    maps = _symmetry_link_maps(lat, np.random.default_rng(7)) + [_link_cycle(lat)]
+    maps = _symmetry_maps(lat, np.random.default_rng(7)) + [_link_cycle(lat)]
     for op in (_rule_operator(lat, link_value_rule), reference_ks_hamiltonian(lat, 1.3, 0.8)):
-        want = [_dense_commutator_oracle(op, zn.permutation_from_link_map(lat, m)) for m in maps]
+        want = [_dense_commutator_oracle(op, zn.permutation(lat, m)) for m in maps]
         assert commutator_norms(op, lat, maps) == want
     # the same matrix with the last row's first two entries swapped
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
     last = slice(h.indptr[-2], h.indptr[-2] + 2)
     h.indices[last], h.data[last] = h.indices[last][::-1].copy(), h.data[last][::-1].copy()
     with pytest.raises(ValueError, match="outside the one-link moves"):
-        commutator_norms(from_matrix(h), lat, [zn._charge_link_map(lat)])
+        commutator_norms(from_matrix(h), lat, [zn._charge_map(lat)])
 
 
 def test_nan_amplitude_fails_every_certificate():
@@ -664,8 +671,7 @@ def test_certifier_peak_within_its_memory_budget(monkeypatch):
 def test_spectrum_invariant_under_global_direction_shift():
     lat = LinkLattice((2, 2), 3, boundary="periodic")
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
-    shifts = [{idx: (idx, 1, 1 if k == direction else 0) for idx, (_, k) in enumerate(lat.links)}
-              for direction in range(2)]
+    shifts = [direction_shift(lat, direction) for direction in range(2)]
     assert max(commutator_norms(op, lat, shifts)) <= 1e-12
 
 

@@ -384,6 +384,10 @@ def test_eigensolve_holds_three_blocks(monkeypatch, gauge_n4, case, blocks):
             representatives=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]))
     widths = _record_block_widths(monkeypatch)
     op.matvec(np.ones(op.dimension))  # loads the kernels
+    # the memory check's estimate: three blocks and three times k - 1 columns
+    column = op.dimension * np.result_type(op.data, float).itemsize
+    budget = (3 * 22 + 3 * 5) * column
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: budget)
     tracemalloc.start()
     try:
         eigs_extremal(op, 6)
@@ -391,7 +395,11 @@ def test_eigensolve_holds_three_blocks(monkeypatch, gauge_n4, case, blocks):
     finally:
         tracemalloc.stop()
     assert set(widths) == {22}
-    assert peak <= blocks * op.dimension * 22 * np.result_type(op.data, float).itemsize
+    assert peak <= blocks * 22 * column
+    assert peak <= budget  # the check bounds the peak of the solve it admits
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: budget - 1)
+    with pytest.raises(HilbertDimensionError, match=f"dimension {op.dimension}, 22 "):
+        eigs_extremal(op, 6)
 
 
 def test_oversize_eigensolve_fails_before_allocating(monkeypatch, gauge_n4):
@@ -410,7 +418,8 @@ def test_eigensolve_checks_memory_before_widening(monkeypatch):
     # the (10, 52) case below: the block starts 26 columns wide and doubles
     op = build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
                                  MaxwellPreset(1.0, 1.0))
-    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 3 * 256 * 26 * 8)
+    # enough for 26 columns and the 9 locked ones: three blocks and three times k - 1 columns
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: (3 * 26 + 3 * 9) * 256 * 8)
     with pytest.raises(HilbertDimensionError, match="eigensolve of dimension 256, 52 "):
         eigs_extremal(op, 10)
     eigs_extremal(op, 9)  # 25 columns, which never widen

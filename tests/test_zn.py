@@ -17,23 +17,26 @@ from hopquant.gauge_ham import allowed_parity_centers
 from zn_oracle import (
     LinkConfig,
     apply_gauge,
+    apply_map,
     basis,
     charge_conjugate,
+    direction_shift,
     parity_transform,
     plaquette,
+    shift_map,
 )
 
 
 def gauge_permutation(lattice, g):
-    return zn.permutation_from_link_map(lattice, zn._gauge_link_map(lattice, g))
+    return zn.permutation(lattice, zn._gauge_map(lattice, g))
 
 
 def charge_conjugation_permutation(lattice):
-    return zn.permutation_from_link_map(lattice, zn._charge_link_map(lattice))
+    return zn.permutation(lattice, zn._charge_map(lattice))
 
 
 def parity_permutation(lattice, s0):
-    return zn.permutation_from_link_map(lattice, zn._parity_link_map(lattice, s0))
+    return zn.permutation(lattice, zn._parity_map(lattice, s0))
 
 
 def single_plaquette(n=3):
@@ -129,8 +132,7 @@ def test_shift_covariance_commutes_with_gauge():
     lat = single_plaquette(n=3)
     rng = np.random.default_rng(43)
     for link in range(lat.n_links):
-        raise_map = zn.permutation_from_link_map(
-            lat, {idx: (idx, 1, 1 if idx == link else 0) for idx in range(lat.n_links)})
+        raise_map = zn.permutation(lat, shift_map(lat, np.arange(lat.n_links) == link))
         g = rng.integers(0, 3, lat.n_sites)
         gauge_map = gauge_permutation(lat, g)
         assert np.array_equal(raise_map[gauge_map], gauge_map[raise_map])
@@ -254,8 +256,7 @@ def test_permutations_agree_with_config_transforms():
     sigma_g = gauge_permutation(lat, g)
     sigma_c = charge_conjugation_permutation(lat)
     sigma_p = parity_permutation(lat, (0.5, 0.0))
-    sigma_s = zn.permutation_from_link_map(
-        lat, {idx: (idx, 1, 1 if k == 1 else 0) for idx, (_, k) in enumerate(lat.links)})
+    sigma_s = zn.permutation(lat, direction_shift(lat, 1))
     for index in rng.integers(0, lat.hilbert_dim, size=40):
         config = LinkConfig.from_index(lat, int(index))
         assert sigma_g[index] == apply_gauge(config, g).index
@@ -279,8 +280,7 @@ def test_permutations_agree_with_config_transforms_off_square(dims, n, boundary)
     assert centers
     raised = lat.n_links - 2
     checks = [(gauge_permutation(lat, g), lambda c: apply_gauge(c, g)),
-              (zn.permutation_from_link_map(
-                  lat, {idx: (idx, 1, 2 if idx == raised else 0) for idx in range(lat.n_links)}),
+              (zn.permutation(lat, shift_map(lat, 2 * (np.arange(lat.n_links) == raised))),
                lambda c: LinkConfig(lat, c.values + 2 * (np.arange(lat.n_links) == raised)))]
     checks += [(parity_permutation(lat, s0), lambda c, s0=s0: parity_transform(c, s0))
                 for s0 in centers]
@@ -290,6 +290,28 @@ def test_permutations_agree_with_config_transforms_off_square(dims, n, boundary)
         for index in indices:
             config = LinkConfig.from_index(lat, int(index))
             assert sigma[index] == transform(config).index
+
+
+def test_composed_maps_permute_as_their_composition():
+    # every configuration of 2x2 periodic N=3: x -> A2 (A1 x + b1) + b2 is sigma2[sigma1]
+    lat = LinkLattice((2, 2), 3, boundary="periodic")
+    rng = np.random.default_rng(47)
+    gauge = zn._gauge_map(lat, rng.integers(0, 3, lat.n_sites))
+    parity = zn._parity_map(lat, (0.5, 0.0))
+    pairs = [(parity, zn._charge_map(lat)),
+             (direction_shift(lat, 1), gauge),
+             (gauge, parity)]
+    for (a1, b1), (a2, b2) in pairs:
+        sigma1, sigma2 = zn.permutation(lat, (a1, b1)), zn.permutation(lat, (a2, b2))
+        composed = zn.permutation(lat, (a2 @ a1, a2 @ b1 + b2))
+        assert np.array_equal(composed, sigma2[sigma1])
+    # a shear, one row of A with two nonzeros: link 0 gains twice link 5
+    a, b = shift_map(lat, np.arange(lat.n_links) == 3)
+    a[0, 5] = 2
+    sigma = zn.permutation(lat, (a, b))
+    assert np.array_equal(np.sort(sigma), np.arange(lat.hilbert_dim))
+    for config in all_configs(lat):
+        assert sigma[config.index] == apply_map(config, (a, b)).index
 
 
 def test_projection_single_plaquette_dimension_is_n():

@@ -1,7 +1,8 @@
 """Per-configuration oracles for the Z(N) link basis and its symmetries.
 
-They apply the link maps of ``hopquant.zn`` to one configuration at a time,
-so the tests can check the vectorized basis permutations against them.
+They apply the symmetries of ``hopquant.zn``, each a pair (A, b) sending
+the link values x to A x + b mod N, to one configuration at a time, so the
+tests can check the vectorized basis permutations against them.
 ``basis`` spans a gauge-invariant subspace with scipy.
 """
 
@@ -68,22 +69,20 @@ def plaquette(config, s, i, k):
     return int(total) % lat.n
 
 
-def apply_link_map(config, assignments):
-    """Image of ``config`` under a link map in ``zn.permutation_from_link_map``'s format."""
-    new = np.empty_like(config.values)
-    for dest, (src, sign, shift) in assignments.items():
-        new[dest] = sign * config.values[src] + shift
-    return LinkConfig(config.lattice, new)
+def apply_map(config, symmetry):
+    """Image of ``config`` under a map (A, b) in ``zn.permutation``'s format."""
+    a, b = symmetry
+    return LinkConfig(config.lattice, a @ config.values + b)
 
 
 def apply_gauge(config, g):
     """Relabel links by l'(s,k) = l(s,k) + g(s+k) - g(s) mod N."""
-    return apply_link_map(config, zn._gauge_link_map(config.lattice, g))
+    return apply_map(config, zn._gauge_map(config.lattice, g))
 
 
 def charge_conjugate(config):
     """Negate every link value mod N; an involution for all N."""
-    return apply_link_map(config, zn._charge_link_map(config.lattice))
+    return apply_map(config, zn._charge_map(config.lattice))
 
 
 def parity_transform(config, s0):
@@ -92,4 +91,14 @@ def parity_transform(config, s0):
     Link (s, k) receives -l(2*s0 - s - e_k, k). On open lattices the source
     link must exist, otherwise an error is raised.
     """
-    return apply_link_map(config, zn._parity_link_map(config.lattice, s0))
+    return apply_map(config, zn._parity_map(config.lattice, s0))
+
+
+def shift_map(lattice, b):
+    """The map (1, b), which raises each link l by b[l]."""
+    return np.eye(lattice.n_links, dtype=np.int64), np.asarray(b, dtype=np.int64)
+
+
+def direction_shift(lattice, direction):
+    """Every link along ``direction`` raised by one, which changes no plaquette."""
+    return shift_map(lattice, [k == direction for _, k in lattice.links])
