@@ -7,6 +7,7 @@ evaluating it halfway between the two configurations an elementary move
 connects, which preserves charge conjugation and parity exactly.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -72,22 +73,32 @@ def _plaquette_dtype(n):
 
 
 def _plaquette_values(lattice):
-    """Every plaquette's value in every basis configuration, in [0, N).
+    """Every plaquette's value in every basis configuration, in [0, N), as
+    an array (plaquettes, configurations).
 
-    Each of the four link terms is reduced mod N first, so their sum fits
-    ``_plaquette_dtype``. Cast to float before any float arithmetic: numpy
-    1.x would compute uint8 * float in float16.
+    A plaquette's value is a + b mod N, where a sums its link terms on the
+    leading half of the basis grid's axes and b those on the trailing half,
+    each reduced mod N on its own small grid. So one outer sum makes it, and
+    one subtraction of N, kept where it does not wrap below zero, reduces it.
+    The values fit ``_plaquette_dtype``. Cast to float before any float
+    arithmetic: numpy 1.x would compute uint8 * float in float16.
     """
     n = lattice.n
     dtype = _plaquette_dtype(n)
-    vals = []
-    for s, i, k in lattice.plaquettes:
-        total = np.zeros(zn._basis_grid_shape(lattice), dtype=dtype)
+    shape = zn._basis_grid_shape(lattice)
+    half = len(shape) // 2
+    vals = np.empty((len(lattice.plaquettes), n ** half, n ** (len(shape) - half)), dtype=dtype)
+    for total, (s, i, k) in zip(vals, lattice.plaquettes):
+        parts = [np.zeros(shape[:half], dtype=dtype), np.zeros(shape[half:], dtype=dtype)]
         for l_idx, sign in lattice.plaquette_links(s, i, k):
-            table = (sign * np.arange(n)) % n
-            total += zn._along_link(lattice, l_idx, table.astype(dtype))
-        vals.append(np.mod(total, dtype.type(n), out=total).reshape(-1))
-    return vals
+            axis = zn._link_axis(lattice, l_idx)
+            part, axis = (parts[1], axis - half) if axis >= half else (parts[0], axis)
+            term = ((sign * np.arange(n)) % n).astype(dtype)
+            part += term.reshape([n if a == axis else 1 for a in range(part.ndim)])
+        lead, trail = (np.mod(part, dtype.type(n)).reshape(-1) for part in parts)
+        np.add(lead[:, np.newaxis], trail, out=total)
+        np.minimum(total, total - dtype.type(n), out=total)  # an unsigned difference wraps
+    return vals.reshape(len(lattice.plaquettes), lattice.hilbert_dim)
 
 
 def _move_offsets(lattice):
@@ -97,62 +108,122 @@ def _move_offsets(lattice):
     return [np.zeros_like(eye[0])] + [step * unit for unit in units for step in (1, -1)]
 
 
-def _link_moves(lattice, link_amplitudes, diagonal=None, tol=linop.HERMITICITY_TOL):
-    """Certified Hamiltonian of one-link moves plus an optional diagonal.
+def _link_moves(lattice, pairs, diagonal=None, tol=linop.HERMITICITY_TOL):
+    """Certified Hamiltonian of one-link moves plus an optional diagonal,
+    with the amplitudes of ``_block_amplitudes(lattice, pairs, diagonal)``.
 
-    ``link_amplitudes(l_idx, plaq)`` gives the (raise, lower) pair of link
-    ``l_idx``, the offsets +-1 on its axis of the basis grid, and
-    ``diagonal(plaq)`` the diagonal, as real arrays or scalars. ``plaq`` holds
-    the value of every plaquette in each basis configuration. Raises
-    ``HilbertDimensionError`` above ``DIMENSION_CAP``, or when the assembly
-    and the plaquette values together would not fit in memory.
+    Raises ``HilbertDimensionError`` above ``DIMENSION_CAP``, or when the
+    assembly and the plaquette values together would not fit in memory.
     """
     if lattice.hilbert_dim > DIMENSION_CAP:
         raise HilbertDimensionError(
             f"configuration space of dimension {lattice.hilbert_dim} "
             f"exceeds cap {DIMENSION_CAP}")
-    offsets = _move_offsets(lattice)[int(diagonal is None):]  # the diagonal's is first
-
-    def move_amplitudes():
-        plaq = _plaquette_values(lattice)
-        if diagonal is not None:
-            yield diagonal(plaq)
-        for l_idx in range(lattice.n_links):
-            yield from link_amplitudes(l_idx, plaq)
-
     plaq_bytes = (len(lattice.plaquettes) * lattice.hilbert_dim
                   * _plaquette_dtype(lattice.n).itemsize)
-    return linop._assemble_hopping(zn._basis_grid_shape(lattice), True, offsets,
-                                   move_amplitudes(), tol=tol, held_bytes=plaq_bytes)
+    # the callable, and with it the plaquette values, is the assembler's alone,
+    # so it can free them before its hermiticity pass
+    return linop._assemble_hopping(zn._basis_grid_shape(lattice), True,
+                                   _move_offsets(lattice)[int(diagonal is None):],
+                                   _block_amplitudes(lattice, pairs, diagonal),
+                                   tol=tol, held_bytes=plaq_bytes)
+
+
+def _block_amplitudes(lattice, pairs, diagonal):
+    """``amplitudes(rows)`` of the one-link moves, for the hopping assembler:
+    the diagonal, if any, then the raise and the lower of each link.
+
+    ``pairs[l_idx]`` is the (raise, lower) pair of link ``l_idx``, the
+    offsets +-1 on its axis of the basis grid. Each is a scalar or a table
+    whose entry c is the amplitude where the link's adjacent plaquettes, in
+    ``link_adjacency`` order, hold the values whose base-N code is c.
+    ``diagonal(plaq)`` gives the diagonal of a block of configurations from
+    the value of every plaquette in each, an intp array (plaquettes, block).
+
+    The plaquette values are made at the first call, after the assembler's
+    memory check. Each block then computes the codes of all links at once,
+    gathers their amplitudes in one ``take`` from the tables laid end to
+    end, and returns one array (moves, block), the same array each call.
+    """
+    n = lattice.n
+    row = int(diagonal is not None)  # link l's raise is row 2 l + row of a block's amplitudes
+    plaquettes = functools.cache(lambda: _plaquette_values(lattice))
+    work = []  # a block's arrays, made for the first block, the largest, and reused
+    if not any(np.ndim(amp) for pair in pairs for amp in pair):
+        fixed = np.reshape(pairs, (-1, 1))
+
+        def amplitudes(rows):
+            size = rows.stop - rows.start
+            if not work:
+                work.append(np.empty((row + len(fixed), size), dtype=np.result_type(float, fixed)))
+            values = work[0][:, :size]
+            if row:
+                values[0] = diagonal(plaquettes()[:, rows].astype(np.intp))
+            values[row:] = fixed
+            return values
+    else:
+        # every link's raise tables end to end, and its lower tables, scalars broadcast
+        entries = [n ** len(lattice.link_adjacency(l_idx)) for l_idx in range(len(pairs))]
+        joined = [np.concatenate([np.broadcast_to(pair[d], (k,))
+                                  for pair, k in zip(pairs, entries)]) for d in (0, 1)]
+        first = np.cumsum([0] + entries)[:-1, np.newaxis]  # where each link's table starts
+        # each link's adjacent plaquettes as rows of a block's plaquette values,
+        # below a zero row 0 that pads the shorter lists in front
+        adjacency = [[p + 1 for p, _ in lattice.link_adjacency(l_idx)]
+                     for l_idx in range(len(pairs))]
+        width = max(map(len, adjacency))
+        adjacent = np.array([[0] * (width - len(adj)) + adj for adj in adjacency], dtype=np.intp)
+
+        def amplitudes(rows):
+            size = rows.stop - rows.start
+            if not work:
+                # the plaquette values times each place value of a code, down to 1
+                work.extend(np.zeros(axes + (size,), dtype=t) for axes, t in (
+                    ((max(width, 1), len(lattice.plaquettes) + 1), np.intp),
+                    ((len(pairs),), np.intp), ((len(pairs),), np.intp),
+                    ((row + 2 * len(pairs),), np.result_type(float, *joined))))
+            scaled, code, term, values = (a[..., :size] for a in work)
+            scaled[-1, 1:] = plaquettes()[:, rows]
+            if row:
+                values[0] = diagonal(scaled[-1, 1:])
+            for k in range(width - 1):
+                np.multiply(scaled[-1], n ** (width - 1 - k), out=scaled[k])
+            # each link's code, plus the start of its table
+            code[...] = first
+            for k in range(width):
+                code += np.take(scaled[k], adjacent[:, k], axis=0, out=term, mode="clip")
+            for d in (0, 1):
+                np.take(joined[d], code, out=values[row + d::2], mode="clip")
+            return values
+
+    return amplitudes
 
 
 def build_gauge_hamiltonian(lattice, spec, tol=linop.HERMITICITY_TOL):
     """Assemble the strictly off-diagonal one-link-move Hamiltonian.
 
     For each link, ``spec.response`` is evaluated once on the N**k
-    combinations of its k adjacent plaquette values, shifted by half the
-    move's change to each, and each configuration reads its (raise, lower)
-    pair from that table. Raises ``HermiticityError`` ("spec violates
-    unitary hopping") when the pair is not Hermitian-compatible, and
-    ``ValueError`` when the response is complex.
+    combinations of its k adjacent plaquette values shifted by half the
+    raise's change to each, and once for the lower, and each configuration
+    reads its (raise, lower) pair from those tables. Raises
+    ``HermiticityError`` ("spec violates unitary hopping") when the pair is
+    not Hermitian-compatible, and ``ValueError`` when the response is
+    complex.
     """
     n = lattice.n
 
-    def link_amplitudes(l_idx, plaq):
+    def link_pair(l_idx):
         adj = lattice.link_adjacency(l_idx)
         half = 0.5 * np.array([sg for _, sg in adj], dtype=float)[:, np.newaxis]
         # column c of the table holds the plaquette values whose base-N code is c
         table = np.indices((n,) * len(adj), dtype=float).reshape(len(adj), n ** len(adj))
-        code = np.zeros(lattice.hilbert_dim, dtype=np.intp)
-        for p, _ in adj:
-            code *= n
-            code += plaq[p]
-        return tuple(amp if np.ndim(amp) == 0 else np.asarray(amp).reshape(-1)[code]
+        return tuple(amp if np.ndim(amp) == 0 else np.asarray(amp).reshape(-1)
                      for amp in (spec.response(table + half, n),
                                  spec.response(table - half, n)))
 
+    pairs = [link_pair(l_idx) for l_idx in range(lattice.n_links)]
     try:
-        return _link_moves(lattice, link_amplitudes, tol=tol)
+        return _link_moves(lattice, pairs, tol=tol)
     except HermiticityError as exc:
         raise HermiticityError(
             f"spec violates unitary hopping: {exc}", defect=exc.defect) from exc
@@ -168,14 +239,13 @@ def reference_ks_hamiltonian(lattice, electric, magnetic, tol=linop.HERMITICITY_
     table = magnetic * 2.0 * np.sin(np.pi * np.arange(lattice.n, dtype=float) / lattice.n) ** 2
 
     def diagonal(plaq):
-        diag = np.full(lattice.hilbert_dim, 2.0 * electric * lattice.n_links)
-        for p in plaq:
-            diag = diag + table[p]
+        diag = np.full(plaq.shape[1], 2.0 * electric * lattice.n_links)
+        for term in table.take(plaq):
+            diag += term
         return diag
 
-    return _link_moves(
-        lattice, lambda l_idx, plaq: (-electric, -electric),
-        diagonal=diagonal, tol=tol)
+    return _link_moves(lattice, [(-electric, -electric)] * lattice.n_links,
+                       diagonal=diagonal, tol=tol)
 
 
 # --- symmetry checks ---------------------------------------------------------
@@ -251,44 +321,27 @@ def _stored_amplitudes(op, lattice, moves):
     """The amplitudes a_o of ``commutator_norms`` for every move o in
     ``moves``, zero for a move H does not store, and which moves H stores.
 
-    Move k adds step[k] mod N to one link, whose place value in a basis
-    index is place[k], so its column at row x is x + shift, with shift =
-    ((v + step) mod N - v) * place and v that link's value in x. The slots
-    are matched to moves on row 0, where distinct moves have distinct
-    columns. Then H is read a block of N**q rows at a time, which stays in
-    cache: within a block only the q lowest links change, so the shifts of
-    row start + r are those of row r plus one offset per slot.
+    Move k adds ``moves[k]`` to the basis-grid point of a configuration, mod
+    N. The slots are matched to moves on row 0, where distinct moves have
+    distinct columns. Then H is read a block of at most ``_BLOCK_ROWS`` rows
+    at a time, which stays in cache, and each block's columns are checked
+    against those of ``linop._grid_blocks``, the assembler's.
     """
     n, dim = lattice.n, lattice.hilbert_dim
     m = op.nnz // dim  # slots a row, if every row has as many
     layout_error = "operator has entries outside the one-link moves or out of their order"
-    # a move's one nonzero entry is on basis-grid axis a, which holds link n_links - 1 - a
-    step = np.array([max(move) for move in moves], dtype=np.int64)
-    place = n ** np.array([lattice.n_links - 1 - int(np.argmax(move)) for move in moves],
-                          dtype=np.int64)
-
-    def shift(x, k):
-        value = x // place[k] % n
-        return ((value + step[k]) % n - value) * place[k]
-
+    shape = zn._basis_grid_shape(lattice)
     layout = np.array_equal(op.indptr, np.arange(dim + 1) * m)
     slots = []  # the move each slot holds
     for k in range(len(moves) if layout else 0):
-        if len(slots) < m and op.indices[len(slots)] == step[k] * place[k]:
+        if len(slots) < m and op.indices[len(slots)] == np.ravel_multi_index(moves[k], shape):
             slots.append(k)
     if not layout or len(slots) < m:
         raise ValueError(layout_error)
-    q = 1
-    while q < lattice.n_links and n ** (q + 1) <= _BLOCK_ROWS:
-        q += 1
-    r = np.arange(n ** q, dtype=np.int64)[:, np.newaxis]
-    base, corner = r + shift(r, slots), shift(0, slots)
-    want = np.empty_like(base)
     data, indices = op.data.reshape(dim, m), op.indices.reshape(dim, m)
     amps = np.zeros((len(moves), dim), dtype=op.data.dtype)
-    for start in range(0, dim, n ** q):
-        rows = slice(start, start + n ** q)
-        np.add(base, start + shift(start, slots) - corner, out=want)
+    for start, want in linop._grid_blocks(shape, [moves[k] for k in slots], True, _BLOCK_ROWS):
+        rows = slice(start, start + len(want))
         if not np.array_equal(indices[rows], want):
             raise ValueError(layout_error)
         amps[slots, rows] = data[rows].T
@@ -439,7 +492,7 @@ def extract_continuum_constants(spec, n, spacing=1.0, hbar=1.0, charge=1.0,
     # quadratic response by Richardson-combined central differences
     diffs = []
     for q in (1, 2):
-        flux_step = 2.0 * np.pi * hbar * q / (charge * spacing ** 2 * n)
+        flux_step = q * zn.flux_from_plaquette(1, n, spacing, hbar=hbar, charge=charge)
         second = (_probe_response(spec, n, [q, q])
                   + _probe_response(spec, n, [-q, -q])
                   - 2.0 * kappa0)
@@ -554,7 +607,7 @@ def taylor_consistency_check(spec, n_values, a_values, functional=None,
         exp_rem.append(worst)
         consts = extract_continuum_constants(spec, n, spacing=a, hbar=hbar,
                                              charge=charge)
-        p = charge * n * a ** 2 * flux / (2.0 * np.pi * hbar)
+        p = flux / zn.flux_from_plaquette(1, n, a, hbar=hbar, charge=charge)
         resp = _probe_response(spec, n, [p, p])
         model = consts.kappa0 + (charge ** 2 * a ** 4 / hbar ** 2) \
             * consts.kappa2 * flux ** 2

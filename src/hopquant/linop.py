@@ -52,12 +52,17 @@ RESIDUAL_TOL = 1e-8
 # passes after which the iteration gives up.
 EIGS_FILTER_DEGREE = 20
 EIGS_MAX_PASSES = 100
-# Peak memory of one hopping assembly beyond its m slots a row, per grid
-# point: the caller's amplitude inputs and the assembler's temporaries.
-# tracemalloc measured 13-45 bytes for both gauge builders on 2x2 periodic
-# N=5 and 3x3 periodic N=2, and 60-68 bytes for particle kernels of 7, 13
-# and 125 offsets on periodic and open 64^3 and 32^3 grids.
-ASSEMBLY_BYTES_PER_STATE = 68
+# Peak memory of one hopping assembly beyond its m slots a row and its
+# indptr, per grid point: the caller's amplitude inputs and the assembler's
+# temporaries, which hold one row block, not the grid. tracemalloc measured
+# 1-7 bytes for both gauge builders on 2x2 periodic N=5 and 3x3 periodic N=2
+# and 1-5 bytes for particle kernels of 7, 13 and 125 offsets on periodic
+# and open 64^3 grids; on 32^3 grids the same kernels held 34-37 bytes, one
+# block's arrays of about 1.2 MiB spread over fewer points.
+ASSEMBLY_BYTES_PER_STATE = 37
+# Entries of H a row block holds, for the blocked products and the assembly:
+# a block of index and amplitude arrays stays in cache.
+_BLOCK_ENTRIES = 2 ** 16
 _KERNELS = "scipy.sparse._sparsetools"
 
 
@@ -193,9 +198,10 @@ class SparseHermitianOperator:
                          np.diff(ptr))
 
     def _block_rows(self):
-        """Rows in each block of ``_row_blocks`` but the last: about 2^16 entries."""
+        """Rows in each block of ``_row_blocks`` but the last: about
+        ``_BLOCK_ENTRIES`` entries."""
         n = self.dimension
-        return max(1, min(n, 2 ** 16 * n // max(self.nnz, 1)))
+        return max(1, min(n, _BLOCK_ENTRIES * n // max(self.nnz, 1)))
 
     def _row_blocks(self):
         """(first row, indptr slice) of consecutive blocks of about 2^16 entries."""
@@ -342,19 +348,194 @@ def _require_memory(estimate, what):
             f"more than the {memory / 2 ** 30:.2f} GiB of available memory")
 
 
+def _offset_columns(shape, offsets, periodic, points):
+    """Flat index of point + o on the C-ordered grid ``shape``, for each flat
+    index in ``points`` and each row o of the int64 array ``offsets``.
+
+    Returns the int64 array (len(points), len(offsets)) of those indices, each
+    wrapped when ``periodic``, and a mask of the points + o that leave an open
+    grid.
+    """
+    cols = np.zeros((len(points), len(offsets)), dtype=np.int64)
+    off = np.zeros(cols.shape, dtype=bool)
+    rest, place = np.asarray(points, dtype=np.int64), 1
+    for ax in range(len(shape) - 1, -1, -1):
+        rest, coord = np.divmod(rest, shape[ax])
+        coord = coord[:, np.newaxis] + offsets[:, ax]
+        if periodic:
+            coord %= shape[ax]
+        else:
+            off |= (coord < 0) | (coord >= shape[ax])
+        coord *= place
+        cols += coord
+        place *= shape[ax]
+    return cols, off
+
+
+def _grid_blocks(shape, offsets, periodic, rows, out=None):
+    """Row blocks of the C-ordered grid ``shape`` and the columns x + o of
+    their rows x for each offset o, wrapped when ``periodic``.
+
+    A block is k whole trailing sub-grids ``shape[q:]`` in a row along axis
+    q - 1, for the least q whose sub-grid has at most ``rows`` rows and the
+    most k that keep the block within ``rows`` rows; where the last axis
+    alone has more, q is past it and a sub-grid is one point. A point with
+    coordinates (u, c, t), split at axes q - 1 and q, has the column
+    ravel(u + o_u) * (L size) + (c + o_c) * size + ravel(t + o_t), L the
+    length of axis q - 1 and size the rows of a sub-grid: one table of
+    in-sub-grid columns plus two offsets per move, one per position c and
+    one per u, all made once. Yields (first row, columns) for each block in
+    row order, the columns an array (block rows, len(offsets)): the block's
+    rows of ``out``, an array (rows of the grid, len(offsets)), where given,
+    else an int64 array that the next block overwrites. A column off an open
+    grid reads ``math.prod(shape)``. The first block is the largest.
+    """
+    dim, m = math.prod(shape), len(offsets)
+    shape = (1,) + tuple(shape)  # an axis of length 1 in front: the whole grid is one sub-grid
+    offsets = np.column_stack([np.zeros(m, dtype=np.int64),
+                               np.asarray(offsets, dtype=np.int64).reshape(m, len(shape) - 1)])
+    q = len(shape)
+    while q > 1 and math.prod(shape[q - 1:]) <= rows:
+        q -= 1
+    size, length = math.prod(shape[q:]), shape[q - 1]
+    k = min(length, rows // size)
+    dtype = np.int64 if out is None else out.dtype  # made in, so added without a cast
+    table, table_off = _offset_columns(shape[q:], offsets[:, q:], periodic, np.arange(size))
+    strip, strip_off = _offset_columns((length,), offsets[:, q - 1:q], periodic,
+                                       np.arange(length))
+    lead, lead_off = _offset_columns(shape[:q - 1], offsets[:, :q - 1], periodic,
+                                     np.arange(dim // (length * size)))
+    table, strip, lead = (table.astype(dtype), (strip * size).astype(dtype),
+                          (lead * (length * size)).astype(dtype))
+    buffer = np.empty((k * size if out is None else 0, m), dtype=dtype)
+    for u in range(len(lead)):
+        for c in range(0, length, k):
+            start, count = (u * length + c) * size, min(k, length - c)
+            block = (buffer[:count * size] if out is None
+                     else out[start:start + count * size]).reshape(count, size, m)
+            np.add(table, strip[c:c + count, np.newaxis] + lead[u], out=block)
+            if not periodic:
+                block[table_off | strip_off[c:c + count, np.newaxis] | lead_off[u]] = dim
+            yield start, block.reshape(count * size, m)
+
+
+def _fill_slots(data, blocks, slots, amplitudes):
+    """Move i's amplitudes into slot ``slots[i]`` of the rows of ``data``
+    of each block of ``blocks`` (see ``_grid_blocks``), adding up moves that
+    share a slot in move order.
+
+    Where every move has a slot of its own, in move order, a block whose
+    amplitudes come as one array (moves, rows) is written in one copy.
+    """
+    in_order = slots == list(range(len(slots)))
+    added = [j in slots[:i] for i, j in enumerate(slots)]
+    for start, block in blocks:
+        rows = slice(start, start + len(block))
+        amps = amplitudes(rows)
+        if in_order and isinstance(amps, np.ndarray) and amps.shape == (len(slots), len(block)):
+            data[rows] = _storable(amps, data.dtype, 0).T
+            continue
+        out = data[rows]
+        for i, (j, add, amp) in enumerate(zip(slots, added, amps, strict=True)):
+            amp = _storable(amp, data.dtype, i)
+            if add:
+                out[:, j] += amp
+            else:
+                out[:, j] = amp
+
+
+def _storable(amps, dtype, move):
+    """``amps``, the amplitudes of move ``move`` or, as a 2-D array, the rows
+    of moves ``move``, ``move + 1``, ..., as an assembly of ``dtype`` stores
+    them: their real part when ``dtype`` is real, where that loses nothing,
+    else ``ValueError`` naming the first move with a nonzero imaginary part."""
+    amps = np.asarray(amps)
+    if amps.dtype.kind != "c" or np.dtype(dtype).kind == "c":
+        return amps
+    lossy = np.any(amps.imag, axis=-1) if amps.ndim == 2 else [np.any(amps.imag)]
+    for i, imag in enumerate(lossy):
+        if imag:
+            raise ValueError(
+                f"complex amplitude of move {move + i} in a {np.dtype(dtype)} assembly")
+    return amps.real
+
+
+def _slot_defect(cols, data, reverse, periodic, rows):
+    """max |H[x, y] - conj(H[y, x])| over the entries of the (dim, m) slot
+    arrays, ``rows`` rows at a time, with columns ``dim`` off an open grid
+    left out.
+
+    The reverse of the entry in slot j of row x is the entry in slot
+    ``reverse[j]`` of row y, or zero where ``reverse[j]`` is None. A pair of
+    slots is measured from the first of the two only: |a - conj(b)| equals
+    |b - conj(a)|. The slots are read in three groups, each a strided view
+    where its slots are evenly spaced: those that are their own reverse,
+    those paired with a later slot, and those without a reverse.
+    """
+    dim, m = data.shape
+    groups = [[j for j, rev in enumerate(reverse) if rev == j],
+              [j for j, rev in enumerate(reverse) if rev is not None and rev > j],
+              [j for j, rev in enumerate(reverse) if rev is None]]
+    flat, defect, work, rows = data.reshape(-1), 0.0, [], min(rows, dim)
+    for slots in filter(None, groups):
+        there = None if reverse[slots[0]] is None else np.array(
+            [reverse[j] for j in slots], dtype=np.intp)
+        # index, differences and their moduli (the differences' own array where
+        # real) of one block, reused by every block
+        index, diff = (np.empty((rows, len(slots)), dtype=t) for t in (np.intp, data.dtype))
+        size = np.empty(diff.shape) if diff.dtype.kind == "c" else diff
+        work.append((_evenly(slots), there, index, diff, size))
+    for start in range(0, dim, rows):
+        block = min(rows, dim - start)
+        for slots, there, index, diff, size in work:
+            block_cols = cols[start:start + block, slots]
+            block_data = data[start:start + block, slots]
+            index, diff, size = index[:block], diff[:block], size[:block]
+            if there is None:
+                np.abs(block_data, out=size)
+            else:
+                # an index off an open grid is clipped here and masked out below
+                np.multiply(block_cols, m, out=index)
+                index += there
+                np.take(flat, index, out=diff, mode="clip")
+                if diff.dtype.kind == "c":
+                    np.conj(diff, out=diff)
+                np.subtract(block_data, diff, out=diff)
+                np.abs(diff, out=size)
+            # np.maximum, unlike max(), carries a NaN amplitude into the defect
+            defect = float(np.maximum(defect, size.max(
+                initial=0.0, where=True if periodic else block_cols < dim)))
+    return defect
+
+
+def _evenly(slots):
+    """``slots`` as a slice where they are evenly spaced and ascending, which
+    indexes a strided view rather than a copy."""
+    step = slots[1] - slots[0] if len(slots) > 1 else 1
+    if step > 0 and slots == list(range(slots[0], slots[-1] + 1, step)):
+        return slice(slots[0], slots[-1] + 1, step)
+    return slots
+
+
 def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
                       tol=HERMITICITY_TOL, held_bytes=0):
     """Certified Hamiltonian of hopping on the C-ordered grid ``shape``.
 
-    Move j sets H[x, x + offsets[j]] to ``amplitudes``' j-th item at x (an
-    array over the grid, or a scalar), read lazily after the memory check.
-    Offsets that coincide on the grid (which wraps when ``periodic``) are
-    summed into one entry, the zero offset is the diagonal, and an open grid
-    drops entries whose column leaves it. Entries are stored as ``dtype``
-    straight into CSR arrays. Row x holds one slot per distinct offset, in the
-    order of first appearance, not sorted by column. max|H - H^H| is the largest
-    |H[x, x + o] - conj(H[x + o, x])| over stored entries, with the reverse
-    offset's entry or zero where no move has it.
+    Move j sets H[x, x + offsets[j]] to the j-th item of ``amplitudes(rows)``
+    at x, for the rows x of the flat-index slice ``rows``: an array of one
+    value a row, or a scalar. The assembler calls it once per row block of
+    about ``_BLOCK_ENTRIES`` entries (see ``_grid_blocks``), after the memory
+    check, and fills the block's columns and its m slots a row while they
+    are in cache. It copies a block's amplitudes before the next call, so
+    the callable may return the same array, an array (moves, rows), each
+    time. Offsets that coincide on the grid (which wraps when
+    ``periodic``) are summed into one entry, the zero offset is the
+    diagonal, and an open grid drops entries whose column leaves it. Entries
+    are stored as ``dtype`` straight into CSR arrays. Row x holds one slot
+    per distinct offset, in the order of first appearance, not sorted by
+    column. max|H - H^H| is the largest |H[x, x + o] - conj(H[x + o, x])|
+    over stored entries, with the reverse offset's entry or zero where no
+    move has it, read a block of rows at a time from the filled slots.
 
     Raises ``HilbertDimensionError``, before allocating anything of the grid
     size, when the estimated peak (the CSR, ``ASSEMBLY_BYTES_PER_STATE`` per
@@ -377,38 +558,13 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
                     + held_bytes, f"assembling dimension {dim}")
 
     cols = np.empty((dim, m), dtype=index_dtype)
-    col_grid = cols.reshape(shape + (m,))
-    for k, j in column.items():
-        col_grid[..., j] = np.roll(np.arange(dim, dtype=index_dtype).reshape(shape),
-                                   [-c for c in k], axis=range(len(shape)))
-        # column ``dim`` marks an entry off an open grid, which is dropped
-        for ax, c in enumerate(() if periodic else k):
-            col_grid[(slice(None),) * ax + (slice(shape[ax] - c, None) if c > 0
-                                            else slice(None, -c), Ellipsis, j)] = dim
-
     data = np.empty((dim, m), dtype=dtype)
-    for i, (k, amp) in enumerate(zip(keys, amplitudes, strict=True)):
-        amp = np.asarray(amp).reshape(-1)
-        if np.iscomplexobj(amp) and not np.iscomplexobj(data):
-            if np.any(amp.imag):
-                raise ValueError(f"complex amplitude of move {i} in a {data.dtype} assembly")
-            amp = amp.real
-        j = column[k]
-        if keys.index(k) < i:  # offsets that coincide on the grid add up
-            data[:, j] += amp
-        else:
-            data[:, j] = amp
-
-    defect = 0.0
-    for k, j in column.items():
-        rev = column.get(key([-c for c in k]))
-        if rev is not None and rev < j:
-            continue  # the pair was measured from its other side
-        rows = slice(None) if periodic else cols[:, j] < dim
-        # gathering from a contiguous copy of the reverse column is faster
-        there = 0.0 if rev is None else np.ascontiguousarray(data[:, rev])[cols[rows, j]]
-        # np.maximum, unlike max(), carries a NaN amplitude into the defect
-        defect = float(np.maximum(defect, np.abs(data[rows, j] - np.conj(there)).max(initial=0.0)))
+    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+    _fill_slots(data, _grid_blocks(shape, list(column), periodic, rows, out=cols),
+                [column[k] for k in keys], amplitudes)
+    del amplitudes  # what it holds can go before the defect pass makes its own arrays
+    reverse = [column.get(key([-c for c in k])) for k in column]
+    defect = _slot_defect(cols, data, reverse, periodic, rows)
 
     indptr = np.arange(dim + 1, dtype=index_dtype)
     indptr *= m  # m slots a row (none: H is empty), scaled in place
@@ -428,7 +584,6 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     # Flatten both buffers and shrink them to their nnz entries in place: a
     # realloc, which frees an open grid's dead tail without a copy. No view of
     # them may outlive this, so none is checked for.
-    del col_grid
     cols.resize(end, refcheck=False)
     data.resize(end, refcheck=False)
     return SparseHermitianOperator(data, cols, indptr, defect, tol)

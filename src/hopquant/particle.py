@@ -7,6 +7,7 @@ corresponding Hermitian operator, and extracts the emergent continuum data
 (mass, background energy, vector and scalar potentials).
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,17 +298,41 @@ def validate_kernel_unitarity(kernel, tol=HERMITICITY_TOL):
                            skipped_pairs=skipped)
 
 
+def _wrap_pieces(shape, n):
+    """(sites x, partner sites x + n mod shape) slice pairs that tile a periodic
+    grid: along each axis the sites whose partner does not wrap and, unless n
+    is zero there, those whose partner does, 2^d pieces at most."""
+    axes = []
+    for length, c in zip(shape, n):
+        c %= length
+        axes.append([(slice(0, length - c), slice(c, length))]
+                    + ([(slice(length - c, length), slice(0, c))] if c else []))
+    for piece in itertools.product(*axes):
+        yield tuple(x for x, _ in piece), tuple(y for _, y in piece)
+
+
 def apply_kernel(kernel, values):
-    """(H psi)(x) = sum_n kappa(x, n) psi(x + a*n) without building H."""
+    """(H psi)(x) = sum_n kappa(x, n) psi(x + a*n) without building H.
+
+    Each offset's products kappa(x, n) psi(x + a*n) are made in one buffer
+    and added to the result a piece of sites at a time, through slices
+    (``_wrap_pieces`` on a periodic grid, the sites whose partner stays in
+    an open one), with kappa0(n) + kappa1(x, n) read piece by piece.
+    """
     grid = kernel.grid
     out = np.zeros(grid.shape, dtype=complex)
+    product = np.empty(grid.shape, dtype=complex)
     for n in kernel.support:
-        fld = kernel.field(n)
-        if grid.boundary == "periodic":
-            out += fld * np.roll(values, shift=_neg(n), axis=range(grid.ndim))
-        else:
-            src, dst = _open_valid_slices(grid.shape, _neg(n))
-            out[src] += fld[src] * values[dst]
+        k0, k1 = kernel.kappa0_value(n), kernel._kappa1.get(n)
+        pieces = (_wrap_pieces(grid.shape, n) if grid.boundary == "periodic"
+                  else [_open_valid_slices(grid.shape, _neg(n))])
+        for x, y in pieces:
+            if k1 is None:
+                np.multiply(k0 + 0j, values[y], out=product[x])
+            else:
+                np.add(k0, k1[x], out=product[x])
+                product[x] *= values[y]
+            out[x] += product[x]
     return out
 
 
@@ -321,9 +346,15 @@ def build_particle_hamiltonian(kernel, tol=HERMITICITY_TOL):
     """
     grid = kernel.grid
     support = kernel.support
+    fields = [kernel._kappa1[n].reshape(-1) if n in kernel._kappa1 else 0j for n in support]
+
+    def amplitudes(rows):
+        # kernel.field(n) on the block's sites, one offset at a time
+        for n, f in zip(support, fields):
+            yield kernel.kappa0_value(n) + (f if np.ndim(f) == 0 else f[rows])
+
     return _assemble_hopping(grid.shape, grid.boundary == "periodic", support,
-                             (kernel.field(n) for n in support),
-                             dtype=complex, tol=tol)
+                             amplitudes, dtype=complex, tol=tol)
 
 
 @dataclass

@@ -195,7 +195,10 @@ def wrap_plaquette(p, n):
 
 
 def flux_from_plaquette(p, n, spacing, hbar=1.0, charge=1.0):
-    """Magnetic flux density on the principal branch of the plaquette phase."""
+    """Magnetic flux density on the principal branch of the plaquette phase:
+    2 pi hbar w / (e a^2 N) for w the principal value of p. This is the
+    package's one statement of the flux formula; a unit plaquette, p = 1, is
+    on the branch for every N."""
     w = wrap_plaquette(p, n)
     return 2.0 * np.pi * hbar / (charge * spacing ** 2 * n) * w
 

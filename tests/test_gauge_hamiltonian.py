@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hopquant import (
     HoppingKernel,
@@ -34,7 +33,7 @@ from hopquant.errors import (
     ReflectionSymmetryError,
 )
 from hopquant.gauge_ham import GaugeHoppingSpec, LinearLinkFunctional, commutator_norms
-from sparse_oracle import from_matrix
+from sparse_oracle import coo_hopping, from_matrix
 from zn_oracle import LinkConfig, basis, direction_shift, plaquette, shift_map
 
 
@@ -108,14 +107,15 @@ def phase_rule(skew=0.0):
     return pair
 
 
-def _rule_operator(lat, pair):
+def _rule_operator(lat, pair, tol=linop.HERMITICITY_TOL):
     """The certified one-link-move operator of a rule, through the hopping assembler."""
-    idx = np.arange(lat.hilbert_dim)
-    amplitudes = (amp for l_idx in range(lat.n_links)
-                  for amp in pair(lat, l_idx, (idx // lat.n ** l_idx) % lat.n))
+    def amplitudes(rows):
+        idx = np.arange(rows.start, rows.stop)
+        return [amp for l_idx in range(lat.n_links)
+                for amp in pair(lat, l_idx, (idx // lat.n ** l_idx) % lat.n)]
     return linop._assemble_hopping(zn._basis_grid_shape(lat), True,
                                    gauge_ham._move_offsets(lat)[1:], amplitudes,
-                                   dtype=complex)
+                                   dtype=complex, tol=tol)
 
 
 # --- construction ---------------------------------------------------------------
@@ -167,6 +167,23 @@ def test_unpaired_amplitudes_rejected():
                                 CallableResponseSpec(lambda pvals, n: pvals.sum(axis=0)))
     with pytest.raises(HermiticityError):
         _rule_operator(single_link(4), unpaired_rule)
+
+
+def test_response_evaluated_once_per_link_and_direction(monkeypatch):
+    # the tables are made before the assembly, so a block count does not change them
+    class Counting(MaxwellPreset):
+        def response(self, pvals, n):
+            self.calls += 1
+            return super().response(pvals, n)
+
+    monkeypatch.setattr(linop, "_BLOCK_ENTRIES", 64)
+    for lat in (LinkLattice((2, 2), 3, boundary="periodic"), single_plaquette(4),
+                LinkLattice((2, 2, 2), 2, boundary="open")):
+        spec = Counting(1.0, 1.0)
+        for _ in range(2):
+            spec.calls = 0
+            build_gauge_hamiltonian(lat, spec)
+            assert spec.calls == 2 * lat.n_links
 
 
 def test_complex_response_refused():
@@ -246,28 +263,26 @@ def test_link_move_builders_match_configuration_oracle():
 
 
 def _coo_oracle(lat, link_amplitudes, diagonal=None):
-    """Link-move Hamiltonian from COO triplets, one dim-length block per move."""
+    """Link-move Hamiltonian from COO triplets: link l's raise and lower add
+    +-1 to its digit, the basis-grid axis n_links - 1 - l. Real unless an
+    amplitude has a nonzero imaginary part."""
     n, dim = lat.n, lat.hilbert_dim
     idx = np.arange(dim, dtype=np.int64)
     digits = [(idx // n ** l_idx) % n for l_idx in range(lat.n_links)]
     plaq = [np.mod(sum(sign * digits[l_idx] for l_idx, sign in lat.plaquette_links(*pl)), n)
             for pl in lat.plaquettes]
-    rows, cols, data = [], [], []
+    offsets, amplitudes = [], []
     if diagonal is not None:
-        rows.append(idx)
-        cols.append(idx)
-        data.append(diagonal(plaq))
+        offsets.append(np.zeros(lat.n_links, dtype=int))
+        amplitudes.append(diagonal(plaq))
     for l_idx in range(lat.n_links):
-        d = digits[l_idx]
-        for step, amp in zip((+1, -1), link_amplitudes(l_idx, d, plaq)):
-            rows.append(idx)
-            cols.append(idx + (((d + step) % n) - d) * n ** l_idx)
-            data.append(np.broadcast_to(np.asarray(amp), (dim,)))
-    data = np.concatenate(data)
-    if np.isrealobj(data) or np.abs(data.imag).max() == 0.0:
-        data = data.real.astype(float)
-    return sp.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dim, dim)).tocsr()
+        for step, amp in zip((+1, -1), link_amplitudes(l_idx, digits[l_idx], plaq)):
+            offsets.append(step * (np.arange(lat.n_links) == lat.n_links - 1 - l_idx))
+            amplitudes.append(amp)
+    real = not any(np.any(np.imag(amp)) for amp in amplitudes)
+    return coo_hopping((n,) * lat.n_links, True, offsets,
+                       [np.real(amp) for amp in amplitudes] if real else amplitudes,
+                       dtype=float if real else complex)
 
 
 def _spec_oracle(lat, spec):
@@ -371,7 +386,7 @@ def test_pairing_defect_equals_generic_defect():
 def test_oversize_assembly_fails_before_allocating(monkeypatch):
     lat = LinkLattice((2, 2), 7, boundary="periodic")  # 7^8 = 5.8M, under the cap
     assert lat.hilbert_dim < gauge_ham.DIMENSION_CAP
-    kernel = HoppingKernel.nearest_neighbor(LatticeGrid((180, 180, 180), 1.0), 1.0)
+    kernel = HoppingKernel.nearest_neighbor(LatticeGrid((190, 190, 190), 1.0), 1.0)
     monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 2 ** 30)
     tracemalloc.start()
     try:
@@ -400,8 +415,10 @@ def test_gauge_memory_estimate_counts_plaquette_values(monkeypatch):
 
 
 def test_assembly_peak_memory_bounded_by_csr():
-    lat = LinkLattice((2, 2), 4, boundary="periodic")
-    kernel = random_unitary_kernel(LatticeGrid((32, 32, 32), 1.0), np.random.default_rng(5))
+    # tracemalloc measured peaks of 1.035, 1.025 and 1.008 times the CSR; an
+    # assembly that held whole-grid temporaries beside it read 1.20 to 1.42
+    lat = LinkLattice((2, 2), 5, boundary="periodic")
+    kernel = random_unitary_kernel(LatticeGrid((64, 64, 64), 1.0), np.random.default_rng(5))
     for build in (lambda: build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)),
                   lambda: reference_ks_hamiltonian(lat, 1.0, 1.0),
                   lambda: build_particle_hamiltonian(kernel)):
@@ -411,8 +428,7 @@ def test_assembly_peak_memory_bounded_by_csr():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m = op.matrix
-        assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+        assert peak <= 1.05 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
 
 
 # --- symmetries -------------------------------------------------------------------
@@ -535,7 +551,8 @@ def _random_move_operator(lat, rng):
     offsets = gauge_ham._move_offsets(lat)
     amplitudes = [rng.standard_normal(lat.hilbert_dim) + 1j * rng.standard_normal(lat.hilbert_dim)
                   for _ in offsets]
-    return linop._assemble_hopping(zn._basis_grid_shape(lat), True, offsets, amplitudes,
+    return linop._assemble_hopping(zn._basis_grid_shape(lat), True, offsets,
+                                   lambda rows: [amp[rows] for amp in amplitudes],
                                    dtype=complex, tol=np.inf)
 
 

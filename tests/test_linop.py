@@ -19,8 +19,15 @@ from hopquant import (
 )
 from hopquant.errors import EigenConvergenceError, HermiticityError, HilbertDimensionError
 from hopquant.linop import eigs_extremal, propagate
-from sparse_oracle import from_matrix
+from sparse_oracle import coo_hopping, from_matrix
 from test_cli import _python
+from test_gauge_hamiltonian import (
+    _reference_oracle,
+    _rule_operator,
+    _rule_oracle,
+    _spec_oracle,
+    phase_rule,
+)
 
 
 def random_hermitian(n, rng, density=0.1):
@@ -581,6 +588,43 @@ def test_eigs_pass_cap_raises_with_residuals(monkeypatch):
     residuals = info.value.residuals
     assert residuals.shape == (6,)
     assert np.all(np.isfinite(residuals)) and residuals.max() > linop.RESIDUAL_TOL
+
+
+def _assembled_and_oracle():
+    """(build, the COO oracle it must equal) for particle kernels on periodic and
+    open 3-D and 1-D grids and on a 2x2 torus whose offsets coincide, and for
+    gauge builds on 2x2 periodic lattices, where raise and lower coincide at N=2."""
+    rng = np.random.default_rng(41)
+    for dims, reps in (((4, 3, 5), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, -1)]),
+                       ((9,), [(1,), (3,)]), ((2, 2), [(1, 1), (1, -1)])):
+        for boundary in ("periodic", "open"):
+            grid = LatticeGrid(dims, 1.0, boundary=boundary)
+            kernel = random_unitary_kernel(grid, rng, representatives=reps)
+            yield (lambda kernel=kernel: build_particle_hamiltonian(kernel),
+                   coo_hopping(grid.shape, boundary == "periodic", kernel.support,
+                               [kernel.field(n) for n in kernel.support], dtype=complex))
+    spec, skewed = MaxwellPreset(1.3, 0.8), phase_rule(skew=1e-3)
+    for n in (2, 3):
+        lat = LinkLattice((2, 2), n, boundary="periodic")
+        yield lambda lat=lat: build_gauge_hamiltonian(lat, spec), _spec_oracle(lat, spec)
+        yield (lambda lat=lat: reference_ks_hamiltonian(lat, 1.3, 0.8),
+               _reference_oracle(lat, 1.3, 0.8))
+        yield (lambda lat=lat: _rule_operator(lat, skewed, tol=np.inf),
+               _rule_oracle(lat, skewed))
+
+
+@pytest.mark.parametrize("entries", [1, 30, 200, 2 ** 16])
+def test_blocked_assembly_matches_coo_oracle_bit_for_bit(monkeypatch, entries):
+    # blocks of one row, chunks of a split last axis, trailing sub-grids, one block
+    monkeypatch.setattr(linop, "_BLOCK_ENTRIES", entries)
+    for build, want in _assembled_and_oracle():
+        op = build()
+        got = op.matrix.copy()
+        got.sort_indices()  # the assembler keeps each row in move order
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert op.hermiticity_defect == from_matrix(want, tol=np.inf).hermiticity_defect
 
 
 def test_available_memory_reads_meminfo(tmp_path):

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hopquant import (
     HoppingKernel,
@@ -18,7 +17,7 @@ from hopquant import (
     validate_kernel_unitarity,
 )
 from hopquant.errors import HermiticityError
-from sparse_oracle import from_matrix
+from sparse_oracle import coo_hopping, from_matrix
 
 
 def test_ring_circulant_eigenvalues():
@@ -50,38 +49,19 @@ def test_constraint_equivalent_to_hermiticity_both_directions():
 
 
 def _coo_oracle(kernel):
-    """H[x, x + n] = kappa(x, n) from COO triplets, one block per offset."""
+    """H[x, x + n] = kappa(x, n) from COO triplets."""
     grid = kernel.grid
-    idx = np.arange(grid.n_sites).reshape(grid.shape)
-    rows, cols, data = [], [], []
-    for n in kernel.support:
-        fld = kernel.field(n)
-        if grid.boundary == "periodic":
-            rows.append(idx.ravel())
-            cols.append(np.roll(idx, shift=[-c for c in n], axis=range(grid.ndim)).ravel())
-            data.append(fld.ravel())
-        else:
-            src = tuple(slice(max(0, -c), L - max(0, c)) for c, L in zip(n, grid.dims))
-            dst = tuple(slice(s.start + c, s.stop + c) for s, c in zip(src, n))
-            rows.append(idx[src].ravel())
-            cols.append(idx[dst].ravel())
-            data.append(fld[src].ravel())
-    if not data:
-        return sp.csr_matrix((grid.n_sites, grid.n_sites), dtype=complex)
-    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(grid.n_sites, grid.n_sites)).tocsr()
+    return coo_hopping(grid.shape, grid.boundary == "periodic", kernel.support,
+                       [kernel.field(n) for n in kernel.support], dtype=complex)
 
 
-def _assert_same_csr(got, want, rtol=0.0):
+def _assert_same_csr(got, want):
     got = got.copy()
     got.sort_indices()  # the assembler keeps each row in offset order
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
-        if name == "data" and rtol:
-            assert np.abs(a - b).max() <= rtol * np.abs(b).max()
-        else:
-            assert np.array_equal(a, b), name
+        assert np.array_equal(a, b), name
 
 
 def _assert_offset_order(got, kernel):
@@ -127,11 +107,10 @@ def test_direct_csr_assembly_matches_coo_oracle():
         op = build_particle_hamiltonian(kernel, tol=np.inf)
         _assert_same_csr(op.matrix, _coo_oracle(kernel))
         _assert_offset_order(op.matrix, kernel)
-    # four offsets meet on a 2x2 torus; scipy sums duplicates in no fixed order
+    # four offsets meet on a 2x2 torus and are summed in offset order
     kernel = random_unitary_kernel(LatticeGrid((2, 2), 1.0), np.random.default_rng(35),
                                    representatives=[(1, 1), (1, -1)])
-    _assert_same_csr(build_particle_hamiltonian(kernel).matrix, _coo_oracle(kernel),
-                     rtol=1e-15)
+    _assert_same_csr(build_particle_hamiltonian(kernel).matrix, _coo_oracle(kernel))
 
 
 def test_open_grid_operator_holds_only_its_entries():
