@@ -415,8 +415,8 @@ def test_gauge_memory_estimate_counts_plaquette_values(monkeypatch):
 
 
 def test_assembly_peak_memory_bounded_by_csr():
-    # tracemalloc measured peaks of 1.035, 1.025 and 1.008 times the CSR; an
-    # assembly that held whole-grid temporaries beside it read 1.20 to 1.42
+    # beside the CSR an assembly holds one row block's arrays and no grid-sized
+    # temporary: tracemalloc measured 1.035, 1.025 and 1.008 times the CSR
     lat = LinkLattice((2, 2), 5, boundary="periodic")
     kernel = random_unitary_kernel(LatticeGrid((64, 64, 64), 1.0), np.random.default_rng(5))
     for build in (lambda: build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)),
