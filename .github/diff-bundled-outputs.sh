@@ -5,10 +5,12 @@
 #
 # Each tree runs its own src/hopquant/configs/*.cfg through
 # `python -m hopquant.cli run`, with PYTHONPATH set to its src, into
-# WORK_DIR/base and WORK_DIR/head. Prints `diff -r` of the two and exits 0
-# when they are identical, 1 when they differ and 2 when a run fails.
+# WORK_DIR/base and WORK_DIR/head, making WORK_DIR if it is missing. Prints
+# `diff -r` of the two and exits 0 when they are identical, 1 when they
+# differ and 2 when a run fails.
 set -u
 base=$1 head=$2 work=$3
+mkdir -p "$work" || exit 2
 status=0
 for side in base head; do
   if [ "$side" = base ]; then tree=$base; else tree=$head; fi

@@ -79,7 +79,6 @@ from .states import (
     coherent_oscillator,
     drifting_gaussian,
     free_gaussian,
-    gaussian_state,
     plane_wave,
 )
 from .zn import (

@@ -24,8 +24,6 @@ NORM_DRIFT_TOL = 1e-8
 class EvolveResult:
     psi: LatticeWavefunction
     norm_drift: float
-    steps: int
-    dt: float
 
 
 def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
@@ -52,7 +50,7 @@ def evolve(source, psi, dt, steps, hbar=1.0, drift_tol=NORM_DRIFT_TOL):
         raise IntegratorAccuracyError(
             f"integrator accuracy: norm drift {drift:.3e} exceeds {drift_tol:.1e}")
     out = LatticeWavefunction(psi.grid, v.reshape(psi.grid.shape))
-    return EvolveResult(psi=out, norm_drift=drift, steps=steps, dt=dt)
+    return EvolveResult(psi=out, norm_drift=drift)
 
 
 def _divergence(components, grid):
@@ -67,7 +65,7 @@ def _divergence(components, grid):
     return div
 
 
-def continuum_residual(kernel, state, hbar=1.0, charge=1.0):
+def continuum_residual(kernel, state):
     """Relative L2 mismatch between H psi and the continuum right-hand side.
 
     The right-hand side uses the mass, potentials and background energy
@@ -75,7 +73,7 @@ def continuum_residual(kernel, state, hbar=1.0, charge=1.0):
     test state evaluated exactly.
     """
     grid = kernel.grid
-    fields = extract_potentials(kernel, hbar=hbar, charge=charge)
+    fields = extract_potentials(kernel)
     coords = grid.coordinates()
     psi = np.asarray(state.value(*coords), dtype=complex)
     grad = [np.asarray(g, dtype=complex) for g in state.gradient(*coords)]
@@ -87,10 +85,10 @@ def continuum_residual(kernel, state, hbar=1.0, charge=1.0):
     div_a = _divergence(a_comp, grid)
     a_dot_grad = sum(c * g for c, g in zip(a_comp, grad))
     rhs = (1.0 / (2.0 * fields.mass)) * (
-        -hbar ** 2 * lap
-        + 1j * hbar * charge * div_a * psi
-        + 2j * hbar * charge * a_dot_grad
-        + charge ** 2 * a_sq * psi
+        -lap
+        + 1j * div_a * psi
+        + 2j * a_dot_grad
+        + a_sq * psi
     ) + fields.scalar_potential * psi
     return float(np.linalg.norm((h_psi - rhs).ravel())
                  / np.linalg.norm(psi.ravel()))
@@ -112,8 +110,6 @@ class ContinuumProblem:
     vector_potential: callable = None
     scalar_potential: callable = None
     boundary: str = "periodic"
-    hbar: float = 1.0
-    charge: float = 1.0
     name: str = "custom"
 
 
@@ -150,10 +146,9 @@ def _relative_error(problem, a):
     """Relative L2 error at spacing ``a`` of one propagation over the duration."""
     grid = _grid_for(problem, a)
     kernel = kernel_from_potentials(problem.vector_potential,
-                                    problem.scalar_potential, problem.mass, grid,
-                                    hbar=problem.hbar, charge=problem.charge)
+                                    problem.scalar_potential, problem.mass, grid)
     psi0 = LatticeWavefunction.from_callable(grid, lambda *x: problem.solution(*x, 0.0))
-    values = evolve(kernel, psi0, problem.duration, 1, hbar=problem.hbar).psi.values
+    values = evolve(kernel, psi0, problem.duration, 1).psi.values
     ref = np.asarray(problem.solution(*grid.coordinates(), problem.duration),
                      dtype=complex)
     return float(np.linalg.norm((values - ref).ravel()) / np.linalg.norm(ref.ravel()))
@@ -175,35 +170,33 @@ def convergence_study(problem, spacings):
 
 
 def free_gaussian_problem(domain=(-12.0, 12.0), duration=1.0, x0=0.0, sigma=1.0,
-                          k0=0.0, mass=1.0, hbar=1.0):
+                          k0=0.0, mass=1.0):
     """Free packet spreading against the closed-form Gaussian solution."""
     return ContinuumProblem(
         solution=lambda x, t: free_gaussian(x, t, x0=x0, sigma=sigma, k0=k0,
-                                            mass=mass, hbar=hbar),
-        duration=duration, domain=(domain,), mass=mass, hbar=hbar,
-        name="free-gaussian")
+                                            mass=mass),
+        duration=duration, domain=(domain,), mass=mass, name="free-gaussian")
 
 
 def harmonic_problem(domain=(-8.0, 8.0), duration=None, x0=1.0, mass=1.0,
-                     omega=1.0, hbar=1.0):
+                     omega=1.0):
     """Coherent-state swing in a harmonic well; default duration one period."""
     if duration is None:
         duration = 2.0 * np.pi / omega
     return ContinuumProblem(
         solution=lambda x, t: coherent_oscillator(x, t, x0=x0, mass=mass,
-                                                  omega=omega, hbar=hbar),
+                                                  omega=omega),
         duration=duration, domain=(domain,), mass=mass,
         scalar_potential=lambda x: 0.5 * mass * omega ** 2 * x ** 2,
-        boundary="open", hbar=hbar, name="harmonic")
+        boundary="open", name="harmonic")
 
 
 def constant_field_problem(a_strength, domain=(-12.0, 12.0), duration=2.0,
-                           x0=0.0, sigma=1.0, mass=1.0, hbar=1.0, charge=1.0):
+                           x0=0.0, sigma=1.0, mass=1.0):
     """Packet drift under a constant vector potential (kinetic momentum shift)."""
     return ContinuumProblem(
         solution=lambda x, t: drifting_gaussian(x, t, a_strength, x0=x0,
-                                                sigma=sigma, mass=mass,
-                                                hbar=hbar, charge=charge),
+                                                sigma=sigma, mass=mass),
         duration=duration, domain=(domain,), mass=mass,
         vector_potential=lambda x: [np.full_like(x, a_strength)],
-        hbar=hbar, charge=charge, name="constant-field")
+        name="constant-field")

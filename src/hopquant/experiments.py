@@ -14,6 +14,7 @@ from . import gauge_ham, zn
 from .config import REQUIRED
 from .errors import ConfigError, HermiticityError
 from .evolution import (
+    NORM_DRIFT_TOL,
     constant_field_problem,
     convergence_study,
     evolve,
@@ -215,7 +216,8 @@ def run_particle_extract(cfg, report, tol):
     result = validate_kernel_unitarity(kernel, tol=tol)
     report.add_check("unitarity-constraint", result.passed,
                      value=result.max_violation, tolerance=tol)
-    fields = extract_potentials(kernel)
+    # read at the hbar the kernel was built with, which sets the mass and through it A and U
+    fields = extract_potentials(kernel, hbar=cfg.getfloat("kernel", "hbar", default=1.0))
     report.results["mass"] = fields.mass
     report.results["background_energy"] = fields.background_energy
     report.results["mass_sign"] = 1 if fields.mass > 0 else -1
@@ -240,7 +242,7 @@ def run_particle_evolve(cfg, report, tol):
     if not np.isfinite(dt):
         raise cfg.invalid("evolve", "dt", f"[evolve] dt must be finite, got {dt}")
     steps = _count(cfg, "evolve", key="steps")
-    drift_tol = cfg.gettolerance("evolve", "drift_tol", default=1e-8)
+    drift_tol = cfg.gettolerance("evolve", "drift_tol", default=NORM_DRIFT_TOL)
     op = build_particle_hamiltonian(kernel, tol=tol)
     result = evolve(op, psi0, dt, steps, hbar=hbar, drift_tol=drift_tol)
     report.results["norm_drift"] = result.norm_drift
@@ -454,11 +456,6 @@ def bundled_config_path(name):
     if not path.is_file():
         raise ConfigError(f"no bundled config named {name!r}")
     return str(path)
-
-
-def bundled_config_names():
-    root = resources.files("hopquant").joinpath("configs")
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
 def run_experiment(name, cfg, seed=None):

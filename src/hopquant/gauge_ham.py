@@ -27,8 +27,6 @@ from .evolution import fit_order
 DIMENSION_CAP = 2 ** 24
 # relative size of an odd or mixed flux response that counts as a violation
 DETECTION_TOL = 1e-10
-# rows of H that commutator_norms reads at a time, at most: a block stays in cache
-_BLOCK_ROWS = 4096
 
 
 class GaugeHoppingSpec:
@@ -256,10 +254,6 @@ class SymmetryReport:
     charge_conjugation: float
     parity: float
 
-    @property
-    def max_norm(self):
-        return _fold_max([self.gauge, self.charge_conjugation, self.parity])
-
 
 def commutator_norms(op, lattice, maps):
     """Exact max-norms of [H, P] for the permutation P of each map (A, b).
@@ -323,9 +317,10 @@ def _stored_amplitudes(op, lattice, moves):
 
     Move k adds ``moves[k]`` to the basis-grid point of a configuration, mod
     N. The slots are matched to moves on row 0, where distinct moves have
-    distinct columns. Then H is read a block of at most ``_BLOCK_ROWS`` rows
-    at a time, which stays in cache, and each block's columns are checked
-    against those of ``linop._grid_blocks``, the assembler's.
+    distinct columns. Then H is read a block of about
+    ``linop._BLOCK_ENTRIES`` entries at a time, which stays in cache, and
+    each block's columns are checked against those of
+    ``linop._grid_blocks``, the assembler's.
     """
     n, dim = lattice.n, lattice.hilbert_dim
     m = op.nnz // dim  # slots a row, if every row has as many
@@ -340,7 +335,8 @@ def _stored_amplitudes(op, lattice, moves):
         raise ValueError(layout_error)
     data, indices = op.data.reshape(dim, m), op.indices.reshape(dim, m)
     amps = np.zeros((len(moves), dim), dtype=op.data.dtype)
-    for start, want in linop._grid_blocks(shape, [moves[k] for k in slots], True, _BLOCK_ROWS):
+    per_block = max(1, linop._BLOCK_ENTRIES // max(m, 1))
+    for start, want in linop._grid_blocks(shape, [moves[k] for k in slots], True, per_block):
         rows = slice(start, start + len(want))
         if not np.array_equal(indices[rows], want):
             raise ValueError(layout_error)
@@ -460,8 +456,7 @@ def _probe_response(spec, n, pattern):
     return float(out.reshape(-1)[0])
 
 
-def extract_continuum_constants(spec, n, spacing=1.0, hbar=1.0, charge=1.0,
-                                require_ground_state=False):
+def extract_continuum_constants(spec, n, spacing=1.0, require_ground_state=False):
     """Read the quadratic flux response of a plaquette rule.
 
     The constant part is read at zero plaquettes; the quadratic part comes
@@ -492,15 +487,15 @@ def extract_continuum_constants(spec, n, spacing=1.0, hbar=1.0, charge=1.0,
     # quadratic response by Richardson-combined central differences
     diffs = []
     for q in (1, 2):
-        flux_step = q * zn.flux_from_plaquette(1, n, spacing, hbar=hbar, charge=charge)
+        flux_step = q * zn.flux_from_plaquette(1, n, spacing)
         second = (_probe_response(spec, n, [q, q])
                   + _probe_response(spec, n, [-q, -q])
                   - 2.0 * kappa0)
         diffs.append(second / flux_step ** 2)
     curvature = (4.0 * diffs[0] - diffs[1]) / 3.0
-    kappa2 = hbar ** 2 / (2.0 * charge ** 2 * spacing ** 4) * curvature
-    inv_eps0 = -(4.0 * np.pi ** 2 * spacing / (charge ** 2 * n ** 2)) * 2.0 * kappa0
-    inv_mu0 = (4.0 * charge ** 2 * spacing / hbar ** 2) * 2.0 * kappa2
+    kappa2 = 1.0 / (2.0 * spacing ** 4) * curvature
+    inv_eps0 = -(4.0 * np.pi ** 2 * spacing / n ** 2) * 2.0 * kappa0
+    inv_mu0 = 4.0 * spacing * 2.0 * kappa2
     degenerate = inv_eps0 == 0.0 or inv_mu0 == 0.0
     prod = inv_eps0 * inv_mu0
     if require_ground_state and prod <= 0.0:
@@ -564,37 +559,35 @@ class LinearLinkFunctional:
 
 @dataclass
 class TaylorReport:
-    spacings: list
-    clock_orders: list
     expansion_remainders: list
     expansion_order: float
     amplitude_remainders: list
     amplitude_order: float
 
 
-def taylor_consistency_check(spec, n_values, a_values, functional=None,
-                             flux=0.7, hbar=1.0, charge=1.0):
+def taylor_consistency_check(spec, n_values, a_values, functional=None):
     """Numerically verify the two truncations behind the continuum limit.
 
     ``n_values`` and ``a_values`` are zipped into a scaling path (N growing
     as the spacing shrinks). For each point, the wavefunction remainder is
     the unit-link-step difference of the functional minus its first and
     second derivative terms; the amplitude remainder compares the rule
-    against its own quadratic flux model at fixed flux. The link potentials
-    expanded around, and the default functional's weights, are drawn from a
-    generator seeded with 5, so the report is reproducible.
+    against its own quadratic flux model at the fixed flux 0.7. The link
+    potentials expanded around, and the default functional's weights, are
+    drawn from a generator seeded with 5, so the report is reproducible.
     """
     if len(n_values) != len(a_values):
         raise ValueError("n_values and a_values must pair up into one path")
     if len(a_values) < 3:
         raise ValueError("need >=3 path points to fit orders")
+    flux = 0.7
     rng = np.random.default_rng(5)
     if functional is None:
         functional = GaussianLinkFunctional(weights=1.0 + rng.random(3))
     a_fixed = rng.uniform(-0.4, 0.4, size=functional.size)
     exp_rem, amp_rem = [], []
     for n, a in zip(n_values, a_values):
-        step = 2.0 * np.pi * hbar / (charge * n * a)
+        step = 2.0 * np.pi / (n * a)
         worst = 0.0
         for i in range(len(a_fixed)):
             for sign in (+1.0, -1.0):
@@ -605,16 +598,12 @@ def taylor_consistency_check(spec, n_values, a_values, functional=None,
                         + 0.5 * step ** 2 * functional.d2(a_fixed, i))
                 worst = max(worst, abs(lhs - kept))
         exp_rem.append(worst)
-        consts = extract_continuum_constants(spec, n, spacing=a, hbar=hbar,
-                                             charge=charge)
-        p = flux / zn.flux_from_plaquette(1, n, a, hbar=hbar, charge=charge)
+        consts = extract_continuum_constants(spec, n, spacing=a)
+        p = flux / zn.flux_from_plaquette(1, n, a)
         resp = _probe_response(spec, n, [p, p])
-        model = consts.kappa0 + (charge ** 2 * a ** 4 / hbar ** 2) \
-            * consts.kappa2 * flux ** 2
+        model = consts.kappa0 + a ** 4 * consts.kappa2 * flux ** 2
         amp_rem.append(abs(resp - model))
     return TaylorReport(
-        spacings=list(a_values),
-        clock_orders=list(n_values),
         expansion_remainders=exp_rem,
         expansion_order=fit_order(a_values, exp_rem) if min(exp_rem) > 0 else np.inf,
         amplitude_remainders=amp_rem,

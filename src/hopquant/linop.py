@@ -569,16 +569,16 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     indptr = np.arange(dim + 1, dtype=index_dtype)
     indptr *= m  # m slots a row (none: H is empty), scaled in place
     end = dim * m
-    if not periodic:  # drop the entries off the grid in place, a chunk of rows at a time
+    if not periodic:  # drop the entries off the grid in place, a block of rows at a time
         flat_cols, flat_data = cols.reshape(-1), data.reshape(-1)
-        chunk, end = max(1, 2 ** 16 // max(m, 1)), 0
-        for start in range(0, dim, chunk):
-            keep = cols[start:start + chunk] < dim
+        end = 0
+        for start in range(0, dim, rows):
+            keep = cols[start:start + rows] < dim
             indptr[start + 1:start + 1 + len(keep)] = keep.sum(axis=1)
-            # compacted rows end at or before this chunk's first entry
+            # compacted rows end at or before this block's first entry
             nnz, end = end, end + int(np.count_nonzero(keep))
-            flat_cols[nnz:end] = cols[start:start + chunk][keep]
-            flat_data[nnz:end] = data[start:start + chunk][keep]
+            flat_cols[nnz:end] = cols[start:start + rows][keep]
+            flat_data[nnz:end] = data[start:start + rows][keep]
         np.cumsum(indptr, out=indptr)
         del flat_cols, flat_data
     # Flatten both buffers and shrink them to their nnz entries in place: a

@@ -4,11 +4,12 @@ A kernel maps (site, offset) to a complex amplitude of units energy and fully
 determines the dynamics i*hbar dpsi/dt = sum_n kappa(x, n) psi(x+a*n).
 This module validates the probability-conservation constraint, builds the
 corresponding Hermitian operator, and extracts the emergent continuum data
-(mass, background energy, vector and scalar potentials).
+(mass, background energy, vector and scalar potentials). Units fix e = 1:
+e enters only through the product eA, so it is a choice of units for A.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,8 +108,6 @@ class PotentialFields:
     background_energy: float
     vector_potential: list  # one real array per axis
     scalar_potential: np.ndarray
-    hbar: float = 1.0
-    charge: float = 1.0
 
 
 def _normalize_offset(n, ndim):
@@ -363,7 +362,6 @@ class MassFit:
 
     mass: float
     anisotropy: float
-    second_moment: np.ndarray = field(repr=False, default=None)
 
 
 def second_moment_matrix(kernel):
@@ -394,8 +392,7 @@ def mass_from_kernel(kernel, hbar=1.0):
     off = float(np.abs(m - np.diag(np.diag(m))).max()) if d > 1 else 0.0
     spread = float(np.diag(m).max() - np.diag(m).min()) if d > 1 else 0.0
     return MassFit(mass=-hbar ** 2 / (kernel.grid.spacing ** 2 * c),
-                   anisotropy=(off + spread) / abs(c),
-                   second_moment=m)
+                   anisotropy=(off + spread) / abs(c))
 
 
 def vacuum_energy(kernel):
@@ -406,14 +403,14 @@ def vacuum_energy(kernel):
     return float(total.real)
 
 
-def vector_potential_from_kernel(kernel, mass=None, hbar=1.0, charge=1.0):
-    """A_i(x) = (m a / (e hbar)) sum_n n_i Im kappa1(x, n)."""
+def vector_potential_from_kernel(kernel, mass=None, hbar=1.0):
+    """A_i(x) = (m a / hbar) sum_n n_i Im kappa1(x, n)."""
     grid = kernel.grid
     if mass is None:
         if not kernel.free_symmetric:
             raise MassRequiredError("mass required first")
         mass = mass_from_kernel(kernel, hbar=hbar).mass
-    pref = mass * grid.spacing / (charge * hbar)
+    pref = mass * grid.spacing / hbar
     comps = [np.zeros(grid.shape) for _ in range(grid.ndim)]
     for n in kernel.support:
         im = np.imag(kernel.kappa1_field(n))
@@ -423,9 +420,8 @@ def vector_potential_from_kernel(kernel, mass=None, hbar=1.0, charge=1.0):
     return comps
 
 
-def scalar_potential_from_kernel(kernel, vector_potential, mass=None, hbar=1.0,
-                                 charge=1.0):
-    """U(x) = E0 + sum_n Re kappa1(x, n) - (e^2/2m) A(x)^2."""
+def scalar_potential_from_kernel(kernel, vector_potential, mass=None, hbar=1.0):
+    """U(x) = E0 + sum_n Re kappa1(x, n) - A(x)^2 / 2m."""
     grid = kernel.grid
     if mass is None:
         if not kernel.free_symmetric:
@@ -435,21 +431,18 @@ def scalar_potential_from_kernel(kernel, vector_potential, mass=None, hbar=1.0,
     for n in kernel.support:
         u = u + np.real(kernel.kappa1_field(n))
     a_sq = sum(a * a for a in vector_potential)
-    return u - (charge ** 2 / (2.0 * mass)) * a_sq
+    return u - (1.0 / (2.0 * mass)) * a_sq
 
 
-def extract_potentials(kernel, hbar=1.0, charge=1.0):
+def extract_potentials(kernel, hbar=1.0):
     """Full continuum readout: mass, background energy, A and U fields."""
     fit = mass_from_kernel(kernel, hbar=hbar)
-    a_field = vector_potential_from_kernel(kernel, mass=fit.mass, hbar=hbar,
-                                           charge=charge)
-    u_field = scalar_potential_from_kernel(kernel, a_field, mass=fit.mass, hbar=hbar,
-                                           charge=charge)
+    a_field = vector_potential_from_kernel(kernel, mass=fit.mass, hbar=hbar)
+    u_field = scalar_potential_from_kernel(kernel, a_field, mass=fit.mass, hbar=hbar)
     return PotentialFields(mass=fit.mass,
                            background_energy=vacuum_energy(kernel),
                            vector_potential=a_field,
-                           scalar_potential=u_field,
-                           hbar=hbar, charge=charge)
+                           scalar_potential=u_field)
 
 
 def _axis_offset(ax, sign, ndim):
@@ -457,11 +450,11 @@ def _axis_offset(ax, sign, ndim):
 
 
 def kernel_from_potentials(vector_potential, scalar_potential, mass, grid,
-                           hbar=1.0, charge=1.0):
+                           hbar=1.0):
     """Minimal nearest-neighbor kernel reproducing the given fields.
 
     The imaginary hopping parts are the linearized link phases
-    Im kappa1(x, +e_i) = (e hbar / (2 m a)) A_i at the link midpoint, and the
+    Im kappa1(x, +e_i) = (hbar / (2 m a)) A_i at the link midpoint, and the
     diagonal carries U plus the A^2 compensation, so that extracting (A, U)
     from the result reproduces the inputs to O(a).
 
@@ -484,7 +477,7 @@ def kernel_from_potentials(vector_potential, scalar_potential, mass, grid,
 
     site_a = vp_on(coords)
     kappa1 = {}
-    gamma = charge * hbar / (2.0 * mass * a)
+    gamma = hbar / (2.0 * mass * a)
     for ax in range(grid.ndim):
         mid = list(coords)
         mid[ax] = mid[ax] + a / 2.0
@@ -497,15 +490,15 @@ def kernel_from_potentials(vector_potential, scalar_potential, mass, grid,
     else:
         u = np.asarray(scalar_potential(*coords), dtype=float)
     a_sq = sum(c * c for c in site_a)
-    diag = u + (charge ** 2 / (2.0 * mass)) * a_sq
+    diag = u + (1.0 / (2.0 * mass)) * a_sq
     if np.any(diag != 0.0):
         kappa1[(0,) * grid.ndim] = diag.astype(complex)
     return HoppingKernel(grid, kappa0=kern.kappa0, kappa1=kappa1,
                          free_symmetric=True)
 
 
-def gauge_shift_kernel(kernel, chi, hbar=1.0, charge=1.0):
-    """Conjugate the kernel by the site phases exp(i e chi(x) / hbar).
+def gauge_shift_kernel(kernel, chi):
+    """Conjugate the kernel by the site phases exp(i chi(x)).
 
     This shifts the extracted vector potential by a discrete pure gradient
     and leaves the operator spectrum unchanged.
@@ -514,7 +507,7 @@ def gauge_shift_kernel(kernel, chi, hbar=1.0, charge=1.0):
     chi = np.asarray(chi, dtype=float)
     if chi.shape != grid.shape:
         raise ValueError("chi must be a per-site field")
-    phase = np.exp(1j * charge * chi / hbar)
+    phase = np.exp(1j * chi)
     kappa1 = {}
     for n in kernel.support:
         shifted = np.roll(phase, shift=_neg(n), axis=range(grid.ndim))

@@ -41,25 +41,9 @@ def plane_wave(k):
     return AnalyticState(value, gradient, laplacian)
 
 
-def gaussian_state(x0, sigma, k0=0.0):
-    """1D normalized Gaussian packet with mean position x0 and momentum hbar*k0."""
-    norm = (np.pi * sigma ** 2) ** -0.25
-
-    def value(x):
-        return norm * np.exp(-((x - x0) ** 2) / (2 * sigma ** 2) + 1j * k0 * (x - x0))
-
-    def gradient(x):
-        return [(-(x - x0) / sigma ** 2 + 1j * k0) * value(x)]
-
-    def laplacian(x):
-        g = -(x - x0) / sigma ** 2 + 1j * k0
-        return (g ** 2 - 1.0 / sigma ** 2) * value(x)
-
-    return AnalyticState(value, gradient, laplacian)
-
-
 def free_gaussian(x, t, x0=0.0, sigma=1.0, k0=0.0, mass=1.0, hbar=1.0):
-    """Free-particle Gaussian evolution for the initial state ``gaussian_state``."""
+    """Free-particle evolution of the normalized Gaussian packet centered at
+    ``x0`` with width ``sigma`` and momentum hbar*k0."""
     tau = 1.0 + 1j * hbar * t / (mass * sigma ** 2)
     exponent = (-((x - x0) ** 2) / (2 * sigma ** 2)
                 + 1j * k0 * (x - x0)
@@ -82,14 +66,13 @@ def coherent_oscillator(x, t, x0=1.0, mass=1.0, omega=1.0, hbar=1.0):
             * np.exp(-0.5 * width * (x - x0 * c) ** 2 - 1j * phase))
 
 
-def drifting_gaussian(x, t, a_strength, x0=0.0, sigma=1.0, k0=0.0, mass=1.0,
-                      hbar=1.0, charge=1.0):
-    """Gaussian packet under a constant vector potential.
+def drifting_gaussian(x, t, a_strength, x0=0.0, sigma=1.0, mass=1.0, hbar=1.0):
+    """Packet at rest in canonical momentum under a constant vector potential.
 
     The constant potential shifts the kinetic momentum: the packet drifts
-    with velocity (hbar*k0 - e*A)/m while the dressing phase exp(i e A x /
-    hbar) keeps the canonical momentum fixed.
+    with velocity -A/m while the dressing phase exp(i A x / hbar) keeps the
+    canonical momentum at zero.
     """
-    shift = charge * a_strength / hbar
+    shift = a_strength / hbar
     return np.exp(1j * shift * (x - x0)) * free_gaussian(
-        x, t, x0=x0, sigma=sigma, k0=k0 - shift, mass=mass, hbar=hbar)
+        x, t, x0=x0, sigma=sigma, k0=-shift, mass=mass, hbar=hbar)

@@ -128,25 +128,14 @@ class LinkLattice:
 # the whole basis.
 
 def _gauge_map(lattice, g):
-    """Gauge transform g: l'(s,k) = l(s,k) + g(s+k) - g(s) mod N."""
-    g = _gauge_array(lattice, g)
+    """Gauge transform g, one value per site in site order:
+    l'(s,k) = l(s,k) + g(s+k) - g(s) mod N."""
+    g = np.asarray(g, dtype=np.int64)
+    if g.shape != (lattice.n_sites,):
+        raise ValueError("gauge transform must supply one value per site")
     tails = [lattice.site_index(s) for s, _ in lattice.links]
     heads = [lattice.site_index(lattice.shift_site(s, k)) for s, k in lattice.links]
     return np.eye(lattice.n_links, dtype=np.int64), g[heads] - g[tails]
-
-
-def _gauge_array(lattice, g):
-    if isinstance(g, dict):
-        arr = np.zeros(lattice.n_sites, dtype=np.int64)
-        for s, v in g.items():
-            arr[lattice.site_index(s)] = v
-        return arr
-    arr = np.asarray(g, dtype=np.int64)
-    if arr.shape == tuple(lattice.dims):
-        arr = arr.ravel()
-    if arr.shape != (lattice.n_sites,):
-        raise ValueError("gauge transform must supply one value per site")
-    return arr
 
 
 def _charge_map(lattice):
@@ -194,13 +183,13 @@ def wrap_plaquette(p, n):
     return out.astype(np.int64)
 
 
-def flux_from_plaquette(p, n, spacing, hbar=1.0, charge=1.0):
+def flux_from_plaquette(p, n, spacing):
     """Magnetic flux density on the principal branch of the plaquette phase:
-    2 pi hbar w / (e a^2 N) for w the principal value of p. This is the
+    2 pi w / (a^2 N) for w the principal value of p. This is the
     package's one statement of the flux formula; a unit plaquette, p = 1, is
     on the branch for every N."""
     w = wrap_plaquette(p, n)
-    return 2.0 * np.pi * hbar / (charge * spacing ** 2 * n) * w
+    return 2.0 * np.pi / (spacing ** 2 * n) * w
 
 
 # --- permutation representations over the full configuration basis ---------

@@ -150,7 +150,8 @@ def test_criterion_5_gauge_c_p_invariance():
             lattice = LinkLattice((2, 2), n, boundary="periodic")
             op = build_gauge_hamiltonian(lattice, spec)
             report = symmetry_commutator_norms(op, lattice)
-            assert report.max_norm <= 1e-12
+            norms = (report.gauge, report.charge_conjugation, report.parity)
+            assert all(norm <= 1e-12 for norm in norms)
         assert lattice.hilbert_dim == 65536
         assert time.monotonic() - start < 300.0
 

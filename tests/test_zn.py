@@ -109,7 +109,9 @@ def test_gauge_constant_is_identity():
 def test_gauge_delta_touches_only_adjacent_links():
     lat = LinkLattice((2, 2), 4)
     config = LinkConfig.zeros(lat)
-    out = apply_gauge(config, {(0, 0): 1})
+    g = np.zeros(lat.n_sites, dtype=int)
+    g[lat.site_index((0, 0))] = 1
+    out = apply_gauge(config, g)
     changed = {lat.links[i] for i in np.nonzero(out.values)[0]}
     # 2d touching links on the periodic 2x2 lattice
     assert changed == {((0, 0), 0), ((0, 0), 1), ((1, 0), 0), ((0, 1), 1)}
@@ -275,7 +277,7 @@ def test_permutations_agree_with_config_transforms_off_square(dims, n, boundary)
     # unequal extents and 3D keep a wrong link-to-axis order from cancelling
     lat = LinkLattice(dims, n, boundary=boundary)
     rng = np.random.default_rng(46)
-    g = {s: int(rng.integers(0, n)) for s in lat.sites}
+    g = np.array([rng.integers(0, n) for _ in lat.sites])
     centers = allowed_parity_centers(lat)
     assert centers
     raised = lat.n_links - 2
