@@ -66,36 +66,21 @@ class MaxwellPreset(GaugeHoppingSpec):
 
 
 def _plaquette_dtype(n):
-    """The smallest unsigned type holding a sum of four link terms in [0, N)."""
-    return np.min_scalar_type(4 * (n - 1))
+    """The smallest unsigned type holding a plaquette value in [0, N)."""
+    return np.min_scalar_type(n - 1)
 
 
 def _plaquette_values(lattice):
     """Every plaquette's value in every basis configuration, in [0, N), as
-    an array (plaquettes, configurations).
-
-    A plaquette's value is a + b mod N, where a sums its link terms on the
-    leading half of the basis grid's axes and b those on the trailing half,
-    each reduced mod N on its own small grid. So one outer sum makes it, and
-    one subtraction of N, kept where it does not wrap below zero, reduces it.
-    The values fit ``_plaquette_dtype``. Cast to float before any float
-    arithmetic: numpy 1.x would compute uint8 * float in float16.
+    an array (plaquettes, configurations) of ``_plaquette_dtype``: the rows
+    of ``zn._plaquette_map`` evaluated over the basis grid. Cast to float
+    before any float arithmetic: numpy 1.x would compute uint8 * float in
+    float16.
     """
-    n = lattice.n
-    dtype = _plaquette_dtype(n)
     shape = zn._basis_grid_shape(lattice)
-    half = len(shape) // 2
-    vals = np.empty((len(lattice.plaquettes), n ** half, n ** (len(shape) - half)), dtype=dtype)
-    for total, (s, i, k) in zip(vals, lattice.plaquettes):
-        parts = [np.zeros(shape[:half], dtype=dtype), np.zeros(shape[half:], dtype=dtype)]
-        for l_idx, sign in lattice.plaquette_links(s, i, k):
-            axis = zn._link_axis(lattice, l_idx)
-            part, axis = (parts[1], axis - half) if axis >= half else (parts[0], axis)
-            term = ((sign * np.arange(n)) % n).astype(dtype)
-            part += term.reshape([n if a == axis else 1 for a in range(part.ndim)])
-        lead, trail = (np.mod(part, dtype.type(n)).reshape(-1) for part in parts)
-        np.add(lead[:, np.newaxis], trail, out=total)
-        np.minimum(total, total - dtype.type(n), out=total)  # an unsigned difference wraps
+    vals = np.empty((len(lattice.plaquettes),) + shape, dtype=_plaquette_dtype(lattice.n))
+    for out, value in zip(vals, zn._affine_values(lattice, zn._plaquette_map(lattice))):
+        out[...] = value
     return vals.reshape(len(lattice.plaquettes), lattice.hilbert_dim)
 
 
@@ -106,9 +91,19 @@ def _move_offsets(lattice):
     return [np.zeros_like(eye[0])] + [step * unit for unit in units for step in (1, -1)]
 
 
-def _link_moves(lattice, pairs, diagonal=None, tol=linop.HERMITICITY_TOL):
-    """Certified Hamiltonian of one-link moves plus an optional diagonal,
-    with the amplitudes of ``_block_amplitudes(lattice, pairs, diagonal)``.
+def _link_moves(lattice, amplitudes, diagonal=False, tol=linop.HERMITICITY_TOL):
+    """Certified Hamiltonian of the one-link moves, after the diagonal where
+    ``diagonal``.
+
+    ``amplitudes(plaq, work)`` gives the amplitudes of a block of
+    configurations from the value of every plaquette in each, ``plaq``, an
+    array (plaquettes, block) of ``_plaquette_dtype``: a real array (moves,
+    block), the diagonal first where ``diagonal``, then the raise and the
+    lower of each link. ``work`` is a list, empty at the first block, the
+    largest, where the callable keeps the arrays it reuses from block to
+    block. The plaquette values are made at the first block, after the
+    assembler's memory check. They and ``work`` are held by the assembler's
+    callable alone, so they are freed before its hermiticity pass.
 
     Raises ``HilbertDimensionError`` above ``DIMENSION_CAP``, or when the
     assembly and the plaquette values together would not fit in memory.
@@ -119,82 +114,12 @@ def _link_moves(lattice, pairs, diagonal=None, tol=linop.HERMITICITY_TOL):
             f"exceeds cap {DIMENSION_CAP}")
     plaq_bytes = (len(lattice.plaquettes) * lattice.hilbert_dim
                   * _plaquette_dtype(lattice.n).itemsize)
-    # the callable, and with it the plaquette values, is the assembler's alone,
-    # so it can free them before its hermiticity pass
-    return linop._assemble_hopping(zn._basis_grid_shape(lattice), True,
-                                   _move_offsets(lattice)[int(diagonal is None):],
-                                   _block_amplitudes(lattice, pairs, diagonal),
-                                   tol=tol, held_bytes=plaq_bytes)
-
-
-def _block_amplitudes(lattice, pairs, diagonal):
-    """``amplitudes(rows)`` of the one-link moves, for the hopping assembler:
-    the diagonal, if any, then the raise and the lower of each link.
-
-    ``pairs[l_idx]`` is the (raise, lower) pair of link ``l_idx``, the
-    offsets +-1 on its axis of the basis grid. Each is a scalar or a table
-    whose entry c is the amplitude where the link's adjacent plaquettes, in
-    ``link_adjacency`` order, hold the values whose base-N code is c.
-    ``diagonal(plaq)`` gives the diagonal of a block of configurations from
-    the value of every plaquette in each, an intp array (plaquettes, block).
-
-    The plaquette values are made at the first call, after the assembler's
-    memory check. Each block then computes the codes of all links at once,
-    gathers their amplitudes in one ``take`` from the tables laid end to
-    end, and returns one array (moves, block), the same array each call.
-    """
-    n = lattice.n
-    row = int(diagonal is not None)  # link l's raise is row 2 l + row of a block's amplitudes
-    plaquettes = functools.cache(lambda: _plaquette_values(lattice))
-    work = []  # a block's arrays, made for the first block, the largest, and reused
-    if not any(np.ndim(amp) for pair in pairs for amp in pair):
-        fixed = np.reshape(pairs, (-1, 1))
-
-        def amplitudes(rows):
-            size = rows.stop - rows.start
-            if not work:
-                work.append(np.empty((row + len(fixed), size), dtype=np.result_type(float, fixed)))
-            values = work[0][:, :size]
-            if row:
-                values[0] = diagonal(plaquettes()[:, rows].astype(np.intp))
-            values[row:] = fixed
-            return values
-    else:
-        # every link's raise tables end to end, and its lower tables, scalars broadcast
-        entries = [n ** len(lattice.link_adjacency(l_idx)) for l_idx in range(len(pairs))]
-        joined = [np.concatenate([np.broadcast_to(pair[d], (k,))
-                                  for pair, k in zip(pairs, entries)]) for d in (0, 1)]
-        first = np.cumsum([0] + entries)[:-1, np.newaxis]  # where each link's table starts
-        # each link's adjacent plaquettes as rows of a block's plaquette values,
-        # below a zero row 0 that pads the shorter lists in front
-        adjacency = [[p + 1 for p, _ in lattice.link_adjacency(l_idx)]
-                     for l_idx in range(len(pairs))]
-        width = max(map(len, adjacency))
-        adjacent = np.array([[0] * (width - len(adj)) + adj for adj in adjacency], dtype=np.intp)
-
-        def amplitudes(rows):
-            size = rows.stop - rows.start
-            if not work:
-                # the plaquette values times each place value of a code, down to 1
-                work.extend(np.zeros(axes + (size,), dtype=t) for axes, t in (
-                    ((max(width, 1), len(lattice.plaquettes) + 1), np.intp),
-                    ((len(pairs),), np.intp), ((len(pairs),), np.intp),
-                    ((row + 2 * len(pairs),), np.result_type(float, *joined))))
-            scaled, code, term, values = (a[..., :size] for a in work)
-            scaled[-1, 1:] = plaquettes()[:, rows]
-            if row:
-                values[0] = diagonal(scaled[-1, 1:])
-            for k in range(width - 1):
-                np.multiply(scaled[-1], n ** (width - 1 - k), out=scaled[k])
-            # each link's code, plus the start of its table
-            code[...] = first
-            for k in range(width):
-                code += np.take(scaled[k], adjacent[:, k], axis=0, out=term, mode="clip")
-            for d in (0, 1):
-                np.take(joined[d], code, out=values[row + d::2], mode="clip")
-            return values
-
-    return amplitudes
+    # the defaults are made with the lambda, once per build, and only the assembler holds it
+    return linop._assemble_hopping(
+        zn._basis_grid_shape(lattice), True, _move_offsets(lattice)[int(not diagonal):],
+        lambda rows, plaq=functools.cache(lambda: _plaquette_values(lattice)), work=[]:
+            amplitudes(plaq()[:, rows], work),
+        tol=tol, held_bytes=plaq_bytes)
 
 
 def build_gauge_hamiltonian(lattice, spec, tol=linop.HERMITICITY_TOL):
@@ -202,26 +127,60 @@ def build_gauge_hamiltonian(lattice, spec, tol=linop.HERMITICITY_TOL):
 
     For each link, ``spec.response`` is evaluated once on the N**k
     combinations of its k adjacent plaquette values shifted by half the
-    raise's change to each, and once for the lower, and each configuration
-    reads its (raise, lower) pair from those tables. Raises
-    ``HermiticityError`` ("spec violates unitary hopping") when the pair is
-    not Hermitian-compatible, and ``ValueError`` when the response is
-    complex.
+    raise's change to each, and once for the lower; a scalar response holds
+    for every combination. Each block of configurations then computes the
+    base-N code of every link's adjacent plaquette values, in
+    ``link_adjacency`` order, and gathers the amplitudes of all links in one
+    ``take`` from the tables laid end to end. Raises ``HermiticityError``
+    ("spec violates unitary hopping") when the pair is not
+    Hermitian-compatible, and ``ValueError`` when a table has an entry with
+    a nonzero imaginary part.
     """
     n = lattice.n
+    adjacency = [lattice.link_adjacency(l_idx) for l_idx in range(lattice.n_links)]
 
-    def link_pair(l_idx):
-        adj = lattice.link_adjacency(l_idx)
+    def tables(adj):
         half = 0.5 * np.array([sg for _, sg in adj], dtype=float)[:, np.newaxis]
-        # column c of the table holds the plaquette values whose base-N code is c
-        table = np.indices((n,) * len(adj), dtype=float).reshape(len(adj), n ** len(adj))
-        return tuple(amp if np.ndim(amp) == 0 else np.asarray(amp).reshape(-1)
-                     for amp in (spec.response(table + half, n),
-                                 spec.response(table - half, n)))
+        # column c of the grid holds the plaquette values whose base-N code is c
+        grid = np.indices((n,) * len(adj), dtype=float).reshape(len(adj), n ** len(adj))
+        for step in (half, -half):
+            table = np.broadcast_to(np.reshape(spec.response(grid + step, n), -1),
+                                    grid.shape[1:])
+            if np.iscomplexobj(table) and np.any(table.imag):
+                raise ValueError(f"complex amplitude: the response on {lattice} has a "
+                                 "nonzero imaginary part, and gauge builds are real")
+            yield np.real(table)
 
-    pairs = [link_pair(l_idx) for l_idx in range(lattice.n_links)]
+    # every link's raise tables end to end, and its lower tables
+    joined = [np.concatenate(d, dtype=float) for d in zip(*map(tables, adjacency))]
+    first = np.cumsum([0] + [n ** len(adj) for adj in adjacency])[:-1, np.newaxis]
+    # each link's adjacent plaquettes as rows of a block's plaquette values,
+    # below a zero row 0 that pads the shorter lists in front
+    width = max(map(len, adjacency))
+    adjacent = np.array([[0] * (width - len(adj)) + [p + 1 for p, _ in adj]
+                         for adj in adjacency], dtype=np.intp)
+
+    def amplitudes(plaq, work):
+        size = plaq.shape[1]
+        if not work:
+            # the plaquette values times each place value of a code, down to 1
+            work.extend(np.zeros(axes + (size,), dtype=t) for axes, t in (
+                ((max(width, 1), len(plaq) + 1), np.intp), ((len(first),), np.intp),
+                ((len(first),), np.intp), ((2 * len(first),), float)))
+        scaled, code, term, values = (a[..., :size] for a in work)
+        scaled[-1, 1:] = plaq
+        for k in range(width - 1):
+            np.multiply(scaled[-1], n ** (width - 1 - k), out=scaled[k])
+        # each link's code, plus the start of its table
+        code[...] = first
+        for k in range(width):
+            code += np.take(scaled[k], adjacent[:, k], axis=0, out=term, mode="clip")
+        for d in (0, 1):
+            np.take(joined[d], code, out=values[d::2], mode="clip")
+        return values
+
     try:
-        return _link_moves(lattice, pairs, tol=tol)
+        return _link_moves(lattice, amplitudes, tol=tol)
     except HermiticityError as exc:
         raise HermiticityError(
             f"spec violates unitary hopping: {exc}", defect=exc.defect) from exc
@@ -236,14 +195,17 @@ def reference_ks_hamiltonian(lattice, electric, magnetic, tol=linop.HERMITICITY_
     # the magnetic term of one plaquette, indexed by its value
     table = magnetic * 2.0 * np.sin(np.pi * np.arange(lattice.n, dtype=float) / lattice.n) ** 2
 
-    def diagonal(plaq):
-        diag = np.full(plaq.shape[1], 2.0 * electric * lattice.n_links)
+    def amplitudes(plaq, work):
+        if not work:
+            work.append(np.empty((1 + 2 * lattice.n_links, plaq.shape[1])))
+        values = work[0][:, :plaq.shape[1]]
+        values[0] = 2.0 * electric * lattice.n_links
         for term in table.take(plaq):
-            diag += term
-        return diag
+            values[0] += term
+        values[1:] = -electric
+        return values
 
-    return _link_moves(lattice, [(-electric, -electric)] * lattice.n_links,
-                       diagonal=diagonal, tol=tol)
+    return _link_moves(lattice, amplitudes, diagonal=True, tol=tol)
 
 
 # --- symmetry checks ---------------------------------------------------------

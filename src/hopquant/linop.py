@@ -433,31 +433,14 @@ def _fill_slots(data, blocks, slots, amplitudes):
         rows = slice(start, start + len(block))
         amps = amplitudes(rows)
         if in_order and isinstance(amps, np.ndarray) and amps.shape == (len(slots), len(block)):
-            data[rows] = _storable(amps, data.dtype, 0).T
+            data[rows] = amps.T
             continue
         out = data[rows]
-        for i, (j, add, amp) in enumerate(zip(slots, added, amps, strict=True)):
-            amp = _storable(amp, data.dtype, i)
+        for j, add, amp in zip(slots, added, amps, strict=True):
             if add:
                 out[:, j] += amp
             else:
                 out[:, j] = amp
-
-
-def _storable(amps, dtype, move):
-    """``amps``, the amplitudes of move ``move`` or, as a 2-D array, the rows
-    of moves ``move``, ``move + 1``, ..., as an assembly of ``dtype`` stores
-    them: their real part when ``dtype`` is real, where that loses nothing,
-    else ``ValueError`` naming the first move with a nonzero imaginary part."""
-    amps = np.asarray(amps)
-    if amps.dtype.kind != "c" or np.dtype(dtype).kind == "c":
-        return amps
-    lossy = np.any(amps.imag, axis=-1) if amps.ndim == 2 else [np.any(amps.imag)]
-    for i, imag in enumerate(lossy):
-        if imag:
-            raise ValueError(
-                f"complex amplitude of move {move + i} in a {np.dtype(dtype)} assembly")
-    return amps.real
 
 
 def _slot_defect(cols, data, reverse, periodic, rows):
@@ -528,20 +511,20 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     check, and fills the block's columns and its m slots a row while they
     are in cache. It copies a block's amplitudes before the next call, so
     the callable may return the same array, an array (moves, rows), each
-    time. Offsets that coincide on the grid (which wraps when
-    ``periodic``) are summed into one entry, the zero offset is the
-    diagonal, and an open grid drops entries whose column leaves it. Entries
-    are stored as ``dtype`` straight into CSR arrays. Row x holds one slot
-    per distinct offset, in the order of first appearance, not sorted by
-    column. max|H - H^H| is the largest |H[x, x + o] - conj(H[x + o, x])|
-    over stored entries, with the reverse offset's entry or zero where no
-    move has it, read a block of rows at a time from the filled slots.
+    time. The amplitudes must already be of a kind ``dtype`` holds: they
+    are stored as ``dtype`` straight into CSR arrays, unchecked. Offsets
+    that coincide on the grid (which wraps when ``periodic``) are summed
+    into one entry, the zero offset is the diagonal, and an open grid drops
+    entries whose column leaves it. Row x holds one slot per distinct
+    offset, in the order of first appearance, not sorted by column.
+    max|H - H^H| is the largest |H[x, x + o] - conj(H[x + o, x])| over
+    stored entries, with the reverse offset's entry or zero where no move
+    has it, read a block of rows at a time from the filled slots.
 
     Raises ``HilbertDimensionError``, before allocating anything of the grid
     size, when the estimated peak (the CSR, ``ASSEMBLY_BYTES_PER_STATE`` per
     grid point and the ``held_bytes`` the caller's inputs hold beside them)
-    exceeds the available memory, and ``ValueError`` when a real ``dtype``
-    meets an amplitude with a nonzero imaginary part.
+    exceeds the available memory.
     """
     dim = math.prod(shape)
 

@@ -99,7 +99,7 @@ class Report:
 
 def _cell(value):
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2's repr of an np.float64 is not a number
     if hasattr(value, "item"):
         return _cell(value.item())
     if isinstance(value, complex):

@@ -125,7 +125,8 @@ class LinkLattice:
 # Each symmetry is defined once, as a pair (A, b) of int64 arrays in link
 # order that sends the link values x to A x + b mod N: rows of A are the
 # destination links, columns the source links. ``permutation`` applies it to
-# the whole basis.
+# the whole basis. ``_plaquette_map`` is one more such map, whose rows are
+# the plaquettes: ``_affine_values`` evaluates either over the basis.
 
 def _gauge_map(lattice, g):
     """Gauge transform g, one value per site in site order:
@@ -173,14 +174,21 @@ def _parity_map(lattice, s0):
     return a, np.zeros(lattice.n_links, dtype=np.int64)
 
 
+def _plaquette_map(lattice):
+    """Plaquette values: row p of A holds the signs of plaquette p's links, so
+    A x mod N is the value of every plaquette, one row a plaquette."""
+    a = np.zeros((len(lattice.plaquettes), lattice.n_links), dtype=np.int64)
+    for row, (s, i, k) in zip(a, lattice.plaquettes):
+        for l_idx, sign in lattice.plaquette_links(s, i, k):
+            row[l_idx] += sign
+    return a, np.zeros(len(lattice.plaquettes), dtype=np.int64)
+
+
 def wrap_plaquette(p, n):
-    """Principal representative of p mod N in (-N/2, N/2]; ties go positive."""
-    p = np.asarray(p)
-    r = np.mod(p, n)
-    out = np.where(r > n / 2, r - n, r)
-    if np.isscalar(p) or p.ndim == 0:
-        return int(out)
-    return out.astype(np.int64)
+    """Principal representative of the integer p mod N in (-N/2, N/2];
+    ties go positive."""
+    r = p % n
+    return int(r - n if r > n / 2 else r)
 
 
 def flux_from_plaquette(p, n, spacing):
@@ -214,17 +222,23 @@ def _along_link(lattice, link_idx, table):
     return np.reshape(table, shape)
 
 
+def _affine_values(lattice, affine):
+    """Row r of A x + b mod N, for each row of the map ``affine`` (A, b) in
+    turn, over the basis grid: an int64 array that broadcasts over it, with
+    an axis of length N for each link whose column is nonzero in row r."""
+    a, b = affine
+    values = np.arange(lattice.n, dtype=np.int64)
+    for row, offset in zip(a, b):
+        yield (offset + sum(_along_link(lattice, src, row[src] * values)
+                            for src in np.flatnonzero(row))) % lattice.n
+
+
 def permutation(lattice, symmetry):
     """Permutation sigma with sigma[j] = index of the image of config j under
     ``symmetry`` (A, b), whose link dest holds b[dest] + sum A[dest, src] x[src] mod N."""
-    a, b = symmetry
-    n = lattice.n
-    values = np.arange(n, dtype=np.int64)
     sigma = np.zeros(_basis_grid_shape(lattice), dtype=np.int64)
-    for dest in range(lattice.n_links):
-        digit = b[dest] + sum(_along_link(lattice, src, a[dest, src] * values)
-                              for src in np.flatnonzero(a[dest]))
-        sigma += (digit % n) * n ** dest
+    for dest, digit in enumerate(_affine_values(lattice, symmetry)):
+        sigma += digit * lattice.n ** dest
     return sigma.reshape(-1)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -136,6 +137,16 @@ def test_bundled_configs_exist():
     assert "free_particle.cfg" in names
     assert "plaquette_n_scan.cfg" in names
     assert len(names) >= 6
+
+
+def test_every_experiment_has_a_bundled_config():
+    # a line "experiment = <name>" in some bundled config, for every name `hopquant list` prints
+    named = set()
+    for name in bundled_config_names():
+        text = Path(bundled_config_path(name)).read_text()
+        named.update(re.findall(r"^experiment *= *(\S+)$", text, flags=re.MULTILINE))
+    missing = [name for name, _ in list_experiments() if name not in named]
+    assert not missing, f"no bundled config has 'experiment = <name>' for: {missing}"
 
 
 # --- cli ----------------------------------------------------------------------
@@ -337,6 +348,10 @@ def test_extract_writes_potentials_table(tmp_path):
     table = (tmp_path / "out" / "potentials.csv").read_text().splitlines()
     assert table[0] == "site,x1,A1,U"
     assert len(table) == 1 + 64
+    # every cell is a number: numpy 2 wrote np.float64 fields as "np.float64(0.0)"
+    values = np.loadtxt(tmp_path / "out" / "potentials.csv", delimiter=",", skiprows=1)
+    assert values.shape == (64, 4)
+    assert np.array_equal(values[:, 0], np.arange(64))
 
 
 @pytest.mark.parametrize("kernel", ["preset = free-nn",

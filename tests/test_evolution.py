@@ -11,6 +11,7 @@ from hopquant import (
     constant_field_problem,
     continuum_residual,
     convergence_study,
+    evolution,
     evolve,
     free_gaussian_problem,
     harmonic_problem,
@@ -246,6 +247,16 @@ def test_residual_inhomogeneous_family_order_at_least_one():
             lambda x: 0.3 * np.cos(w * x), 1.0, grid)
         residuals.append(continuum_residual(kernel, state))
     assert fit_order(spacings, residuals) >= 1.0
+
+
+def test_divergence_on_an_open_grid_is_exact_for_a_linear_field():
+    # np.gradient's central and one-sided differences are exact on a linear
+    # field, so the divergence is 2 + 4 at every site, the edges included
+    grid = LatticeGrid((6, 5), 0.5, boundary="open", origin=(-1.0, 0.25))
+    x, y = grid.coordinates()
+    div = evolution._divergence([2.0 * x + 3.0 * y, -0.5 * x + 4.0 * y], grid)
+    assert div.shape == grid.shape
+    assert np.abs(div - 6.0).max() < 1e-12
 
 
 # --- convergence studies ------------------------------------------------------------

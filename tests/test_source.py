@@ -53,3 +53,21 @@ def test_no_private_module_level_name_is_never_read():
                        and name not in read]
     assert not unread, ("these private module-level names are never read in "
                         "src/hopquant:\n" + "\n".join(unread))
+
+
+def test_no_module_but_linop_imports_scipy():
+    # op.matrix, and the CSR kernels' fallback, in linop.py are the package's one scipy import
+    imports = []
+    for path in MODULES:
+        if path.name == "linop.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] == "scipy"]
+    assert not imports, "scipy is imported outside src/hopquant/linop.py:\n" + "\n".join(imports)
