@@ -80,7 +80,7 @@ def _plaquette_values(lattice):
     shape = zn._basis_grid_shape(lattice)
     vals = np.empty((len(lattice.plaquettes),) + shape, dtype=_plaquette_dtype(lattice.n))
     for out, value in zip(vals, zn._affine_values(lattice, zn._plaquette_map(lattice))):
-        out[...] = value
+        out[...] = value.astype(out.dtype)
     return vals.reshape(len(lattice.plaquettes), lattice.hilbert_dim)
 
 
@@ -220,104 +220,79 @@ class SymmetryReport:
 def commutator_norms(op, lattice, maps):
     """Exact max-norms of [H, P] for the permutation P of each map (A, b).
 
-    H must be a sum of one-link moves on ``lattice``: H = sum_o D_o T_o over
-    the move offsets o of ``_move_offsets`` taken mod N (raise and lower
-    coincide at N=2), where T_o shifts a configuration by o and D_o holds its
-    amplitudes a_o(x) = H[x, x + o]. A map (A, b) in ``zn.permutation``'s
-    format sends configuration x to sigma(x) = A x + b and offset o to A o,
-    mod N. So P H P^T - H holds exactly the entries a_o(x) - a_{A o}(sigma(x)),
-    and each norm is their largest modulus. That is max|P H P^T - H|, the
-    max-norm of the commutator with its columns permuted. H must come from
-    the hopping assembler, whose row x holds one slot per move H stores, in
-    the order of the move offsets. Each a_o is copied from its slot once, a
-    move H does not store reads as zero, a pair of moves H stores neither of
-    is skipped, and no copy of H is made.
+    H must be laid out as shifts on the basis grid, as the hopping assembler
+    stores it: row x holds one entry in each of m slots, and slot j holds
+    a_j(x) = H[x, x + o_j] for a fixed offset o_j, mod N. The offsets are
+    read off row 0, whose columns they are. A map (A, b) in
+    ``zn.permutation``'s format sends configuration x to sigma(x) = A x + b
+    mod N, so sigma(x + o_j) = sigma(x) + A o_j: the image of slot j is the
+    slot k_j of row sigma(0) whose column is sigma(o_j). P H P^T - H then
+    holds exactly the entries a_j(x) - a_{k_j}(sigma(x)), and each norm is
+    their largest modulus. That is max|P H P^T - H|, the max-norm of the
+    commutator with its columns permuted. Each a_j is copied from its slot
+    once; H's columns are read in place.
 
-    Raises ``ValueError`` when H has entries off the moves or rows in another
-    order, or an A does not permute the moves, and
-    ``HilbertDimensionError`` when H and the amplitude arrays together
-    would not fit in the available memory.
+    Raises ``ValueError`` when a row of H holds other columns than those of
+    row 0 shifted to it, in the same order, or a map is not a bijection of
+    the basis or of H's slots, and ``HilbertDimensionError`` when the
+    amplitude copies would not fit in the available memory.
     """
-    n, dim = lattice.n, lattice.hilbert_dim
+    dim = lattice.hilbert_dim
     if op.dimension != dim:
         raise ValueError(f"operator of dimension {op.dimension} does not act on {lattice}")
-    moves = list(dict.fromkeys(tuple(int(c) for c in np.mod(o, n))
-                               for o in _move_offsets(lattice)))
-    maps = list(maps)
-    images = [_move_image(lattice, symmetry, moves) for symmetry in maps]
-    # beside H and the amplitudes, index arrays and gathers: tracemalloc measured
+    # beside the amplitudes, index arrays and gathers: tracemalloc measured
     # 24-26 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3,
-    # so four 8-byte words per state bound them
-    dtype = op.data.dtype
-    linop._require_memory(
-        op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
-        + len(moves) * dim * dtype.itemsize + 4 * dim * np.dtype(np.intp).itemsize,
-        f"certifying dimension {dim}")
-    amps, stored = _stored_amplitudes(op, lattice, moves)
+    # so four 8-byte words per state bound them; H exists, and is not counted again
+    linop._require_memory(op.data.nbytes + 4 * dim * np.dtype(np.intp).itemsize,
+                          f"certifying dimension {dim}")
+    cols, amps = _slot_amplitudes(op, lattice)
 
-    moved, norms = np.empty(dim, dtype=dtype), []
-    for symmetry, image in zip(maps, images):
+    moved, norms = np.empty(dim, dtype=op.data.dtype), []
+    for symmetry in maps:
         sigma = zn.permutation(lattice, symmetry)
+        slot = {c: k for k, c in enumerate(cols[sigma[0]].tolist())}
+        image = [slot.get(c) for c in sigma[cols[0]].tolist()]
+        if set(image) != set(slot.values()):
+            raise ValueError("map is not a bijection of the link moves")
         norm = 0.0
-        for k, j in enumerate(image):
-            if not (stored[k] or stored[j]):
-                continue  # zero on both sides, such as the hopping operator's diagonal
+        for j, k in enumerate(image):
             # sigma is a permutation, so "clip" never clips; it skips the bounds check
-            np.take(amps[j], sigma, out=moved, mode="clip")
-            if np.array_equal(amps[k], moved):
+            np.take(amps[k], sigma, out=moved, mode="clip")
+            if np.array_equal(amps[j], moved):
                 continue  # a zero difference; NaN is never equal, so it is measured
-            np.subtract(amps[k], moved, out=moved)
+            np.subtract(amps[j], moved, out=moved)
             # np.maximum, unlike max(), carries a NaN amplitude into the norm
             norm = np.maximum(norm, np.abs(moved).max())
         norms.append(float(norm))
     return norms
 
 
-def _stored_amplitudes(op, lattice, moves):
-    """The amplitudes a_o of ``commutator_norms`` for every move o in
-    ``moves``, zero for a move H does not store, and which moves H stores.
+def _slot_amplitudes(op, lattice):
+    """H's columns as an array (configurations, m), and a copy of its
+    amplitudes as an array (m, configurations) whose row j is the a_j of
+    ``commutator_norms``.
 
-    Move k adds ``moves[k]`` to the basis-grid point of a configuration, mod
-    N. The slots are matched to moves on row 0, where distinct moves have
-    distinct columns. Then H is read a block of about
-    ``linop._BLOCK_ENTRIES`` entries at a time, which stays in cache, and
-    each block's columns are checked against those of
-    ``linop._grid_blocks``, the assembler's.
+    H is read a block of about ``linop._BLOCK_ENTRIES`` entries at a time,
+    which stays in cache, and each block's columns are checked against those
+    that ``linop._grid_blocks``, the assembler's, makes from row 0's offsets.
     """
-    n, dim = lattice.n, lattice.hilbert_dim
+    dim = lattice.hilbert_dim
     m = op.nnz // dim  # slots a row, if every row has as many
     layout_error = "operator has entries outside the one-link moves or out of their order"
-    shape = zn._basis_grid_shape(lattice)
-    layout = np.array_equal(op.indptr, np.arange(dim + 1) * m)
-    slots = []  # the move each slot holds
-    for k in range(len(moves) if layout else 0):
-        if len(slots) < m and op.indices[len(slots)] == np.ravel_multi_index(moves[k], shape):
-            slots.append(k)
-    if not layout or len(slots) < m:
+    if (not np.array_equal(op.indptr, np.arange(dim + 1) * m)
+            or len(set(op.indices[:m].tolist())) < m):
         raise ValueError(layout_error)
-    data, indices = op.data.reshape(dim, m), op.indices.reshape(dim, m)
-    amps = np.zeros((len(moves), dim), dtype=op.data.dtype)
+    data, cols = op.data.reshape(dim, m), op.indices.reshape(dim, m)
+    shape = zn._basis_grid_shape(lattice)
+    offsets = np.column_stack(np.unravel_index(cols[0], shape))  # row 0's columns
+    amps = np.empty((m, dim), dtype=op.data.dtype)
     per_block = max(1, linop._BLOCK_ENTRIES // max(m, 1))
-    for start, want in linop._grid_blocks(shape, [moves[k] for k in slots], True, per_block):
+    for start, want in linop._grid_blocks(shape, offsets, True, per_block):
         rows = slice(start, start + len(want))
-        if not np.array_equal(indices[rows], want):
+        if not np.array_equal(cols[rows], want):
             raise ValueError(layout_error)
-        amps[slots, rows] = data[rows].T
-    return amps, np.isin(np.arange(len(moves)), slots)
-
-
-def _move_image(lattice, symmetry, moves):
-    """The index in ``moves`` of A o mod N for every move o, or ``ValueError``
-    when A does not permute the moves: A fixes the zero move, so it does
-    exactly when A is a signed permutation of the links mod N."""
-    a, _ = symmetry
-    index = {move: k for k, move in enumerate(moves)}
-    # a move is a basis-grid offset, whose axes hold the links in reverse order
-    image = [index.get(tuple(int(c) for c in a.dot(move[::-1]) % lattice.n)[::-1])
-             for move in moves]
-    if set(image) != set(index.values()):
-        raise ValueError("map is not a bijection of the link moves")
-    return image
+        amps[:, rows] = data[rows].T
+    return cols, amps
 
 
 def allowed_parity_centers(lattice):
@@ -497,26 +472,6 @@ class GaussianLinkFunctional:
     def d2(self, a_vals, i):
         w = self.weights[i]
         return (w ** 2 * a_vals[i] ** 2 - w) * self.value(a_vals)
-
-
-@dataclass
-class LinearLinkFunctional:
-    """Linear functional; its expansion remainder vanishes identically."""
-
-    coeffs: np.ndarray
-
-    @property
-    def size(self):
-        return len(self.coeffs)
-
-    def value(self, a_vals):
-        return float(np.dot(self.coeffs, a_vals))
-
-    def d1(self, a_vals, i):
-        return float(self.coeffs[i])
-
-    def d2(self, a_vals, i):
-        return 0.0
 
 
 @dataclass

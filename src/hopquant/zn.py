@@ -235,11 +235,19 @@ def _affine_values(lattice, affine):
 
 def permutation(lattice, symmetry):
     """Permutation sigma with sigma[j] = index of the image of config j under
-    ``symmetry`` (A, b), whose link dest holds b[dest] + sum A[dest, src] x[src] mod N."""
+    ``symmetry`` (A, b), whose link dest holds b[dest] + sum A[dest, src] x[src] mod N.
+
+    Raises ``ValueError`` when the map sends two configurations to one.
+    """
     sigma = np.zeros(_basis_grid_shape(lattice), dtype=np.int64)
     for dest, digit in enumerate(_affine_values(lattice, symmetry)):
         sigma += digit * lattice.n ** dest
-    return sigma.reshape(-1)
+    sigma = sigma.reshape(-1)
+    hit = np.zeros(len(sigma), dtype=bool)
+    hit[sigma] = True
+    if not hit.all():
+        raise ValueError("map is not a bijection of the basis")
+    return sigma
 
 
 def site_generator_maps(lattice):

@@ -5,7 +5,9 @@ scipy sparse or dense matrix with scipy and wraps its CSR arrays in the one
 constructor of ``SparseHermitianOperator``, so the tests can build operators
 that no hopping assembly makes: duplicates, unsorted rows, non-Hermitian
 entries (with ``tol=np.inf``). ``coo_hopping`` builds the matrix of any
-hopping from COO triplets, independently of the assembler.
+hopping from COO triplets, independently of the assembler, and
+``commutator_max`` measures a permutation's commutator independently of the
+symmetry certifier.
 """
 
 import math
@@ -58,3 +60,11 @@ def coo_hopping(shape, periodic, offsets, amplitudes, dtype=float):
     np.add.at(summed, inverse[later], data[later])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(entry // dim, minlength=dim))])
     return sp.csr_matrix((summed, entry % dim, indptr), shape=(dim, dim))
+
+
+def commutator_max(h, sigma):
+    """max|P H P^T - H| of the scipy matrix ``h``, with P e_j = e_sigma(j), by
+    scipy's indexing and subtraction: (P H P^T)[r, c] = H[inv r, inv c]."""
+    inv = np.argsort(sigma)
+    delta = (h[inv][:, inv] - h).tocoo()
+    return float(np.abs(delta.data).max()) if delta.nnz else 0.0

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from hopquant.errors import (
     HopquantError,
     ReflectionSymmetryError,
 )
-from hopquant.gauge_ham import GaugeHoppingSpec, LinearLinkFunctional, commutator_norms
-from sparse_oracle import coo_hopping, from_matrix
+from hopquant.gauge_ham import GaugeHoppingSpec, commutator_norms
+from sparse_oracle import commutator_max, coo_hopping, from_matrix
 from zn_oracle import LinkConfig, basis, direction_shift, plaquette, shift_map
 
 
@@ -515,18 +516,6 @@ def test_projected_sector_invariant_under_hamiltonian():
     assert (np.abs(leak.data).max() if leak.nnz else 0.0) <= 1e-12
 
 
-def _dense_commutator_oracle(op, sigma, block=512):
-    """max|P H P^T - H| over dense row blocks, with P e_j = e_sigma(j)."""
-    h = op.matrix
-    inv = np.argsort(sigma)
-    worst = 0.0
-    for start in range(0, op.dimension, block):
-        rows = np.arange(start, min(start + block, op.dimension))
-        permuted = h[inv[rows]].toarray()[:, inv]  # (P H P^T)[r, c] = H[inv r, inv c]
-        worst = max(worst, float(np.abs(permuted - h[rows].toarray()).max()))
-    return worst
-
-
 def _symmetry_maps(lat, rng):
     """Site generators, a random gauge transform, C, every parity, the direction shifts."""
     maps = zn.site_generator_maps(lat)
@@ -562,28 +551,20 @@ def test_exact_commutator_matches_dense_oracle():
     specs = [MaxwellPreset(1.3, 0.8), OddResponseSpec(electric=1.0, odd=0.2)]
     rules = [site_dependent_rule, link_value_rule, phase_rule()]
     breaking = set()
+    # the last lattice is the open cube, of dimension 4096
     for lat in (single_link(5), single_plaquette(3), single_plaquette(4),
-                LinkLattice((2, 2), 2, boundary="periodic")):
+                LinkLattice((2, 2), 2, boundary="periodic"),
+                LinkLattice((2, 2, 2), 2, boundary="open")):
         symmetries = _symmetry_maps(lat, rng)
         maps = symmetries + ([_link_cycle(lat)] if lat.n_links >= 3 else [])
         ops = [build_gauge_hamiltonian(lat, spec) for spec in specs]
         ops += [_rule_operator(lat, pair) for pair in rules]
         ops += [reference_ks_hamiltonian(lat, 1.3, 0.8), _random_move_operator(lat, rng)]
         for i, op in enumerate(ops):
-            want = [_dense_commutator_oracle(op, zn.permutation(lat, m))
-                    for m in maps]
+            want = [commutator_max(op.matrix, zn.permutation(lat, m)) for m in maps]
             assert commutator_norms(op, lat, maps) == want
             breaking.update(i for w in want[:len(symmetries)] if w > 1e-3)
     assert breaking == {1, 2, 3, 4, 6}  # every symmetry-breaking operator was caught
-    # the open cube (dim 4096): two generators, a gauge transform, C, parity, a shift, the cycle
-    cube = LinkLattice((2, 2, 2), 2, boundary="open")
-    maps = _symmetry_maps(cube, rng)
-    maps = maps[:2] + maps[len(cube.sites):len(cube.sites) + 3] + [maps[-1], _link_cycle(cube)]
-    for op in (_rule_operator(cube, site_dependent_rule),
-               reference_ks_hamiltonian(cube, 1.3, 0.8)):
-        want = [_dense_commutator_oracle(op, zn.permutation(cube, m))
-                for m in maps]
-        assert commutator_norms(op, cube, maps) == want
 
 
 def test_commutator_rejects_non_permutation():
@@ -598,6 +579,41 @@ def test_commutator_rejects_non_permutation():
         with pytest.raises(ValueError, match="not a bijection"):
             commutator_norms(op, lat, [identity, (a, identity[1])])
     assert commutator_norms(op, lat, [identity]) == [0.0]
+
+
+def _two_link_hopping(amplitudes, steps):
+    """Hopping on the two links of a 3x1 open lattice at N=5 (dimension 25) by
+    each change of the link values in ``steps`` and then its negative, the
+    j-th of these offsets with the j-th of ``amplitudes``, arrays over the
+    basis; not Hermitian."""
+    lat = LinkLattice((3, 1), 5, boundary="open")
+    # the basis grid holds the links in reverse order
+    offsets = [sign * np.asarray(step)[::-1] for step in steps for sign in (1, -1)]
+    return lat, linop._assemble_hopping(zn._basis_grid_shape(lat), True, offsets,
+                                        lambda rows: [amp[rows] for amp in amplitudes],
+                                        tol=np.inf)
+
+
+def test_commutator_certifies_a_map_that_mixes_links():
+    # A fixes e0 and swaps e1 with e0 - e1, so it permutes the steps +-e0, +-e1,
+    # +-(e0 - e1), but it is not a signed permutation of the links
+    shear = (np.array([[1, 1], [0, -1]]), np.array([2, 3]))
+    steps = [(1, 0), (0, 1), (1, -1)]
+    lat, op = _two_link_hopping([np.full(25, 1.5)] * 2 + [np.full(25, -0.5)] * 4, steps)
+    assert commutator_norms(op, lat, [shear]) == [0.0]
+    rng = np.random.default_rng(29)
+    lat, op = _two_link_hopping([rng.standard_normal(25) for _ in range(6)], steps)
+    want = [commutator_max(op.matrix, zn.permutation(lat, shear))]
+    assert commutator_norms(op, lat, [shear]) == want
+    assert want[0] > 1.0
+
+
+def test_commutator_rejects_a_singular_map_of_the_stored_moves():
+    # H moves link 0 only, and A fixes that move but sends every x to x_1 = 0
+    lat, op = _two_link_hopping([np.ones(25)] * 2, [(1, 0)])
+    singular = (np.array([[1, 0], [0, 0]]), np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="not a bijection"):
+        commutator_norms(op, lat, [singular])
 
 
 def test_commutator_rejects_entries_off_the_moves():
@@ -623,7 +639,7 @@ def test_commutator_reads_h_in_blocks(monkeypatch):
     lat = single_plaquette(3)
     maps = _symmetry_maps(lat, np.random.default_rng(7)) + [_link_cycle(lat)]
     for op in (_rule_operator(lat, link_value_rule), reference_ks_hamiltonian(lat, 1.3, 0.8)):
-        want = [_dense_commutator_oracle(op, zn.permutation(lat, m)) for m in maps]
+        want = [commutator_max(op.matrix, zn.permutation(lat, m)) for m in maps]
         assert commutator_norms(op, lat, maps) == want
     # the same matrix with the last row's first two entries swapped
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
@@ -653,9 +669,9 @@ def test_nan_amplitude_fails_every_certificate():
 def test_certifier_memory_checked_before_allocating(monkeypatch):
     lat = LinkLattice((2, 2), 4, boundary="periodic")
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
-    m = op.matrix
+    # a byte short of the amplitude copies and four words a state; H's own bytes are more
     monkeypatch.setattr(linop, "_available_memory_bytes",
-                        lambda: m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+                        lambda: op.data.nbytes + 4 * 8 * lat.hilbert_dim - 1)
     tracemalloc.start()
     try:
         with pytest.raises(HilbertDimensionError, match="certifying dimension 65536"):
@@ -667,10 +683,11 @@ def test_certifier_memory_checked_before_allocating(monkeypatch):
 
 
 def test_certifier_peak_within_its_memory_budget(monkeypatch):
-    # the check budgets four 8-byte words per state beside H and the amplitudes
+    # the check budgets its amplitude copies, one per entry of H, and four 8-byte
+    # words per state; H exists already, and available memory does not hold it
     lat = LinkLattice((2, 2), 4, boundary="periodic")
     dim, op = lat.hilbert_dim, build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
-    amplitudes = len({tuple(np.mod(o, lat.n)) for o in gauge_ham._move_offsets(lat)}) * dim * 8
+    amplitudes = op.data.nbytes
     tracemalloc.start()
     try:
         symmetry_commutator_norms(op, lat)
@@ -678,11 +695,10 @@ def test_certifier_peak_within_its_memory_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - amplitudes <= 4 * 8 * dim
-    held = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes + amplitudes
-    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: held + 4 * 8 * dim - 1)
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: amplitudes + 4 * 8 * dim - 1)
     with pytest.raises(HilbertDimensionError, match="certifying dimension 65536"):
         symmetry_commutator_norms(op, lat)
-    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: held + 4 * 8 * dim)
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: amplitudes + 4 * 8 * dim)
     symmetry_commutator_norms(op, lat)
 
 
@@ -863,6 +879,26 @@ def test_constants_ground_state_flag():
 
 
 # --- expansion consistency ---------------------------------------------------------
+
+@dataclass
+class LinearLinkFunctional:
+    """Linear functional; its expansion remainder vanishes identically."""
+
+    coeffs: np.ndarray
+
+    @property
+    def size(self):
+        return len(self.coeffs)
+
+    def value(self, a_vals):
+        return float(np.dot(self.coeffs, a_vals))
+
+    def d1(self, a_vals, i):
+        return float(self.coeffs[i])
+
+    def d2(self, a_vals, i):
+        return 0.0
+
 
 def test_taylor_linear_functional_exact():
     spec = MaxwellPreset(1.0, 1.0)
