@@ -184,6 +184,43 @@ def _plaquette_map(lattice):
     return a, np.zeros(len(lattice.plaquettes), dtype=np.int64)
 
 
+def _flat_coordinates(lattice):
+    """Link coordinates in which the plaquettes read only the first r: (V, V^-1, r).
+
+    Integer column operations on the plaquette map A, with unit pivots, give
+    the unimodular int64 V with A V = [C | 0]: C has r columns, and the row
+    where column i got its pivot is zero right of it and ±1 on it. So with
+    y = V^-1 x mod N the plaquettes A x = C y[:r] depend only on y[:r], C u
+    vanishes mod N only at u = 0, and the last L - r columns of V generate
+    the flat configurations ker(A mod N), the link values that change no
+    plaquette. Raises ``ValueError`` when a row's remaining entries have a gcd
+    other than 1, which no unit pivot would leave.
+    """
+    av = _plaquette_map(lattice)[0]  # A V, under the column operations applied to V
+    v, v_inv = (np.eye(lattice.n_links, dtype=np.int64) for _ in range(2))
+    r = 0
+    for row in av:
+        # Euclid's algorithm on the row's entries right of the pivots
+        while (cols := r + np.flatnonzero(row[r:])).size:
+            p = cols[np.argmin(np.abs(row[cols]))]
+            if cols.size == 1:
+                if abs(row[p]) != 1:
+                    raise ValueError(f"a plaquette row of {lattice} has remaining gcd "
+                                     f"{abs(row[p])}, not 1")
+                for m in av, v:
+                    m[:, [r, p]] = m[:, [p, r]]
+                v_inv[[r, p]] = v_inv[[p, r]]
+                r += 1
+                break
+            for c in cols[cols != p]:
+                # column c -= q column p; V^-1's row p += q row c
+                q = row[c] // row[p]
+                av[:, c] -= q * av[:, p]
+                v[:, c] -= q * v[:, p]
+                v_inv[p] += q * v_inv[c]
+    return v, v_inv, r
+
+
 def wrap_plaquette(p, n):
     """Principal representative of the integer p mod N in (-N/2, N/2];
     ties go positive."""

@@ -27,6 +27,7 @@ from hopquant import (
 from hopquant import gauge_ham, linop, zn
 from hopquant.errors import (
     ChargeConjugationError,
+    EigenConvergenceError,
     GroundStateSignError,
     HermiticityError,
     HilbertDimensionError,
@@ -712,11 +713,14 @@ def test_spectrum_invariant_under_global_direction_shift():
 # --- spectra against the reference -------------------------------------------------
 
 def test_spectrum_single_link_closed_form():
+    # a link carries no plaquette, so its flat blocks hold one state each
     n = 7
     op = build_gauge_hamiltonian(single_link(n), MaxwellPreset(1.0, 0.0))
     result = spectrum(op, n)
     expected = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
     assert np.abs(result.values - expected).max() < 1e-10
+    result = spectrum(reference_ks_hamiltonian(single_link(n), 1.0, 1.0), n)
+    assert np.abs(result.values - (2.0 + expected)).max() < 1e-12
 
 
 def test_spectrum_matches_dense_eigvalsh_at_dim_1296():
@@ -727,6 +731,10 @@ def test_spectrum_matches_dense_eigvalsh_at_dim_1296():
     result = spectrum(op, 10)
     assert np.abs(result.values - np.linalg.eigvalsh(op.to_dense())[:10]).max() < 1e-10
     assert np.sum(np.abs(result.gaps - result.gaps[0]) < 1e-8) == 8
+    # every value, of both builders: at N=6 complex pairs of blocks sit beside real ones
+    for op in (op, reference_ks_hamiltonian(lat, 1.3, 0.8)):
+        want = np.linalg.eigvalsh(op.to_dense())
+        assert np.abs(spectrum(op, op.dimension).values - want).max() < 1e-12
 
 
 def test_spectrum_keeps_every_copy_of_a_16_fold_level():
@@ -744,6 +752,100 @@ def test_spectrum_zero_operator():
                                  MaxwellPreset(0.0, 0.0))
     result = spectrum(op, 4)
     assert np.abs(result.values).max() == 0.0
+
+
+# real blocks only (N=2), complex pairs beside real blocks (N=6), complex pairs
+# and the one real block theta = 0 (N=3, 7), and blocks of one state (no plaquette)
+FLAT_BLOCK_LATTICES = {
+    "2x2-periodic-2": ((2, 2), 2, "periodic"),
+    "2x2-periodic-3": ((2, 2), 3, "periodic"),
+    "3x2-periodic-2": ((3, 2), 2, "periodic"),
+    "2x2x2-open-2": ((2, 2, 2), 2, "open"),
+    "2x2-open-6": ((2, 2), 6, "open"),
+    "single-link-7": ((2, 1), 7, "open"),
+}
+
+
+def _both_builders(name):
+    dims, n, boundary = FLAT_BLOCK_LATTICES[name]
+    lat = LinkLattice(dims, n, boundary=boundary)
+    return lat, (build_gauge_hamiltonian(lat, MaxwellPreset(1.3, 0.8)),
+                 reference_ks_hamiltonian(lat, 1.3, 0.8))
+
+
+def test_flat_block_union_is_the_full_spectrum():
+    # a dense solve takes about 4 s at dimension 4,096, so there one builder is checked
+    ops = _both_builders("2x2-periodic-2")[1] + _both_builders("3x2-periodic-2")[1][:1]
+    for op in ops:
+        want = np.linalg.eigvalsh(op.to_dense())
+        assert np.abs(spectrum(op, op.dimension).values - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["3x2-periodic-2", "2x2x2-open-2", "2x2-periodic-3"])
+def test_flat_block_union_against_traces_and_the_iterative_solver(name):
+    # where a dense solve takes 4-16 s: the power sums of every value against
+    # the traces of H, H^2 and H^3, and the lowest values against eigs_extremal
+    _, ops = _both_builders(name)
+    for op in ops:
+        values, h = spectrum(op, op.dimension).values, op.matrix
+        traces = [h.diagonal().sum(), h.multiply(h.T).sum(), (h @ h).multiply(h.T).sum()]
+        for power, trace in enumerate(traces, start=1):
+            assert abs(np.sum(values ** power) - trace) <= 1e-11 * np.sum(np.abs(values) ** power)
+        assert np.abs(values[:12] - linop.eigs_extremal(op, 12)[0]).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", FLAT_BLOCK_LATTICES)
+def test_flat_translations_commute_with_both_builders(name):
+    # the premise of the blocks: each generator of ker(A mod N), as the map (I, t)
+    lat, ops = _both_builders(name)
+    v, _, r = zn._flat_coordinates(lat)
+    maps = [(np.eye(lat.n_links, dtype=np.int64), t) for t in v[:, r:].T]
+    for op in ops:
+        assert commutator_norms(op, lat, maps) == [0.0] * len(maps)
+
+
+def test_spectrum_memory_checked_before_a_block_is_allocated(monkeypatch):
+    lat = LinkLattice((2, 2), 4, boundary="periodic")
+    op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HilbertDimensionError,
+                           match="spectrum of dimension 65536 in blocks of 64"):
+            spectrum(op, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 64 * 64  # one complex block
+
+
+def test_spectrum_refuses_a_count_above_the_dimension_and_foreign_operators():
+    op = build_gauge_hamiltonian(single_plaquette(3), MaxwellPreset(1.0, 1.0))
+    with pytest.raises(ValueError, match="requested 82 eigenpairs of a dimension-81 operator"):
+        spectrum(op, 82)
+    grid = LatticeGrid((4,), 1.0)
+    particle = build_particle_hamiltonian(HoppingKernel.free(grid, {(0,): 1.0, (1,): -0.5,
+                                                                    (-1,): -0.5}))
+    with pytest.raises(ValueError, match="gauge builder"):
+        spectrum(particle, 2)
+    # the builder's matrix with its rows sorted, whose representative rows are out of order
+    h = op.matrix.copy()
+    h.sort_indices()
+    resorted = from_matrix(h)
+    resorted.lattice = op.lattice
+    with pytest.raises(ValueError, match="outside the one-link moves"):
+        spectrum(resorted, 2)
+
+
+def test_spectrum_checks_residuals_against_h():
+    # an amplitude of row 0, the representative of u = 0, changed in H alone: its
+    # flat translates keep the old one, so no block is a restriction of H
+    op = build_gauge_hamiltonian(LinkLattice((2, 2), 3, boundary="periodic"),
+                                 MaxwellPreset(1.0, 1.0))
+    op.data[3] += 0.5
+    with pytest.raises(EigenConvergenceError, match="block eigenpair residual") as info:
+        spectrum(op, 6)
+    assert info.value.residuals.max() > 1e-3
 
 
 def test_reference_electric_only_shifted_circulants():

@@ -1,5 +1,7 @@
 """Link configurations: plaquettes, gauge maps, C, P, projection, flux."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -246,6 +248,42 @@ def test_flux_units():
     # doubling the spacing divides the flux density by four
     assert flux_from_plaquette(1, 8, 2.0) == pytest.approx(
         flux_from_plaquette(1, 8, 1.0) / 4.0)
+
+
+# --- flat coordinates ------------------------------------------------------------------
+
+def _every_shape():
+    """Every lattice of 2 or 3 extents from 1 to 4, with either boundary, that has links."""
+    for ndim in (2, 3):
+        for dims in itertools.product(range(1, 5), repeat=ndim):
+            for boundary in ("periodic", "open"):
+                try:
+                    yield LinkLattice(dims, 2, boundary=boundary)
+                except ValueError:
+                    continue
+
+
+def test_flat_coordinates_split_off_the_flat_configurations():
+    # V is unimodular, the last L - r columns of A V vanish, and they number one
+    # gauge direction per site but the global one, plus one flux per periodic axis
+    shapes = 0
+    for lat in _every_shape():
+        v, v_inv, r = zn._flat_coordinates(lat)
+        a = zn._plaquette_map(lat)[0]
+        assert np.array_equal(v @ v_inv, np.eye(lat.n_links, dtype=np.int64))
+        assert not (a @ v)[:, r:].any()
+        fluxes = lat.ndim if lat.boundary == "periodic" else 0
+        assert lat.n_links - r == lat.n_sites - 1 + fluxes
+        shapes += 1
+    assert shapes == 114
+
+
+def test_flat_coordinates_refuse_a_row_without_a_unit_pivot(monkeypatch):
+    lat = single_plaquette()
+    a, b = zn._plaquette_map(lat)
+    monkeypatch.setattr(zn, "_plaquette_map", lambda lattice: (2 * a, b))
+    with pytest.raises(ValueError, match="remaining gcd 2"):
+        zn._flat_coordinates(lat)
 
 
 # --- gauge-invariant subspace --------------------------------------------------------
