@@ -16,7 +16,6 @@ import numpy as np
 from . import linop, zn
 from .errors import (
     ChargeConjugationError,
-    EigenConvergenceError,
     GroundStateSignError,
     HermiticityError,
     HilbertDimensionError,
@@ -28,7 +27,6 @@ from .evolution import fit_order
 DIMENSION_CAP = 2 ** 24
 # relative size of an odd or mixed flux response that counts as a violation
 DETECTION_TOL = 1e-10
-_LAYOUT_ERROR = "operator has entries outside the one-link moves or out of their order"
 
 
 class GaugeHoppingSpec:
@@ -107,8 +105,8 @@ def _link_moves(lattice, amplitudes, diagonal=False, tol=linop.HERMITICITY_TOL):
     assembler's memory check. They and ``work`` are held by the assembler's
     callable alone, so they are freed before its hermiticity pass.
 
-    The operator records ``lattice`` as its attribute ``lattice``, which
-    ``spectrum`` reads. Raises ``HilbertDimensionError`` above
+    The operator records ``lattice`` as its attribute ``lattice``, from which
+    ``linop.eigs_extremal`` solves it by its flat-translation blocks. Raises ``HilbertDimensionError`` above
     ``DIMENSION_CAP``, or when the assembly and the plaquette values together
     would not fit in memory.
     """
@@ -287,7 +285,7 @@ def _slot_amplitudes(op, lattice):
     m = op.nnz // dim  # slots a row, if every row has as many
     if (not np.array_equal(op.indptr, np.arange(dim + 1) * m)
             or len(set(op.indices[:m].tolist())) < m):
-        raise ValueError(_LAYOUT_ERROR)
+        raise ValueError(linop._LAYOUT_ERROR)
     data, cols = op.data.reshape(dim, m), op.indices.reshape(dim, m)
     shape = zn._basis_grid_shape(lattice)
     offsets = np.column_stack(np.unravel_index(cols[0], shape))  # row 0's columns
@@ -296,7 +294,7 @@ def _slot_amplitudes(op, lattice):
     for start, want in linop._grid_blocks(shape, offsets, True, per_block):
         rows = slice(start, start + len(want))
         if not np.array_equal(cols[rows], want):
-            raise ValueError(_LAYOUT_ERROR)
+            raise ValueError(linop._LAYOUT_ERROR)
         amps[:, rows] = data[rows].T
     return cols, amps
 
@@ -352,134 +350,11 @@ class SpectrumResult:
 
 
 def spectrum(op, count):
-    """Lowest ``count`` eigenvalues, each copy of a degenerate level counted,
-    and their gaps from the ground state, as the union of flat-translation blocks.
-
-    ``op`` must come from a gauge builder, which records its lattice on it.
-    Its amplitudes read only plaquette values, so translation by a flat
-    configuration, one in ker(A mod N) for the plaquette map A, commutes with
-    it. In the coordinates (u, w) = V^-1 x mod N of ``zn._flat_coordinates``
-    the plaquettes read u alone, and slot j's offset o_j is the step
-    (u_j, w_j) = V^-1 o_j. So each character theta of the flat group, on w,
-    gives the dense block H_theta = sum_j omega^(theta . w_j) M_j of
-    dimension N^r on u, with M_j[u, u + u_j] = a_j(u) read from H's row at
-    x(u) = V (u, 0), and omega = exp(2 pi i / N). The builders are real, so
-    H_-theta = conj(H_theta): one block of each conjugate pair is solved and
-    its values counted twice, and a theta with 2 theta = 0 gives a real
-    block. ``np.linalg.eigvalsh`` runs over chunks of about
-    ``linop._BLOCK_ENTRIES`` block entries, keeping the lowest ``count``.
-
-    Each kept value's block eigenvector phi is lifted to psi(x) =
-    phi(u(x)) omega^(theta . w(x)) and checked against H itself: ``EigenConvergenceError``
-    unless |H psi - lambda psi| <= ``linop.RESIDUAL_TOL`` |psi|. Raises
-    ``ValueError`` for an operator that no gauge builder made, for ``count``
-    outside [0, dimension], and when a representative row holds other
-    columns than row 0's offsets from it, and ``HilbertDimensionError`` when
-    a chunk and the check's vectors would not fit in the available memory.
-    """
-    lattice = getattr(op, "lattice", None)
-    if lattice is None:
-        raise ValueError("spectrum reads the lattice that a gauge builder records "
-                         "on its operator, and this operator has none")
-    dim, n = op.dimension, lattice.n
-    if not 0 <= count <= dim:
-        raise ValueError(f"requested {count} eigenpairs of a dimension-{dim} operator")
-    v, v_inv, r = zn._flat_coordinates(lattice)
-    size, m = n ** r, int(op.indptr[1] - op.indptr[0])
-    per_chunk = max(1, linop._BLOCK_ENTRIES // size ** 2)
-    # the chunk twice (eigvalsh's copy), the slots' amplitudes and places, and
-    # the check's block index and phase over the basis and its four complex
-    # vectors (a gather, psi, H psi, lambda psi)
-    linop._require_memory(16 * (2 * per_chunk * size ** 2 + 2 * m * size) + 88 * dim,
-                          f"spectrum of dimension {dim} in blocks of {size}")
-    amps, places, steps = _flat_slots(op, lattice, v, v_inv, r)
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-
-    def blocks(thetas, dtype):
-        """H_theta for each row theta of ``thetas``, an array (thetas, size, size)."""
-        phases = roots[thetas @ steps % n]
-        if dtype is float:
-            phases = phases.real
-        out = np.zeros((len(thetas), size * size), dtype=dtype)
-        for j in range(m):
-            out[:, places[j]] += phases[:, j, np.newaxis] * amps[j]
-        return out.reshape(-1, size, size)
-
-    # every character theta, and the index of -theta
-    thetas = _digits(np.arange(n ** (lattice.n_links - r)), lattice.n_links - r, n)
-    conj = (-thetas % n) @ n ** np.arange(lattice.n_links - r)
-    ids = np.arange(len(thetas))
-    low, keys = np.zeros(0), np.zeros(0, dtype=np.int64)  # keys: theta * size + index
-    for reps, copies, dtype in ((np.flatnonzero(conj == ids), 1, float),
-                                (np.flatnonzero(conj > ids), 2, complex)):
-        for start in range(0, len(reps), per_chunk):
-            chunk = reps[start:start + per_chunk]
-            values = np.linalg.eigvalsh(blocks(thetas[chunk], dtype))
-            low = np.concatenate([low, np.repeat(values.reshape(-1), copies)])
-            keys = np.concatenate([keys, np.repeat(
-                (chunk[:, np.newaxis] * size + np.arange(size)).reshape(-1), copies)])
-            keep = np.argsort(low, kind="stable")[:count]
-            low, keys = low[keep], keys[keep]
-
-    # u(x) over the basis grid, as a block index
-    u_index = np.zeros(zn._basis_grid_shape(lattice), dtype=np.int64)
-    for i, digit in enumerate(zn._affine_values(lattice, (v_inv[:r], np.zeros(r, np.int64)))):
-        u_index += digit * n ** i
-    u_index = u_index.reshape(-1)
-    kept, first = np.unique(keys, return_index=True)  # sorted, so grouped by theta
-    residuals = []
-    for theta in np.unique(kept // size):
-        dtype = float if conj[theta] == theta else complex
-        _, phi = np.linalg.eigh(blocks(thetas[theta:theta + 1], dtype)[0])
-        row = (thetas[theta] @ v_inv[r:])[np.newaxis]  # theta . w(x) as one affine row
-        phase = roots[next(zn._affine_values(lattice, (row, np.zeros(1, np.int64))))]
-        phase = np.broadcast_to(phase, zn._basis_grid_shape(lattice)).reshape(-1)
-        mine = kept // size == theta
-        for index, value in zip(kept[mine] % size, low[first[mine]]):
-            psi = phi[u_index, index] * phase
-            # H times (Re psi, Im psi) as one real block: a complex vector would
-            # have the kernels widen H's real amplitudes to a complex copy
-            res = op.matvec(psi.view(float).reshape(-1, 2)).view(complex).reshape(-1)
-            res -= value * psi
-            residuals.append(np.linalg.norm(res) / np.linalg.norm(psi))
-    worst = np.max(residuals, initial=0.0)
-    if not worst <= linop.RESIDUAL_TOL:  # a NaN residual fails too
-        raise EigenConvergenceError(
-            f"block eigenpair residual {worst:.3e} exceeds {linop.RESIDUAL_TOL:.1e}",
-            residuals=np.array(residuals))
-    return SpectrumResult(values=low, gaps=low[1:] - low[0])
-
-
-def _digits(flat, places, n):
-    """The base-``n`` digits of each of ``flat``, least significant first:
-    an array (len(flat), places)."""
-    return np.asarray(flat)[:, np.newaxis] // n ** np.arange(places) % n
-
-
-def _flat_slots(op, lattice, v, v_inv, r):
-    """The slots of ``spectrum``'s blocks: amplitudes a_j(u) as an array (m,
-    N^r), each one's flat place u * N^r + (u + u_j) in its block, an array of
-    the same shape, and the steps w_j as an array (L - r, m).
-
-    The amplitudes are read from H's rows at the representatives x(u) = V (u,
-    0), whose columns must be x(u) + o_j mod N, o_j read off row 0.
-    """
-    n, size = lattice.n, lattice.n ** r
-    place = n ** np.arange(lattice.n_links)  # link values -> basis index
-    offsets = _digits(op.indices[op.indptr[0]:op.indptr[1]], lattice.n_links, n)
-    m = len(offsets)
-    u = _digits(np.arange(size), r, n)
-    reps = u @ v[:, :r].T % n
-    first = op.indptr[reps @ place]
-    entries = first[:, np.newaxis] + np.arange(m)
-    if (np.any(op.indptr[reps @ place + 1] - first != m)
-            or not np.array_equal(op.indices[entries],
-                                  (reps[:, np.newaxis] + offsets) % n @ place)):
-        raise ValueError(_LAYOUT_ERROR)
-    steps = offsets @ v_inv.T % n  # row j: (u_j, w_j)
-    target = (u[:, np.newaxis] + steps[:, :r]) % n @ n ** np.arange(r)
-    return (op.data[entries].T, (np.arange(size)[:, np.newaxis] * size + target).T,
-            steps[:, r:].T)
+    """Lowest ``count`` eigenvalues of any operator, each copy of a degenerate
+    level counted, and their gaps from the ground state: ``linop.eigs_extremal``'s
+    values, which raises as it does. A count of 0 gives empty values and gaps."""
+    values = linop.eigs_extremal(op, count)[0]
+    return SpectrumResult(values=values, gaps=values[1:] - values[:1])
 
 
 @dataclass
@@ -497,7 +372,7 @@ def compare_to_reference(op_hop, op_ref, count):
     """Relative differences of the lowest ``count`` energy gaps."""
     ga = spectrum(op_hop, count + 1).gaps
     gb = spectrum(op_ref, count + 1).gaps
-    scale = max(float(np.abs(gb).max()), 1e-300)
+    scale = max(float(np.abs(gb).max(initial=0.0)), 1e-300)
     return GapComparison(gaps_hopping=ga, gaps_reference=gb,
                          deviations=np.abs(ga - gb) / scale)
 

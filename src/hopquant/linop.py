@@ -1,26 +1,25 @@
 """Sparse Hermitian operators: assembly, matvec, propagation, extremal eigenpairs.
 
-Both solvers run one Chebyshev three-term recurrence, which writes each term
-over the one before last and adds H times the last into it in place, one
-block of rows at a time that stays in cache through the term's steps, so no
-term allocates. Propagation holds three vectors and one row block of
-scratch, the eigensolver a fixed workspace of three blocks of columns.
-Propagation sums a Chebyshev series (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81 (1984) 3967), with truncation error at most 2^-53 * |v|, over
-a proven interval: the Collatz-Wielandt bound max_i (|H - cI| w)_i / w_i on
-|lambda - c|, for the Gershgorin centre c and a positive w from three power
-steps, never wider than Gershgorin's. Up to a dimension cutoff it goes through
-the exact dense eigendecomposition instead. Eigenpairs, at every dimension,
-come from block Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago &
-Chelikowsky, J. Comput. Phys. 219 (2006) 172) over the Gershgorin interval,
-which holds every copy of a degenerate level.
+Propagation and the eigensolver's subspace iteration run one Chebyshev
+three-term recurrence, which writes each term over the one before last and
+adds H times the last into it in place, one block of rows at a time that
+stays in cache through the term's steps, so no term allocates. Propagation
+sums a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967),
+with truncation error at most 2^-53 * |v|, over a proven interval: the
+Collatz-Wielandt bound max_i (|H - cI| w)_i / w_i on |lambda - c|, for the
+Gershgorin centre c and a positive w from three power steps, never wider
+than Gershgorin's. Up to a dimension cutoff it goes through the exact dense
+eigendecomposition instead. ``eigs_extremal``, the one eigenpair solver,
+solves a gauge build as the exact union of its flat-translation blocks and
+any other operator by block Chebyshev-filtered subspace iteration.
 
 Every sparse product goes through ``SparseHermitianOperator._add_product``,
 which calls scipy's compiled CSR kernels (``csr_matvec`` and ``csr_matvecs``
-of the extension module ``scipy.sparse._sparsetools``). ``_kernels`` loads
-that module from its file without importing the ``scipy.sparse`` package, so
-no solver imports a scipy module. ``matrix`` is the package's one import of
-``scipy.sparse``, the fallback of ``_kernels`` aside.
+of the extension module ``scipy.sparse._sparsetools``), a complex vector
+under a real H as its real view. ``_kernels`` loads that module from its
+file without importing the ``scipy.sparse`` package, so no solver imports a
+scipy module. ``matrix`` is the package's one import of ``scipy.sparse``,
+the fallback of ``_kernels`` aside.
 """
 
 import functools
@@ -32,6 +31,7 @@ import sys
 
 import numpy as np
 
+from . import zn
 from .errors import EigenConvergenceError, HermiticityError, HilbertDimensionError
 
 # Propagation up to this dimension diagonalizes once and caches the result.
@@ -64,6 +64,7 @@ ASSEMBLY_BYTES_PER_STATE = 37
 # a block of index and amplitude arrays stays in cache.
 _BLOCK_ENTRIES = 2 ** 16
 _KERNELS = "scipy.sparse._sparsetools"
+_LAYOUT_ERROR = "operator has entries outside the one-link moves or out of their order"
 
 
 @functools.cache
@@ -174,6 +175,10 @@ class SparseHermitianOperator:
         product to those rows, and ``out`` then holds only them. The kernels
         read its offsets as positions in ``indices`` and ``data``, so nothing
         is copied; an ``x`` that is not C-contiguous is, at every call.
+
+        A complex ``x`` under a real ``data`` goes in as its real view, an
+        (n, 2m) block of (re, im) pairs, and ``out`` as its own: given a
+        complex ``x``, the kernels' wrapper would copy ``data`` to complex.
         """
         n = self.dimension
         ptr = self.indptr if ptr is None else ptr
@@ -184,6 +189,9 @@ class SparseHermitianOperator:
                 or not (out.flags.c_contiguous and out.flags.writeable)):
             raise ValueError(f"H @ x of shape {x.shape} and dtype {dtype} cannot be added "
                              f"into a {out.dtype} array of shape {out.shape} in place")
+        if n and x.dtype.kind == "c" and self.data.dtype.kind != "c":  # n = 0 has no view
+            x = np.ascontiguousarray(x).reshape(n, -1).view(np.finfo(x.dtype).dtype)
+            out = out.reshape(rows, -1).view(np.finfo(dtype).dtype)
         kernels = _kernels()
         if x.ndim == 1 or x.shape[1] == 1:
             kernels.csr_matvec(rows, n, ptr, self.indices, self.data, x.reshape(-1),
@@ -692,57 +700,74 @@ def _bessel_series(z):
 
 
 def eigs_extremal(op, k):
-    """Lowest ``k`` eigenpairs, ascending; residuals are checked per pair.
+    """Lowest ``k`` eigenpairs, ascending, every copy of a degenerate level counted.
 
-    They come from block Chebyshev-filtered subspace iteration (Zhou, Saad,
-    Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172). Each pass takes an
-    orthonormal n x m block X through a Rayleigh-Ritz step (H X, then eigh of
-    X^H H X) and stops once the ``k`` lowest Ritz residuals are below
-    ``RESIDUAL_TOL``. Otherwise the degree-``EIGS_FILTER_DEGREE`` Chebyshev
-    polynomial that is bounded by 1 on [theta_m, hi] filters the block, which
-    is then orthonormalized. theta_m is the largest Ritz value and hi the top
-    of the operator's cached Gershgorin interval, so every copy of a
-    level below theta_m grows against the rest of the spectrum at the same
-    rate. Pairs converged from the lowest up are locked: the filter projects
-    them out. m starts at min(n, max(2k, k + 16)), so at n <= k + 16 the
-    first Rayleigh-Ritz step spans the whole space and is exact, and doubles
-    whenever Ritz values k and m coincide, i.e. when the wanted level's
-    cluster reaches the edge of the block. The block is seeded from
-    ``EIGS_SEED``; after ``EIGS_MAX_PASSES`` passes ``EigenConvergenceError``
-    carries the residuals.
-
-    A solve holds a workspace of three n x m blocks, allocated once and again
-    only when the block widens: X, H X and a third that takes each rotation
-    X Q and H X Q, the conjugate of X for X^H H X, the residuals, the
-    deflation's product and the filter terms' row-block scratch. Each filter
-    term is made a row block at a time (see ``_chebyshev_next``). Beside them
-    it holds the locked columns, up to k - 1: twice while they are replaced,
-    and a complex block their conjugate as well. ``HilbertDimensionError`` is
-    raised, before anything of size n is allocated, when the three blocks and
-    three times k - 1 columns would not fit in the available memory, and
-    again before widening. The vectors returned are a copy of the k wanted
-    columns.
+    An operator from a gauge builder, which records ``op.lattice``, is solved
+    as the exact union of its flat-translation blocks, with complex vectors
+    in Fortran order; any other by filtered subspace iteration, with vectors
+    of its dtype made at least float. Each of the k orthonormal pairs must
+    satisfy |H v - lambda v| <= ``RESIDUAL_TOL``, checked a chunk of about
+    ``_BLOCK_ENTRIES`` entries at a time, else ``EigenConvergenceError``
+    carries the residuals and names the path. ``ValueError`` for ``k``
+    outside [0, n]; ``HilbertDimensionError`` when a path's memory check
+    fails, before anything of size n is allocated.
     """
     n = op.dimension
     if not 0 <= k <= n:
         raise ValueError(f"requested {k} eigenpairs of a dimension-{n} operator")
     if k == 0:
         return np.zeros(0), np.zeros((n, 0))
-    values, vectors = _filtered_subspace_iteration(op, k)
-    # a copy, so that the vectors a caller keeps do not hold the solver's block
-    vectors = vectors.copy()
-    residuals = np.linalg.norm(op.matvec(vectors) - vectors * values, axis=0)
-    if residuals.max() > RESIDUAL_TOL:
+    lattice = getattr(op, "lattice", None)
+    if lattice is None:
+        values, vectors, how = _filtered_subspace_iteration(op, k)
+        vectors = vectors.copy()  # else the vectors a caller keeps hold the solver's block
+    else:
+        values, vectors, how = _flat_translation_blocks(op, lattice, k)
+    # a chunk of columns of about _BLOCK_ENTRIES entries at a time, so that a
+    # full spectrum's check holds a few columns beside the vectors
+    columns, residuals = max(1, _BLOCK_ENTRIES // n), np.empty(k)
+    for start in range(0, k, columns):
+        part = vectors[:, start:start + columns]
+        res = op.matvec(part)
+        res -= part * values[start:start + columns]
+        residuals[start:start + columns] = _column_norms(res)
+    if not residuals.max() <= RESIDUAL_TOL:  # a NaN residual fails too
         raise EigenConvergenceError(
-            f"eigenpair residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}",
-            residuals=residuals,
-        )
+            f"eigenpair residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e} {how}",
+            residuals=residuals)
     return values, vectors
 
 
 def _filtered_subspace_iteration(op, k):
-    """The ``k`` lowest Ritz pairs, ascending, of the iteration in ``eigs_extremal``;
-    the vectors are a view of the workspace's block."""
+    """The ``k`` lowest Ritz pairs, ascending, of block Chebyshev-filtered subspace
+    iteration (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219 (2006)
+    172), and how they were found; the vectors are a view of the workspace.
+
+    Each pass takes an orthonormal n x m block X through a Rayleigh-Ritz step
+    (H X, then eigh of X^H H X) and stops once the ``k`` lowest Ritz residuals are
+    below ``RESIDUAL_TOL``. Otherwise the degree-``EIGS_FILTER_DEGREE``
+    Chebyshev polynomial that is bounded by 1 on [theta_m, hi] filters the
+    block, which is then orthonormalized. theta_m is the largest Ritz value and
+    hi the top of the operator's cached Gershgorin interval, so every copy of a
+    level below theta_m grows against the rest of the spectrum at the same rate.
+    Pairs converged from the lowest up are locked: the filter projects them out.
+    m starts at min(n, max(2k, k + 16)), so at n <= k + 16 the first
+    Rayleigh-Ritz step spans the whole space and is exact, and doubles whenever
+    Ritz values k and m coincide, i.e. when the wanted level's cluster reaches
+    the edge of the block. The block is seeded from ``EIGS_SEED``. After
+    ``EIGS_MAX_PASSES`` passes the pairs are returned unconverged, for
+    ``eigs_extremal``'s residual check to refuse.
+
+    A solve holds a workspace of three n x m blocks, allocated once and again
+    only when the block widens: X, H X and a third that takes each rotation X Q
+    and H X Q, the conjugate of X for X^H H X, the residuals, the deflation's
+    product and the filter terms' row-block scratch. Each filter term is made a
+    row block at a time (see ``_chebyshev_next``). Beside them it holds the
+    locked columns, up to k - 1: twice while they are replaced, and a complex
+    block their conjugate as well. ``HilbertDimensionError`` is raised, before
+    anything of size n is allocated, when the three blocks and three times k - 1
+    columns would not fit in the available memory, and again before widening.
+    """
     n = op.dimension
     m = min(n, max(2 * k, k + 16))
     dtype = np.result_type(op.data.dtype, float)
@@ -771,10 +796,8 @@ def _filtered_subspace_iteration(op, k):
         x, w = np.matmul(x, q, out=w), x
         hx, w = np.matmul(hx, q, out=w), hx
         residuals = _column_norms(np.subtract(hx, np.multiply(x, theta, out=w), out=w))
-        if residuals[:k].max(initial=0.0) <= RESIDUAL_TOL:
-            return theta[:k], x[:, :k]
-        if passes == EIGS_MAX_PASSES:
-            break
+        if residuals[:k].max(initial=0.0) <= RESIDUAL_TOL or passes == EIGS_MAX_PASSES:
+            return theta[:k], x[:, :k], f"after {passes} passes of filtered subspace iteration"
         # T_d((H - c)/r) is bounded by 1 on [theta_m, hi]; a floor on the
         # width of that interval keeps T_d finite below it.
         a = min(theta[-1], hi - (hi - lo) * 2.0 ** -20)
@@ -820,11 +843,6 @@ def _filtered_subspace_iteration(op, k):
         x, hx = _orthonormalize(cur, prev)
         del prev, cur  # else a widening would keep the old blocks alive
         hx.fill(0.0)
-    raise EigenConvergenceError(
-        f"filtered subspace iteration stopped after {EIGS_MAX_PASSES} passes with "
-        f"{int(np.sum(residuals[:k] <= RESIDUAL_TOL))}/{k} pairs converged",
-        residuals=residuals[:k],
-    )
 
 
 def _orthonormalize(y, spare):
@@ -863,3 +881,109 @@ def _column_norms(a):
     squares = np.einsum("ij,ij->j", pairs, pairs)
     return np.sqrt(squares.reshape(a.shape[1], -1).sum(axis=1))
 
+
+def _flat_translation_blocks(op, lattice, k):
+    """The ``k`` lowest eigenpairs of a gauge build, ascending, as the union of
+    its flat-translation blocks, and how they were found.
+
+    The build's amplitudes read only plaquette values, so translation by a
+    flat configuration, one in ker(A mod N) for the plaquette map A, commutes
+    with it. In the coordinates (u, w) = V^-1 x mod N of
+    ``zn._flat_coordinates`` the plaquettes read u alone, and slot j's offset
+    o_j, read off row 0, is the step (u_j, w_j) = V^-1 o_j. So each character
+    theta of the flat group, on w, gives the dense block H_theta = sum_j
+    omega^(theta . w_j) M_j of dimension N^r on u, with M_j[u, u + u_j] =
+    a_j(u) read from H's row at x(u) = V (u, 0), and omega = exp(2 pi i / N).
+    The builders are real, so H_-theta = conj(H_theta): one block of each
+    conjugate pair is solved and its values counted twice, and a theta with
+    2 theta = 0 gives a real block. ``np.linalg.eigvalsh`` runs over chunks
+    of about ``_BLOCK_ENTRIES`` block entries, keeping the lowest ``k``, and
+    skips a block whose Gershgorin bound lies above the k-th kept value. Each
+    kept value's vector phi, from ``np.linalg.eigh`` of its block, is lifted
+    to the unit psi(x) = phi(u(x)) omega^(theta . w(x)) (N^r / n)^(1/2), and
+    the second copy of a pair to conj psi, in the block of -theta.
+    ``ValueError`` when a row x(u) holds other columns than x(u) + o_j, and
+    ``HilbertDimensionError`` when the arrays would not fit in memory.
+    """
+    dim, n, links = op.dimension, lattice.n, lattice.n_links
+    v, v_inv, r = zn._flat_coordinates(lattice)
+    size, m = n ** r, int(op.indptr[1] - op.indptr[0])
+    per_chunk = max(1, _BLOCK_ENTRIES // size ** 2)
+    # the chunk thrice (moduli, kept blocks, eigvalsh's copy), the slots' amplitudes and places,
+    # the k vectors, and 88 bytes a configuration or column-chunk entry (lift, residual check)
+    _require_memory(16 * (3 * per_chunk * size ** 2 + 2 * m * size + k * dim)
+                    + 88 * max(dim, _BLOCK_ENTRIES),
+                    f"eigensolve of dimension {dim} in blocks of {size}")
+    place = n ** np.arange(links)  # link values -> basis index
+    offsets = _digits(op.indices[op.indptr[0]:op.indptr[1]], links, n)
+    u = _digits(np.arange(size), r, n)
+    x_u = u @ v[:, :r].T % n  # the link values of x(u)
+    first = op.indptr[x_u @ place]
+    entries = first[:, np.newaxis] + np.arange(m)
+    if (np.any(op.indptr[x_u @ place + 1] - first != m)
+            or not np.array_equal(op.indices[entries],
+                                  (x_u[:, np.newaxis] + offsets) % n @ place)):
+        raise ValueError(_LAYOUT_ERROR)
+    steps = offsets @ v_inv.T % n  # row j: (u_j, w_j)
+    target = (u[:, np.newaxis] + steps[:, :r]) % n @ n ** np.arange(r)
+    # each slot's amplitudes a_j(u) and flat places u * N^r + (u + u_j) in a block
+    amps, places = op.data[entries].T, (np.arange(size)[:, np.newaxis] * size + target).T
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+
+    def blocks(thetas, dtype):
+        """H_theta for each row theta of ``thetas``, an array (thetas, size, size)."""
+        phases = roots[thetas @ steps[:, r:].T % n]
+        phases = phases.real if dtype is float else phases
+        out = np.zeros((len(thetas), size * size), dtype=dtype)
+        for j in range(m):
+            out[:, places[j]] += phases[:, j, np.newaxis] * amps[j]
+        return out.reshape(-1, size, size)
+
+    # every character theta, and the index of -theta
+    thetas = _digits(np.arange(n ** (links - r)), links - r, n)
+    conj = (-thetas % n) @ n ** np.arange(links - r)
+    ids = np.arange(len(thetas))
+    low, keys = np.zeros(0), np.zeros(0, dtype=np.int64)  # keys: theta * size + index
+    for reps, copies, dtype in ((np.flatnonzero(conj == ids), 1, float),
+                                (np.flatnonzero(conj > ids), 2, complex)):
+        for start in range(0, len(reps), per_chunk):
+            chunk = reps[start:start + per_chunk]
+            h = blocks(thetas[chunk], dtype)
+            if len(low) == k:  # Gershgorin bounds: each row's diagonal less its other moduli
+                moduli, d = np.abs(h).sum(axis=2), np.einsum("tii->ti", h).real
+                needed = (d + np.abs(d) - moduli).min(axis=1) <= low[-1] + 1e-10 * moduli.max()
+                chunk, h = chunk[needed], h[needed]  # 1e-10 of the norm: rounding
+            values = np.linalg.eigvalsh(h)
+            low = np.concatenate([low, np.repeat(values.reshape(-1), copies)])
+            keys = np.concatenate([keys, np.repeat(
+                (chunk[:, np.newaxis] * size + np.arange(size)).reshape(-1), copies)])
+            keep = np.argsort(low, kind="stable")[:k]
+            low, keys = low[keep], keys[keep]
+
+    # u(x) over the basis grid, as a block index
+    grid = zn._basis_grid_shape(lattice)
+    u_index = np.zeros(grid, dtype=np.int64)
+    for i, digit in enumerate(zn._affine_values(lattice, (v_inv[:r], np.zeros(r, np.int64)))):
+        u_index += digit * n ** i
+    u_index = u_index.reshape(-1)
+    # a stable sort keeps the two copies of a pair's value next to each other;
+    # the vectors are columns in Fortran order, each one contiguous
+    vectors = np.empty((dim, k), dtype=complex, order="F")
+    for theta in np.unique(keys // size):
+        dtype = float if conj[theta] == theta else complex
+        _, phi = np.linalg.eigh(blocks(thetas[theta:theta + 1], dtype)[0])
+        row = (thetas[theta] @ v_inv[r:])[np.newaxis]  # theta . w(x) as one affine row
+        phase = roots[next(zn._affine_values(lattice, (row, np.zeros(1, np.int64))))]
+        phase *= math.sqrt(size / dim)  # each u is hit n / N^r times
+        phase = np.broadcast_to(phase, grid).reshape(-1)
+        for j in np.flatnonzero(keys // size == theta):
+            psi = np.multiply(phi[:, keys[j] % size].take(u_index), phase, out=vectors[:, j])
+            if j and keys[j - 1] == keys[j]:
+                np.conjugate(psi, out=psi)
+    return low, vectors, f"from flat-translation blocks of {size}"
+
+
+def _digits(flat, places, n):
+    """The base-``n`` digits of each of ``flat``, least significant first:
+    an array (len(flat), places)."""
+    return np.asarray(flat)[:, np.newaxis] // n ** np.arange(places) % n

@@ -754,6 +754,16 @@ def test_spectrum_zero_operator():
     assert np.abs(result.values).max() == 0.0
 
 
+def test_spectrum_and_comparison_of_count_zero_are_empty():
+    lat = LinkLattice((2, 2), 2, boundary="open")
+    hop = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    result = spectrum(hop, 0)
+    assert result.values.shape == result.gaps.shape == (0,)
+    comp = compare_to_reference(hop, reference_ks_hamiltonian(lat, 1.0, 1.0), 0)
+    assert comp.gaps_hopping.shape == comp.deviations.shape == (0,)
+    assert comp.max_deviation == 0.0
+
+
 # real blocks only (N=2), complex pairs beside real blocks (N=6), complex pairs
 # and the one real block theta = 0 (N=3, 7), and blocks of one state (no plaquette)
 FLAT_BLOCK_LATTICES = {
@@ -781,17 +791,34 @@ def test_flat_block_union_is_the_full_spectrum():
         assert np.abs(spectrum(op, op.dimension).values - want).max() < 1e-12
 
 
+def test_blocks_bounded_above_the_kept_values_are_not_solved(monkeypatch):
+    # a full spectrum solves every block; the lowest few skip the blocks whose
+    # Gershgorin bound lies above them, and give the same values bit for bit
+    solved, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+    for name, count in (("2x2-open-6", 6), ("single-link-7", 1)):
+        for op in _both_builders(name)[1]:
+            solved.clear()
+            full = linop.eigs_extremal(op, op.dimension)[0]
+            every = sum(solved)
+            solved.clear()
+            low = linop.eigs_extremal(op, count)[0]
+            assert sum(solved) < every  # 52 or 76 of 112 blocks, and 1 of 4
+            assert low.tobytes() == full[:count].tobytes()
+
+
 @pytest.mark.parametrize("name", ["3x2-periodic-2", "2x2x2-open-2", "2x2-periodic-3"])
 def test_flat_block_union_against_traces_and_the_iterative_solver(name):
     # where a dense solve takes 4-16 s: the power sums of every value against
-    # the traces of H, H^2 and H^3, and the lowest values against eigs_extremal
+    # the traces of H, H^2 and H^3, and the lowest values against filtered
+    # subspace iteration on a copy of H that records no lattice
     _, ops = _both_builders(name)
     for op in ops:
         values, h = spectrum(op, op.dimension).values, op.matrix
         traces = [h.diagonal().sum(), h.multiply(h.T).sum(), (h @ h).multiply(h.T).sum()]
         for power, trace in enumerate(traces, start=1):
             assert abs(np.sum(values ** power) - trace) <= 1e-11 * np.sum(np.abs(values) ** power)
-        assert np.abs(values[:12] - linop.eigs_extremal(op, 12)[0]).max() < 1e-10
+        assert np.abs(values[:12] - linop.eigs_extremal(from_matrix(h), 12)[0]).max() < 1e-10
 
 
 @pytest.mark.parametrize("name", FLAT_BLOCK_LATTICES)
@@ -811,7 +838,7 @@ def test_spectrum_memory_checked_before_a_block_is_allocated(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(HilbertDimensionError,
-                           match="spectrum of dimension 65536 in blocks of 64"):
+                           match="eigensolve of dimension 65536 in blocks of 64"):
             spectrum(op, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -819,15 +846,16 @@ def test_spectrum_memory_checked_before_a_block_is_allocated(monkeypatch):
     assert peak < 16 * 64 * 64  # one complex block
 
 
-def test_spectrum_refuses_a_count_above_the_dimension_and_foreign_operators():
+def test_spectrum_solves_any_operator_and_refuses_a_bad_count_or_layout():
     op = build_gauge_hamiltonian(single_plaquette(3), MaxwellPreset(1.0, 1.0))
     with pytest.raises(ValueError, match="requested 82 eigenpairs of a dimension-81 operator"):
         spectrum(op, 82)
+    # an operator that records no lattice goes through filtered subspace iteration
     grid = LatticeGrid((4,), 1.0)
     particle = build_particle_hamiltonian(HoppingKernel.free(grid, {(0,): 1.0, (1,): -0.5,
                                                                     (-1,): -0.5}))
-    with pytest.raises(ValueError, match="gauge builder"):
-        spectrum(particle, 2)
+    result = spectrum(particle, 2)
+    assert np.abs(result.values - np.linalg.eigvalsh(particle.to_dense())[:2]).max() < 1e-10
     # the builder's matrix with its rows sorted, whose representative rows are out of order
     h = op.matrix.copy()
     h.sort_indices()
@@ -843,7 +871,8 @@ def test_spectrum_checks_residuals_against_h():
     op = build_gauge_hamiltonian(LinkLattice((2, 2), 3, boundary="periodic"),
                                  MaxwellPreset(1.0, 1.0))
     op.data[3] += 0.5
-    with pytest.raises(EigenConvergenceError, match="block eigenpair residual") as info:
+    with pytest.raises(EigenConvergenceError,
+                       match="residual .* from flat-translation blocks of 27") as info:
         spectrum(op, 6)
     assert info.value.residuals.max() > 1e-3
 

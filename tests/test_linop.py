@@ -287,6 +287,17 @@ def test_add_product_matches_scipy_bit_for_bit():
         for x in (np.ones(59), np.ones((61, 2)), np.ones((60, 2, 2)), np.float64(1.0)):
             with pytest.raises(ValueError, match="in place"):
                 op.matvec(x)
+    # real H, complex x: the product of x's real view equals scipy's complex one
+    for dims, n, boundary in (((2, 2), 3, "periodic"), ((2, 2), 4, "open")):
+        lat = LinkLattice(dims, n, boundary=boundary)
+        for op in (build_gauge_hamiltonian(lat, MaxwellPreset(1.3, 0.8)),
+                   reference_ks_hamiltonian(lat, 1.3, 0.8)):
+            shape = (op.dimension, 6)
+            block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for x in (block[:, 0].copy(), block[:, 1], block[:, :1].copy(), block[:, 3:]):
+                out = np.zeros(x.shape, dtype=complex)
+                op._add_product(x, out)
+                assert out.tobytes() == (op.matrix @ x).tobytes()
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -377,6 +388,45 @@ def test_propagate_holds_three_vectors_and_one_row_block():
     assert peak <= 16 * (3 * op.dimension + op._block_rows()) + 2 ** 14
 
 
+def test_propagate_under_a_real_operator_holds_no_complex_copy_of_data():
+    # 2x2 periodic N=3, dim 6,561, above DENSE_CUTOFF: the Chebyshev series
+    op = build_gauge_hamiltonian(LinkLattice((2, 2), 3, boundary="periodic"),
+                                 MaxwellPreset(1.0, 1.0))
+    assert op.dimension > linop.DENSE_CUTOFF and op.data.dtype == float
+    rng = np.random.default_rng(25)
+    v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    propagate(op, v, 0.5)  # caches the interval and loads the kernels
+    tracemalloc.start()
+    try:
+        propagate(op, v, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a complex copy of data alone would take twice its 0.84 MB
+    assert peak <= 16 * (3 * op.dimension + op._block_rows()) + 2 ** 14 < 2 * op.data.nbytes
+
+
+def test_gauge_eigenpairs_come_from_flat_blocks(gauge_n4):
+    gauge_n4.matvec(np.ones(gauge_n4.dimension))  # loads the kernels
+    tracemalloc.start()
+    try:
+        eigs_extremal(gauge_n4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20  # filtered subspace iteration held 26 MiB
+    # conjugate pairs of complex blocks (N=3), and complex pairs beside real blocks (N=6)
+    for dims, n, boundary, count in (((2, 2), 3, "periodic", 12), ((2, 2), 6, "open", 10)):
+        lat = LinkLattice(dims, n, boundary=boundary)
+        for op in (build_gauge_hamiltonian(lat, MaxwellPreset(1.3, 0.8)),
+                   reference_ks_hamiltonian(lat, 1.3, 0.8)):
+            w, v = eigs_extremal(op, count)
+            assert np.abs(v.conj().T @ v - np.eye(count)).max() < 1e-10
+            # the second copy of a conjugate pair is the first one's conjugate
+            assert any(np.array_equal(v[:, j + 1], v[:, j].conj()) for j in range(count - 1))
+            assert np.abs(w - eigs_extremal(from_matrix(op.matrix), count)[0]).max() < 1e-10
+
+
 @pytest.mark.parametrize("case, blocks", [
     ("real gauge", 3.25),
     # a complex block's locked columns are held conjugated as well
@@ -384,7 +434,7 @@ def test_propagate_holds_three_vectors_and_one_row_block():
 ])
 def test_eigensolve_holds_three_blocks(monkeypatch, gauge_n4, case, blocks):
     if case == "real gauge":
-        op = gauge_n4
+        op = from_matrix(gauge_n4.matrix)  # records no lattice: filtered subspace iteration
     else:
         op = build_particle_hamiltonian(random_unitary_kernel(
             LatticeGrid((16, 16, 16), 1.0), np.random.default_rng(24),
@@ -410,11 +460,12 @@ def test_eigensolve_holds_three_blocks(monkeypatch, gauge_n4, case, blocks):
 
 
 def test_oversize_eigensolve_fails_before_allocating(monkeypatch, gauge_n4):
+    op = from_matrix(gauge_n4.matrix)  # records no lattice: filtered subspace iteration
     monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 2 ** 24)
     tracemalloc.start()
     try:
         with pytest.raises(HilbertDimensionError, match="eigensolve of dimension 65536, 22 "):
-            eigs_extremal(gauge_n4, 6)
+            eigs_extremal(op, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,8 +474,7 @@ def test_oversize_eigensolve_fails_before_allocating(monkeypatch, gauge_n4):
 
 def test_eigensolve_checks_memory_before_widening(monkeypatch):
     # the (10, 52) case below: the block starts 26 columns wide and doubles
-    op = build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
-                                 MaxwellPreset(1.0, 1.0))
+    op = _lattice_free_gauge_n2()
     # enough for 26 columns and the 9 locked ones: three blocks and three times k - 1 columns
     monkeypatch.setattr(linop, "_available_memory_bytes", lambda: (3 * 26 + 3 * 9) * 256 * 8)
     with pytest.raises(HilbertDimensionError, match="eigensolve of dimension 256, 52 "):
@@ -515,6 +565,13 @@ def test_eigs_zero_pairs(n):
     assert w.shape == (0,) and v.shape == (n, 0)
 
 
+def _lattice_free_gauge_n2():
+    """The Maxwell Hamiltonian on 2x2 periodic N=2 (dim 256) as an operator that
+    records no lattice, so that ``eigs_extremal`` takes filtered subspace iteration."""
+    return from_matrix(build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
+                                               MaxwellPreset(1.0, 1.0)).matrix)
+
+
 def _record_block_widths(monkeypatch):
     """Column counts of every block the subspace iteration orthonormalizes."""
     widths = []
@@ -535,8 +592,7 @@ def _record_block_widths(monkeypatch):
 ])
 def test_eigs_iterative_resolves_degenerate_gauge_levels(monkeypatch, count, width):
     # 2x2 periodic N=2, dim 256: levels -12 + 3j with multiplicity C(8, j)
-    op = build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
-                                 MaxwellPreset(1.0, 1.0))
+    op = _lattice_free_gauge_n2()
     widths = _record_block_widths(monkeypatch)
     w, v = eigs_extremal(op, count)
     assert max(widths) == width
@@ -580,8 +636,7 @@ def test_eigs_iterative_level_far_below_the_rest():
 
 
 def test_eigs_pass_cap_raises_with_residuals(monkeypatch):
-    op = build_gauge_hamiltonian(LinkLattice((2, 2), 2, boundary="periodic"),
-                                 MaxwellPreset(1.0, 1.0))
+    op = _lattice_free_gauge_n2()
     monkeypatch.setattr(linop, "EIGS_MAX_PASSES", 1)
     with pytest.raises(EigenConvergenceError, match="after 1 passes") as info:
         eigs_extremal(op, 6)

@@ -71,3 +71,24 @@ def test_no_module_but_linop_imports_scipy():
             imports += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] == "scipy"]
     assert not imports, "scipy is imported outside src/hopquant/linop.py:\n" + "\n".join(imports)
+
+
+def test_no_module_but_linop_calls_an_eigensolver():
+    # eigs_extremal in linop.py is the package's one eigenpair solver
+    solvers = {"eigh", "eigvalsh", "eig", "eigvals"}
+    calls = []
+    for path in MODULES:
+        if path.name == "linop.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            calls += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names
+                      if name in solvers]
+    assert not calls, "an eigensolver is named outside src/hopquant/linop.py:\n" + "\n".join(calls)
