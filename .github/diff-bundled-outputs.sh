@@ -8,7 +8,13 @@
 # WORK_DIR/base and WORK_DIR/head, making WORK_DIR if it is missing. Prints
 # `diff -r` of the two and exits 0 when they are identical, 1 when they
 # differ and 2 when a run fails.
+#
+# Report bytes depend on the BLAS thread count as well as on the code: with
+# the machine's default OpenBLAS threads, some bundled reports end in other
+# last digits than with one thread. So both trees run with
+# OPENBLAS_NUM_THREADS=1 unless the caller sets it.
 set -u
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"
 base=$1 head=$2 work=$3
 mkdir -p "$work" || exit 2
 status=0

@@ -224,38 +224,39 @@ class SymmetryReport:
 def commutator_norms(op, lattice, maps):
     """Exact max-norms of [H, P] for the permutation P of each map (A, b).
 
-    H must be laid out as shifts on the basis grid, as the hopping assembler
-    stores it: row x holds one entry in each of m slots, and slot j holds
-    a_j(x) = H[x, x + o_j] for a fixed offset o_j, mod N. The offsets are
-    read off row 0, whose columns they are. A map (A, b) in
-    ``zn.permutation``'s format sends configuration x to sigma(x) = A x + b
-    mod N, so sigma(x + o_j) = sigma(x) + A o_j: the image of slot j is the
-    slot k_j of row sigma(0) whose column is sigma(o_j). P H P^T - H then
-    holds exactly the entries a_j(x) - a_{k_j}(sigma(x)), and each norm is
-    their largest modulus. That is max|P H P^T - H|, the max-norm of the
-    commutator with its columns permuted. Each a_j is copied from its slot
-    once; H's columns are read in place.
+    H must carry the hopping assembler's slot layout (``linop._slot_table``):
+    slot j of row x holds a_j(x) = H[x, x + o_j] for the offset o_j, mod N,
+    that the assembler recorded. A map (A, b) in ``zn.permutation``'s format
+    sends configuration x to sigma(x) = A x + b mod N, so sigma(x + o_j) =
+    sigma(x) + A o_j: the image of slot j is the slot k_j whose offset is
+    A o_j. P H P^T - H then holds exactly the entries a_j(x) -
+    a_{k_j}(sigma(x)), and each norm is their largest modulus. That is
+    max|P H P^T - H|, the max-norm of the commutator with its columns
+    permuted. Each a_j is copied from the slot table once, a block of rows
+    that stays in cache at a time.
 
-    Raises ``ValueError`` when a row of H holds other columns than those of
-    row 0 shifted to it, in the same order, or a map is not a bijection of
-    the basis or of H's slots, and ``HilbertDimensionError`` when the
-    amplitude copies would not fit in the available memory.
+    Raises ``ValueError`` when H has no slot layout of the lattice's
+    dimension, or a map is not a bijection of the basis or of H's slots, and
+    ``HilbertDimensionError`` when the copies would not fit in memory.
     """
-    dim = lattice.hilbert_dim
-    if op.dimension != dim:
-        raise ValueError(f"operator of dimension {op.dimension} does not act on {lattice}")
-    # beside the amplitudes, index arrays and gathers: tracemalloc measured
-    # 17-21 bytes per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3,
+    dim, n = lattice.hilbert_dim, lattice.n
+    offsets, table = linop._slot_table(op, dim)
+    # beside the amplitudes, index arrays and gathers: tracemalloc measured 17.0-17.3 bytes
+    # per state on 2x2 periodic N=4/5, 3x3 periodic N=2, 2x2x2 open N=3, both builders,
     # so four 8-byte words per state bound them; H exists, and is not counted again
     linop._require_memory(op.data.nbytes + 4 * dim * np.dtype(np.intp).itemsize,
                           f"certifying dimension {dim}")
-    cols, amps = _slot_amplitudes(op, lattice)
+    amps = np.empty(table.shape[::-1], dtype=table.dtype)
+    rows = max(1, linop._BLOCK_ENTRIES // max(len(offsets), 1))
+    for start in range(0, dim, rows):
+        amps[:, start:start + rows] = table[start:start + rows].T
+    moves = offsets[:, ::-1]  # link k is grid axis n_links - 1 - k
+    slot = {move: j for j, move in enumerate(map(tuple, moves.tolist()))}
 
     moved, norms = np.empty(dim, dtype=op.data.dtype), []
     for symmetry in maps:
         sigma = zn.permutation(lattice, symmetry)
-        slot = {c: k for k, c in enumerate(cols[sigma[0]].tolist())}
-        image = [slot.get(c) for c in sigma[cols[0]].tolist()]
+        image = [slot.get(tuple(o)) for o in (moves @ np.transpose(symmetry[0]) % n).tolist()]
         if set(image) != set(slot.values()):
             raise ValueError("map is not a bijection of the link moves")
         norm = 0.0
@@ -270,33 +271,6 @@ def commutator_norms(op, lattice, maps):
         norms.append(float(norm))
         del sigma  # before the next map's is built, so that one sigma is held at a time
     return norms
-
-
-def _slot_amplitudes(op, lattice):
-    """H's columns as an array (configurations, m), and a copy of its
-    amplitudes as an array (m, configurations) whose row j is the a_j of
-    ``commutator_norms``.
-
-    H is read a block of about ``linop._BLOCK_ENTRIES`` entries at a time,
-    which stays in cache, and each block's columns are checked against those
-    that ``linop._grid_blocks``, the assembler's, makes from row 0's offsets.
-    """
-    dim = lattice.hilbert_dim
-    m = op.nnz // dim  # slots a row, if every row has as many
-    if (not np.array_equal(op.indptr, np.arange(dim + 1) * m)
-            or len(set(op.indices[:m].tolist())) < m):
-        raise ValueError(linop._LAYOUT_ERROR)
-    data, cols = op.data.reshape(dim, m), op.indices.reshape(dim, m)
-    shape = zn._basis_grid_shape(lattice)
-    offsets = np.column_stack(np.unravel_index(cols[0], shape))  # row 0's columns
-    amps = np.empty((m, dim), dtype=op.data.dtype)
-    per_block = max(1, linop._BLOCK_ENTRIES // max(m, 1))
-    for start, want in linop._grid_blocks(shape, offsets, True, per_block):
-        rows = slice(start, start + len(want))
-        if not np.array_equal(cols[rows], want):
-            raise ValueError(linop._LAYOUT_ERROR)
-        amps[:, rows] = data[rows].T
-    return cols, amps
 
 
 def allowed_parity_centers(lattice):

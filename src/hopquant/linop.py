@@ -64,7 +64,6 @@ ASSEMBLY_BYTES_PER_STATE = 37
 # a block of index and amplitude arrays stays in cache.
 _BLOCK_ENTRIES = 2 ** 16
 _KERNELS = "scipy.sparse._sparsetools"
-_LAYOUT_ERROR = "operator has entries outside the one-link moves or out of their order"
 
 
 @functools.cache
@@ -122,6 +121,7 @@ class SparseHermitianOperator:
                                    defect=defect)
         self.data, self.indices, self.indptr = data, indices, indptr
         self.hermiticity_defect = defect
+        self.slot_offsets = None  # the hopping assembler's record, see _slot_table
         self._eig = self._interval = self._propagation_interval = None
 
     @property
@@ -356,17 +356,17 @@ def _require_memory(estimate, what):
             f"more than the {memory / 2 ** 30:.2f} GiB of available memory")
 
 
-def _offset_columns(shape, offsets, periodic, points):
-    """Flat index of point + o on the C-ordered grid ``shape``, for each flat
-    index in ``points`` and each row o of the int64 array ``offsets``.
+def _offset_columns(shape, offsets, periodic):
+    """Flat index of x + o on the C-ordered grid ``shape``, for each point x
+    of the grid and each row o of the int64 array ``offsets``.
 
-    Returns the int64 array (len(points), len(offsets)) of those indices, each
-    wrapped when ``periodic``, and a mask of the points + o that leave an open
-    grid.
+    Returns the int64 array (points, len(offsets)) of those indices, each
+    wrapped when ``periodic``, and a mask of the points x + o that leave an
+    open grid.
     """
-    cols = np.zeros((len(points), len(offsets)), dtype=np.int64)
+    cols = np.zeros((math.prod(shape), len(offsets)), dtype=np.int64)
     off = np.zeros(cols.shape, dtype=bool)
-    rest, place = np.asarray(points, dtype=np.int64), 1
+    rest, place = np.arange(len(cols), dtype=np.int64), 1
     for ax in range(len(shape) - 1, -1, -1):
         rest, coord = np.divmod(rest, shape[ax])
         coord = coord[:, np.newaxis] + offsets[:, ax]
@@ -380,9 +380,9 @@ def _offset_columns(shape, offsets, periodic, points):
     return cols, off
 
 
-def _grid_blocks(shape, offsets, periodic, rows, out=None):
+def _grid_blocks(shape, offsets, periodic, rows, out):
     """Row blocks of the C-ordered grid ``shape`` and the columns x + o of
-    their rows x for each offset o, wrapped when ``periodic``.
+    their rows x for each int64 row o of ``offsets``, wrapped when ``periodic``.
 
     A block is k whole trailing sub-grids ``shape[q:]`` in a row along axis
     q - 1, for the least q whose sub-grid has at most ``rows`` rows and the
@@ -392,35 +392,29 @@ def _grid_blocks(shape, offsets, periodic, rows, out=None):
     ravel(u + o_u) * (L size) + (c + o_c) * size + ravel(t + o_t), L the
     length of axis q - 1 and size the rows of a sub-grid: one table of
     in-sub-grid columns plus two offsets per move, one per position c and
-    one per u, all made once. Yields (first row, columns) for each block in
-    row order, the columns an array (block rows, len(offsets)): the block's
-    rows of ``out``, an array (rows of the grid, len(offsets)), where given,
-    else an int64 array that the next block overwrites. A column off an open
-    grid reads ``math.prod(shape)``. The first block is the largest.
+    one per u, all made once. Writes each block's columns into its rows of
+    ``out``, an array (rows of the grid, len(offsets)), and yields (first
+    row, those rows of ``out``) for each block in row order. A column off an
+    open grid reads ``math.prod(shape)``. The first block is the largest.
     """
     dim, m = math.prod(shape), len(offsets)
     shape = (1,) + tuple(shape)  # an axis of length 1 in front: the whole grid is one sub-grid
-    offsets = np.column_stack([np.zeros(m, dtype=np.int64),
-                               np.asarray(offsets, dtype=np.int64).reshape(m, len(shape) - 1)])
+    offsets = np.column_stack([np.zeros(m, dtype=np.int64), offsets])
     q = len(shape)
     while q > 1 and math.prod(shape[q - 1:]) <= rows:
         q -= 1
     size, length = math.prod(shape[q:]), shape[q - 1]
     k = min(length, rows // size)
-    dtype = np.int64 if out is None else out.dtype  # made in, so added without a cast
-    table, table_off = _offset_columns(shape[q:], offsets[:, q:], periodic, np.arange(size))
-    strip, strip_off = _offset_columns((length,), offsets[:, q - 1:q], periodic,
-                                       np.arange(length))
-    lead, lead_off = _offset_columns(shape[:q - 1], offsets[:, :q - 1], periodic,
-                                     np.arange(dim // (length * size)))
+    table, table_off = _offset_columns(shape[q:], offsets[:, q:], periodic)
+    strip, strip_off = _offset_columns((length,), offsets[:, q - 1:q], periodic)
+    lead, lead_off = _offset_columns(shape[:q - 1], offsets[:, :q - 1], periodic)
+    dtype = out.dtype  # made in, so added without a cast
     table, strip, lead = (table.astype(dtype), (strip * size).astype(dtype),
                           (lead * (length * size)).astype(dtype))
-    buffer = np.empty((k * size if out is None else 0, m), dtype=dtype)
     for u in range(len(lead)):
         for c in range(0, length, k):
             start, count = (u * length + c) * size, min(k, length - c)
-            block = (buffer[:count * size] if out is None
-                     else out[start:start + count * size]).reshape(count, size, m)
+            block = out[start:start + count * size].reshape(count, size, m)
             np.add(table, strip[c:c + count, np.newaxis] + lead[u], out=block)
             if not periodic:
                 block[table_off | strip_off[c:c + count, np.newaxis] | lead_off[u]] = dim
@@ -524,7 +518,9 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     that coincide on the grid (which wraps when ``periodic``) are summed
     into one entry, the zero offset is the diagonal, and an open grid drops
     entries whose column leaves it. Row x holds one slot per distinct
-    offset, in the order of first appearance, not sorted by column.
+    offset, in the order of first appearance, not sorted by column. On a
+    periodic grid the operator records those offsets, mod ``shape`` and in
+    slot order, as ``slot_offsets``, an int64 array (slots, axes).
     max|H - H^H| is the largest |H[x, x + o] - conj(H[x + o, x])| over
     stored entries, with the reverse offset's entry or zero where no move
     has it, read a block of rows at a time from the filled slots.
@@ -542,6 +538,7 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     keys = [key(offset) for offset in offsets]
     column = {k: j for j, k in enumerate(dict.fromkeys(keys))}
     m = len(column)
+    slot_offsets = np.array(list(column), dtype=np.int64).reshape(m, len(shape))
     index_dtype = np.dtype(np.int32 if dim * max(m, 1) <= np.iinfo(np.int32).max
                            else np.int64)
     _require_memory(dim * m * (index_dtype.itemsize + np.dtype(dtype).itemsize)
@@ -551,7 +548,7 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     cols = np.empty((dim, m), dtype=index_dtype)
     data = np.empty((dim, m), dtype=dtype)
     rows = max(1, _BLOCK_ENTRIES // max(m, 1))
-    _fill_slots(data, _grid_blocks(shape, list(column), periodic, rows, out=cols),
+    _fill_slots(data, _grid_blocks(shape, slot_offsets, periodic, rows, out=cols),
                 [column[k] for k in keys], amplitudes)
     del amplitudes  # what it holds can go before the defect pass makes its own arrays
     reverse = [column.get(key([-c for c in k])) for k in column]
@@ -577,7 +574,18 @@ def _assemble_hopping(shape, periodic, offsets, amplitudes, dtype=float,
     # them may outlive this, so none is checked for.
     cols.resize(end, refcheck=False)
     data.resize(end, refcheck=False)
-    return SparseHermitianOperator(data, cols, indptr, defect, tol)
+    op = SparseHermitianOperator(data, cols, indptr, defect, tol)
+    op.slot_offsets = slot_offsets if periodic else None
+    return op
+
+
+def _slot_table(op, dim):
+    """The slot offsets o_j that the hopping assembler recorded on ``op``, and ``data``
+    as an array (dim, slots) whose entry [x, j] is H[x, x + o_j]; else ``ValueError``."""
+    if op.slot_offsets is None:
+        raise ValueError("operator has no slot layout: only the hopping assembler "
+                         "records one, on a periodic grid")
+    return op.slot_offsets, op.data.reshape(dim, len(op.slot_offsets))
 
 
 def propagate(op, v, t, hbar=1.0):
@@ -889,11 +897,11 @@ def _flat_translation_blocks(op, lattice, k):
     The build's amplitudes read only plaquette values, so translation by a
     flat configuration, one in ker(A mod N) for the plaquette map A, commutes
     with it. In the coordinates (u, w) = V^-1 x mod N of
-    ``zn._flat_coordinates`` the plaquettes read u alone, and slot j's offset
-    o_j, read off row 0, is the step (u_j, w_j) = V^-1 o_j. So each character
-    theta of the flat group, on w, gives the dense block H_theta = sum_j
-    omega^(theta . w_j) M_j of dimension N^r on u, with M_j[u, u + u_j] =
-    a_j(u) read from H's row at x(u) = V (u, 0), and omega = exp(2 pi i / N).
+    ``zn._flat_coordinates`` the plaquettes read u alone, and slot j's recorded
+    offset o_j is the step (u_j, w_j) = V^-1 o_j. So each character theta of
+    the flat group, on w, gives the dense block of dimension N^r on u,
+    H_theta = sum_j omega^(theta . w_j) M_j, omega = exp(2 pi i / N), with
+    M_j[u, u + u_j] = a_j(u) from row x(u) = V (u, 0) of ``_slot_table``.
     The builders are real, so H_-theta = conj(H_theta): one block of each
     conjugate pair is solved and its values counted twice, and a theta with
     2 theta = 0 gives a real block. ``np.linalg.eigvalsh`` runs over chunks
@@ -902,32 +910,26 @@ def _flat_translation_blocks(op, lattice, k):
     kept value's vector phi, from ``np.linalg.eigh`` of its block, is lifted
     to the unit psi(x) = phi(u(x)) omega^(theta . w(x)) (N^r / n)^(1/2), and
     the second copy of a pair to conj psi, in the block of -theta.
-    ``ValueError`` when a row x(u) holds other columns than x(u) + o_j, and
+    ``ValueError`` for an operator without the assembler's slot layout, and
     ``HilbertDimensionError`` when the arrays would not fit in memory.
     """
     dim, n, links = op.dimension, lattice.n, lattice.n_links
+    slot_offsets, table = _slot_table(op, dim)
     v, v_inv, r = zn._flat_coordinates(lattice)
-    size, m = n ** r, int(op.indptr[1] - op.indptr[0])
+    size, m = n ** r, len(slot_offsets)
     per_chunk = max(1, _BLOCK_ENTRIES // size ** 2)
     # the chunk thrice (moduli, kept blocks, eigvalsh's copy), the slots' amplitudes and places,
     # the k vectors, and 88 bytes a configuration or column-chunk entry (lift, residual check)
     _require_memory(16 * (3 * per_chunk * size ** 2 + 2 * m * size + k * dim)
                     + 88 * max(dim, _BLOCK_ENTRIES),
                     f"eigensolve of dimension {dim} in blocks of {size}")
-    place = n ** np.arange(links)  # link values -> basis index
-    offsets = _digits(op.indices[op.indptr[0]:op.indptr[1]], links, n)
     u = _digits(np.arange(size), r, n)
-    x_u = u @ v[:, :r].T % n  # the link values of x(u)
-    first = op.indptr[x_u @ place]
-    entries = first[:, np.newaxis] + np.arange(m)
-    if (np.any(op.indptr[x_u @ place + 1] - first != m)
-            or not np.array_equal(op.indices[entries],
-                                  (x_u[:, np.newaxis] + offsets) % n @ place)):
-        raise ValueError(_LAYOUT_ERROR)
-    steps = offsets @ v_inv.T % n  # row j: (u_j, w_j)
+    # link k is grid axis links - 1 - k, so an offset's link values are its axes reversed
+    steps = slot_offsets[:, ::-1] @ v_inv.T % n  # row j: (u_j, w_j)
     target = (u[:, np.newaxis] + steps[:, :r]) % n @ n ** np.arange(r)
-    # each slot's amplitudes a_j(u) and flat places u * N^r + (u + u_j) in a block
-    amps, places = op.data[entries].T, (np.arange(size)[:, np.newaxis] * size + target).T
+    # each slot's amplitudes a_j(u), in the rows x(u), and flat places u * N^r + (u + u_j)
+    amps = table[u @ v[:, :r].T % n @ n ** np.arange(links)].T
+    places = (np.arange(size)[:, np.newaxis] * size + target).T
     roots = np.exp(2j * np.pi * np.arange(n) / n)
 
     def blocks(thetas, dtype):

@@ -12,7 +12,6 @@ from hopquant import (
     LatticeGrid,
     LinkLattice,
     MaxwellPreset,
-    SparseHermitianOperator,
     build_gauge_hamiltonian,
     build_particle_hamiltonian,
     compare_to_reference,
@@ -618,10 +617,11 @@ def test_commutator_rejects_a_singular_map_of_the_stored_moves():
 
 
 def test_commutator_rejects_entries_off_the_moves():
+    # an operator made from a matrix records no slot layout, whatever its entries
     lat = single_plaquette(3)
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.tolil()
     h[0, 4] = h[4, 0] = 0.25  # configuration 4 differs from 0 on two links
-    with pytest.raises(ValueError, match="outside the one-link moves"):
+    with pytest.raises(ValueError, match="no slot layout"):
         commutator_norms(from_matrix(h.tocsr()), lat, [zn._charge_map(lat)])
 
 
@@ -629,13 +629,26 @@ def test_commutator_rejects_rows_out_of_move_order():
     lat = single_plaquette(3)
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
     h.sort_indices()
-    with pytest.raises(ValueError, match="outside the one-link moves"):
+    with pytest.raises(ValueError, match="no slot layout"):
         commutator_norms(from_matrix(h), lat, [zn._charge_map(lat)])
 
 
+def test_commutator_reads_no_column_of_h():
+    # the certifier reads the assembler's slot offsets and amplitudes, not H's CSR columns
+    lat = single_plaquette(3)
+    maps = _symmetry_maps(lat, np.random.default_rng(8)) + [_link_cycle(lat)]
+    largest = []
+    for op in (_rule_operator(lat, link_value_rule), reference_ks_hamiltonian(lat, 1.3, 0.8)):
+        want = [commutator_max(op.matrix, zn.permutation(lat, m)) for m in maps]
+        del op.indices, op.indptr
+        assert commutator_norms(op, lat, maps) == want
+        largest.append(max(want))
+    assert largest[0] > 1e-3  # the rule breaks a symmetry, so not every norm is 0
+
+
 def test_commutator_reads_h_in_blocks(monkeypatch):
-    # blocks of 72 entries, 9 rows of the hopping operator and 8 of the reference,
-    # so the shifts of the two high links change from block to block
+    # the amplitudes are copied in blocks of 72 entries, 9 rows of the hopping
+    # operator and 8 of the reference, so the reference's last block is partial
     monkeypatch.setattr(linop, "_BLOCK_ENTRIES", 72)
     lat = single_plaquette(3)
     maps = _symmetry_maps(lat, np.random.default_rng(7)) + [_link_cycle(lat)]
@@ -646,7 +659,7 @@ def test_commutator_reads_h_in_blocks(monkeypatch):
     h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
     last = slice(h.indptr[-2], h.indptr[-2] + 2)
     h.indices[last], h.data[last] = h.indices[last][::-1].copy(), h.data[last][::-1].copy()
-    with pytest.raises(ValueError, match="outside the one-link moves"):
+    with pytest.raises(ValueError, match="no slot layout"):
         commutator_norms(from_matrix(h), lat, [zn._charge_map(lat)])
 
 
@@ -655,13 +668,12 @@ def test_nan_amplitude_fails_every_certificate():
     with pytest.raises(HermiticityError, match="unitary hopping") as info:
         build_gauge_hamiltonian(lat, CallableResponseSpec(lambda pvals, n: np.nan))
     assert np.isnan(info.value.defect)
-    h = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0)).matrix.copy()
-    h.data[7] = np.nan
+    # a NaN put into a built operator's amplitudes after it was certified
+    op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    op.data[7] = np.nan
     with pytest.raises(HermiticityError) as info:
-        from_matrix(h, tol=np.inf)
+        from_matrix(op.matrix, tol=np.inf)
     assert np.isnan(info.value.defect)
-    # the commutators of that operator, certified with a defect supplied by hand
-    op = SparseHermitianOperator(h.data, h.indices, h.indptr, 0.0)
     report = symmetry_commutator_norms(op, lat)
     assert np.isnan(report.gauge) and np.isnan(report.charge_conjugation)
     assert np.isnan(report.parity)
@@ -861,7 +873,7 @@ def test_spectrum_solves_any_operator_and_refuses_a_bad_count_or_layout():
     h.sort_indices()
     resorted = from_matrix(h)
     resorted.lattice = op.lattice
-    with pytest.raises(ValueError, match="outside the one-link moves"):
+    with pytest.raises(ValueError, match="no slot layout"):
         spectrum(resorted, 2)
 
 

@@ -113,6 +113,24 @@ def test_direct_csr_assembly_matches_coo_oracle():
     _assert_same_csr(build_particle_hamiltonian(kernel).matrix, _coo_oracle(kernel))
 
 
+def test_periodic_assembly_records_its_slot_offsets():
+    # the record is each distinct offset mod the grid, in slot order; offsets
+    # that coincide on the grid share a slot, and an open grid records nothing
+    rng = np.random.default_rng(38)
+    for dims, reps in (((5, 4), [(1, 0), (0, 1), (1, -1)]), ((2, 3), [(1, 0), (1, 1)])):
+        kernel = random_unitary_kernel(LatticeGrid(dims, 1.0), rng, representatives=reps)
+        op = build_particle_hamiltonian(kernel)
+        want = list(dict.fromkeys(tuple(np.mod(n, dims).tolist()) for n in kernel.support))
+        assert op.slot_offsets.dtype == np.int64
+        assert list(map(tuple, op.slot_offsets.tolist())) == want
+        assert len(want) == op.nnz // op.dimension
+    assert len(want) < len(kernel.support)  # (1, 0) and (-1, 0) meet on an axis of 2
+    assert from_matrix(op.matrix).slot_offsets is None
+    grid = LatticeGrid((5, 4), 1.0, boundary="open")
+    kernel = random_unitary_kernel(grid, rng, representatives=[(1, 0), (0, 1)])
+    assert build_particle_hamiltonian(kernel).slot_offsets is None
+
+
 def test_open_grid_operator_holds_only_its_entries():
     # the entries that leave an open grid are dropped, and the operator's
     # arrays are then exactly nnz long and own their memory: nothing of the

@@ -92,3 +92,18 @@ def test_no_module_but_linop_calls_an_eigensolver():
             calls += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names
                       if name in solvers]
     assert not calls, "an eigensolver is named outside src/hopquant/linop.py:\n" + "\n".join(calls)
+
+
+def test_no_module_but_linop_reads_an_operators_columns():
+    # the assembler's slot record is the one description of H's layout outside
+    # linop.py, so no other module reads an operator's CSR columns; np.indices is exempt
+    reads = []
+    for path in MODULES:
+        if path.name == "linop.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Attribute) and node.attr in ("indices", "indptr")
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "np")):
+                reads.append(f"{path.relative_to(ROOT)}:{node.lineno}: .{node.attr}")
+    assert not reads, ("an operator's CSR columns are read outside src/hopquant/linop.py:\n"
+                       + "\n".join(reads))
