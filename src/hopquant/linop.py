@@ -905,11 +905,22 @@ def _flat_translation_blocks(op, lattice, k):
     The builders are real, so H_-theta = conj(H_theta): one block of each
     conjugate pair is solved and its values counted twice, and a theta with
     2 theta = 0 gives a real block. ``np.linalg.eigvalsh`` runs over chunks
-    of about ``_BLOCK_ENTRIES`` block entries, keeping the lowest ``k``, and
-    skips a block whose Gershgorin bound lies above the k-th kept value. Each
+    of about ``_BLOCK_ENTRIES`` block entries, keeping the lowest ``k``. Once
+    it holds k values, with mu the k-th plus 1e-10 of the chunk's norm (for
+    eigvalsh's rounding), it skips a block none of whose values could be
+    kept: one whose Gershgorin bound lies above mu, and then one for which
+    H_theta - mu' I has a Cholesky factor, so that every value of H_theta
+    lies above mu' by Sylvester's law of inertia. mu' exceeds mu by
+    s (s + 2) 2^-53 (|H_theta| + |mu|) for blocks of size s, which covers the
+    factor's backward error (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, Thm 10.3; s + 2 for complex arithmetic).
+    That step is 0.005-0.15 of the 1e-10 term at s = 64, 125 and 256 and
+    exceeds it from s near 1,000. The values solved, and so the ones kept,
+    are those of a run that solves every block, bit for bit. Each
     kept value's vector phi, from ``np.linalg.eigh`` of its block, is lifted
     to the unit psi(x) = phi(u(x)) omega^(theta . w(x)) (N^r / n)^(1/2), and
-    the second copy of a pair to conj psi, in the block of -theta.
+    the second copy of a pair to conj psi, in the block of -theta. How they
+    were found counts the blocks solved and those each test cleared.
     ``ValueError`` for an operator without the assembler's slot layout, and
     ``HilbertDimensionError`` when the arrays would not fit in memory.
     """
@@ -918,9 +929,10 @@ def _flat_translation_blocks(op, lattice, k):
     v, v_inv, r = zn._flat_coordinates(lattice)
     size, m = n ** r, len(slot_offsets)
     per_chunk = max(1, _BLOCK_ENTRIES // size ** 2)
-    # the chunk thrice (moduli, kept blocks, eigvalsh's copy), the slots' amplitudes and places,
-    # the k vectors, and 88 bytes a configuration or column-chunk entry (lift, residual check)
-    _require_memory(16 * (3 * per_chunk * size ** 2 + 2 * m * size + k * dim)
+    # the chunk five times (itself, its moduli, the shifted blocks, their factor, the blocks
+    # solved), the slots' amplitudes and places, the k vectors, and 88 bytes a configuration
+    # or column-chunk entry (lift, residual check)
+    _require_memory(16 * (5 * per_chunk * size ** 2 + 2 * m * size + k * dim)
                     + 88 * max(dim, _BLOCK_ENTRIES),
                     f"eigensolve of dimension {dim} in blocks of {size}")
     u = _digits(np.arange(size), r, n)
@@ -946,15 +958,31 @@ def _flat_translation_blocks(op, lattice, k):
     conj = (-thetas % n) @ n ** np.arange(links - r)
     ids = np.arange(len(thetas))
     low, keys = np.zeros(0), np.zeros(0, dtype=np.int64)  # keys: theta * size + index
+    total = solved = gershgorin = cholesky = 0
     for reps, copies, dtype in ((np.flatnonzero(conj == ids), 1, float),
                                 (np.flatnonzero(conj > ids), 2, complex)):
+        total += len(reps)
         for start in range(0, len(reps), per_chunk):
             chunk = reps[start:start + per_chunk]
             h = blocks(thetas[chunk], dtype)
             if len(low) == k:  # Gershgorin bounds: each row's diagonal less its other moduli
                 moduli, d = np.abs(h).sum(axis=2), np.einsum("tii->ti", h).real
-                needed = (d + np.abs(d) - moduli).min(axis=1) <= low[-1] + 1e-10 * moduli.max()
-                chunk, h = chunk[needed], h[needed]  # 1e-10 of the norm: rounding
+                norm = moduli.max()  # bounds every block's 2-norm
+                mu = low[-1] + 1e-10 * norm  # 1e-10 of the norm: rounding
+                needed = np.flatnonzero((d + np.abs(d) - moduli).min(axis=1) <= mu)
+                # a factor of H_theta - mu' I puts every value above mu, with mu' - mu
+                # the factor's backward error
+                shifted = h[needed]
+                mu += size * (size + 2) * 2.0 ** -53 * (norm + abs(mu))
+                shifted.reshape(len(needed), size * size)[:, ::size + 1] -= mu
+                left = needed[~_positive_definite(shifted)]
+                del shifted
+                gershgorin += len(chunk) - len(needed)
+                cholesky += len(needed) - len(left)
+                chunk, h = chunk[left], h[left]
+                if not len(chunk):
+                    continue
+            solved += len(chunk)
             values = np.linalg.eigvalsh(h)
             low = np.concatenate([low, np.repeat(values.reshape(-1), copies)])
             keys = np.concatenate([keys, np.repeat(
@@ -982,7 +1010,21 @@ def _flat_translation_blocks(op, lattice, k):
             psi = np.multiply(phi[:, keys[j] % size].take(u_index), phase, out=vectors[:, j])
             if j and keys[j - 1] == keys[j]:
                 np.conjugate(psi, out=psi)
-    return low, vectors, f"from flat-translation blocks of {size}"
+    return low, vectors, (f"from flat-translation blocks of {size}: {solved} of {total} solved, "
+                          f"{gershgorin} cleared by Gershgorin, {cholesky} by Cholesky")
+
+
+def _positive_definite(stack):
+    """Whether each Hermitian matrix of ``stack`` has a Cholesky factor: a boolean
+    per matrix.
+
+    ``np.linalg.cholesky`` raises for the whole stack when one member has no
+    factor; the gufunc behind it fills that member's factor with NaN instead.
+    """
+    signature = "D->D" if np.iscomplexobj(stack) else "d->d"
+    with np.errstate(invalid="ignore"):
+        factor = np.linalg._umath_linalg.cholesky_lo(stack, signature=signature)
+    return ~np.isnan(np.einsum("tii->ti", factor)).any(axis=1)
 
 
 def _digits(flat, places, n):

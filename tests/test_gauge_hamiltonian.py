@@ -1,6 +1,7 @@
 """Link-field Hamiltonians: build, symmetries, spectra, constants."""
 
 import itertools
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -803,11 +804,18 @@ def test_flat_block_union_is_the_full_spectrum():
         assert np.abs(spectrum(op, op.dimension).values - want).max() < 1e-12
 
 
-def test_blocks_bounded_above_the_kept_values_are_not_solved(monkeypatch):
-    # a full spectrum solves every block; the lowest few skip the blocks whose
-    # Gershgorin bound lies above them, and give the same values bit for bit
+def _eigvalsh_spy(monkeypatch):
+    """The number of matrices each call of np.linalg.eigvalsh is given."""
     solved, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+    return solved
+
+
+def test_blocks_bounded_above_the_kept_values_are_not_solved(monkeypatch):
+    # a full spectrum solves every block; the lowest few skip the blocks whose
+    # Gershgorin bound or Cholesky factor puts every value above them, and
+    # give the same values bit for bit
+    solved = _eigvalsh_spy(monkeypatch)
     for name, count in (("2x2-open-6", 6), ("single-link-7", 1)):
         for op in _both_builders(name)[1]:
             solved.clear()
@@ -815,8 +823,63 @@ def test_blocks_bounded_above_the_kept_values_are_not_solved(monkeypatch):
             every = sum(solved)
             solved.clear()
             low = linop.eigs_extremal(op, count)[0]
-            assert sum(solved) < every  # 52 or 76 of 112 blocks, and 1 of 4
+            assert sum(solved) < every  # 52 of 112 blocks, and 1 of 4
             assert low.tobytes() == full[:count].tobytes()
+
+
+def _never_definite(stack):
+    return np.zeros(len(stack), dtype=bool)
+
+
+def test_cholesky_clears_the_blocks_gershgorin_cannot(monkeypatch):
+    # at 2x2x2 open N=2 (128 blocks of 32, 64 to a chunk) no Gershgorin bound
+    # lies above the sixth value; a factor of H_theta - mu I clears most blocks
+    # after the first chunk, which is solved before six values are held
+    solved = _eigvalsh_spy(monkeypatch)
+    for op in _both_builders("2x2x2-open-2")[1]:
+        solved.clear()
+        got = linop.eigs_extremal(op, 6)
+        cleared = sum(solved)
+        with monkeypatch.context() as m:
+            m.setattr(linop, "_positive_definite", _never_definite)
+            solved.clear()
+            want = linop.eigs_extremal(op, 6)
+        assert sum(solved) == 128  # Gershgorin alone
+        assert cleared < 64 + 64 // 10  # 67 for both builders
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_cholesky_clearing_keeps_values_and_vectors_through_a_degenerate_level(monkeypatch):
+    # 2x2 periodic N=4: k = 2-6 keep one to five copies of the 16-fold first
+    # excited level, which lie in different blocks; every k gives the bytes
+    # of a run whose Cholesky test never clears a block
+    lat = LinkLattice((2, 2), 4, boundary="periodic")
+    op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    for k in range(1, 7):
+        values, vectors = linop.eigs_extremal(op, k)
+        with monkeypatch.context() as m:
+            m.setattr(linop, "_positive_definite", _never_definite)
+            want_values, want_vectors = linop.eigs_extremal(op, k)
+        assert np.abs(values[1:] + 10.68057479).max(initial=0.0) < 1e-8
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+
+
+def test_convergence_error_counts_the_blocks_each_test_cleared(monkeypatch):
+    # the residual failure of test_spectrum_checks_residuals_against_h, whose
+    # 243 characters make 122 blocks: one real (theta = 0) and 121 pairs
+    op = build_gauge_hamiltonian(LinkLattice((2, 2), 3, boundary="periodic"),
+                                 MaxwellPreset(1.0, 1.0))
+    op.data[3] += 0.5
+    solved = _eigvalsh_spy(monkeypatch)
+    with pytest.raises(EigenConvergenceError) as info:
+        spectrum(op, 6)
+    counts = re.search(r"from flat-translation blocks of 27: (\d+) of (\d+) solved, "
+                       r"(\d+) cleared by Gershgorin, (\d+) by Cholesky$", str(info.value))
+    done, total, gershgorin, cholesky = map(int, counts.groups())
+    assert done == sum(solved) and total == 122
+    assert done + gershgorin + cholesky == total
+    assert gershgorin > 0 and cholesky > 0
 
 
 @pytest.mark.parametrize("name", ["3x2-periodic-2", "2x2x2-open-2", "2x2-periodic-3"])

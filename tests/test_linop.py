@@ -585,6 +585,20 @@ def _record_block_widths(monkeypatch):
     return widths
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_positive_definite_flags_the_one_indefinite_member(dtype):
+    # np.linalg.cholesky would raise for the whole stack
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((5, 6, 6)).astype(dtype)
+    if dtype is complex:
+        g += 1j * rng.standard_normal((5, 6, 6))
+    stack = g @ np.conj(g.transpose(0, 2, 1)) + 0.1 * np.eye(6)
+    values = np.linalg.eigvalsh(stack[2])
+    stack[2] -= (values[0] + values[-1]) / 2 * np.eye(6)  # one value of each sign
+    assert linop._positive_definite(stack).tolist() == [True, True, False, True, True]
+    assert linop._positive_definite(stack[:0]).shape == (0,)
+
+
 @pytest.mark.parametrize("count, width", [
     (20, 40),  # cuts through the 28-fold level, which ends inside the block
     (9, 25),   # the 28-fold level fills the block past its edge but is not wanted
