@@ -9,9 +9,10 @@
 # `diff -r` of the two and exits 0 when they are identical, 1 when they
 # differ and 2 when a run fails.
 #
-# Report bytes depend on the BLAS thread count as well as on the code: with
-# the machine's default OpenBLAS threads, some bundled reports end in other
-# last digits than with one thread. So both trees run with
+# No bundled report depends on the BLAS thread count (the workflow's
+# thread-count step checks it), but a base tree may: older trees' dense
+# propagation gave some reports other last digits with the machine's default
+# OpenBLAS threads than with one. So, as a guard, both trees run with
 # OPENBLAS_NUM_THREADS=1 unless the caller sets it.
 set -u
 export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"

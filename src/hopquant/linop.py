@@ -8,10 +8,9 @@ sums a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967),
 with truncation error at most 2^-53 * |v|, over a proven interval: the
 Collatz-Wielandt bound max_i (|H - cI| w)_i / w_i on |lambda - c|, for the
 Gershgorin centre c and a positive w from three power steps, never wider
-than Gershgorin's. Up to a dimension cutoff it goes through the exact dense
-eigendecomposition instead. ``eigs_extremal``, the one eigenpair solver,
-solves a gauge build as the exact union of its flat-translation blocks and
-any other operator by block Chebyshev-filtered subspace iteration.
+than Gershgorin's, at every dimension. ``eigs_extremal``, the one eigenpair
+solver, solves a gauge build as the exact union of its flat-translation
+blocks and any other operator by block Chebyshev-filtered subspace iteration.
 
 Every sparse product goes through ``SparseHermitianOperator._add_product``,
 which calls scipy's compiled CSR kernels (``csr_matvec`` and ``csr_matvecs``
@@ -34,16 +33,6 @@ import numpy as np
 from . import zn
 from .errors import EigenConvergenceError, HermiticityError, HilbertDimensionError
 
-# Propagation up to this dimension diagonalizes once and caches the result.
-# One propagate over each converge problem's duration, fresh operator and
-# eigh included, best of 3 on a 2-core VM, dense against the Chebyshev
-# series: the `harmonic_period` grid (n=641, t=2*pi) 0.054 s against 0.093 s;
-# the `free_particle` grids (t=1) 0.0021 against 0.0005 s at n=120, 0.0078
-# against 0.0011 s at n=240, 0.040 against 0.0038 s at n=480 and 0.37 against
-# 0.018 s at n=960. Dimension alone does not set the crossover: the series
-# wins on free grids of every size, dense on the stiff harmonic grid. The value
-# stays because a lower one would change bundled report bytes.
-DENSE_CUTOFF = 4096
 # Default tolerance of every hermiticity and unitarity check, and of a run.
 HERMITICITY_TOL = 1e-12
 EIGS_SEED = 20240811
@@ -122,7 +111,7 @@ class SparseHermitianOperator:
         self.data, self.indices, self.indptr = data, indices, indptr
         self.hermiticity_defect = defect
         self.slot_offsets = None  # the hopping assembler's record, see _slot_table
-        self._eig = self._interval = self._propagation_interval = None
+        self._interval = self._propagation_interval = None
 
     @property
     def dimension(self):
@@ -217,18 +206,6 @@ class SparseHermitianOperator:
         for start in range(0, self.dimension, rows):
             yield start, self.indptr[start:start + rows + 1]
 
-    def to_dense(self):
-        """The dense matrix, equal bit for bit to scipy's ``toarray()``.
-
-        Like scipy, it adds each row's entries into a zero array in storage
-        order, so duplicates are summed in that order and a -0.0 reads 0.0.
-        """
-        n, nnz = self.dimension, self.nnz
-        out = np.zeros((n, n), dtype=self.data.dtype)
-        flat = self._rows(0, self.indptr).astype(np.intp) * n + self.indices[:nnz]
-        np.add.at(out.reshape(-1), flat, self.data[:nnz])
-        return out
-
     def _diagonal_entries(self):
         """(first row, positions of the entries in column = row) of each block of rows."""
         for start, ptr in self._row_blocks():
@@ -245,13 +222,6 @@ class SparseHermitianOperator:
         for _, hit in self._diagonal_entries():
             np.add.at(diag, self.indices[hit], self.data[hit])
         return diag
-
-    def dense_eig(self):
-        """Cached full eigendecomposition (eigenvalues ascending)."""
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.to_dense())
-            self._eig = (w, v)
-        return self._eig
 
     def _row_sums(self, entry_values):
         """Per-row sums of ``entry_values(start, ptr)``, the values of the entries of
@@ -592,12 +562,11 @@ def propagate(op, v, t, hbar=1.0):
     """Unitary propagation exp(-i*H*t/hbar) @ v; ``v`` itself is never written.
 
     ``t`` must be finite and ``hbar`` finite and nonzero, else ``ValueError``.
-    Up to ``DENSE_CUTOFF``, read at each call, it uses the exact
-    eigendecomposition, cached on ``op``; above it the Chebyshev series of
-    Tal-Ezer & Kosloff (J. Chem. Phys. 81 (1984) 3967). With tau = t/hbar,
-    the centre c and radius r of ``op.propagation_interval()``, a
-    Collatz-Wielandt bound no wider than the Gershgorin interval, and
-    Ht = (H - c)/r, whose spectrum that bound proves to lie in [-1, 1],
+    It sums the Chebyshev series of Tal-Ezer & Kosloff (J. Chem. Phys. 81
+    (1984) 3967), at every dimension. With tau = t/hbar, the centre c and
+    radius r of ``op.propagation_interval()``, a Collatz-Wielandt bound no
+    wider than the Gershgorin interval, and Ht = (H - c)/r, whose spectrum
+    that bound proves to lie in [-1, 1],
 
         exp(-i*H*tau) v = exp(-i*c*tau) sum_k (2 - delta_k0) (-i*sgn(tau))^k
                           J_k(r*|tau|) T_k(Ht) v,
@@ -610,10 +579,8 @@ def propagate(op, v, t, hbar=1.0):
     stops where the dropped sum of 2|J_k| falls below 2^-53; since
     |T_k(Ht)| <= 1, that bounds the truncation error by 2^-53 * |v|.
 
-    The two paths agree only on a Hermitian H. An operator certified above
-    the default 1e-12 tolerance may not be one: the dense path then evolves
-    the Hermitian matrix that ``eigh`` reads from H's lower triangle, unitarily,
-    while the series applies H itself, and the norm drifts.
+    The series applies H itself: under an operator certified above the
+    default 1e-12 tolerance, which need not be Hermitian, the norm drifts.
     """
     if not (math.isfinite(t) and math.isfinite(hbar) and hbar != 0.0):
         raise ValueError(f"propagation needs a finite t and a finite, nonzero hbar, "
@@ -621,9 +588,6 @@ def propagate(op, v, t, hbar=1.0):
     v = np.asarray(v, dtype=complex)
     if t == 0.0:
         return v.copy()
-    if op.dimension <= DENSE_CUTOFF:
-        w, q = op.dense_eig()
-        return q @ (np.exp(-1j * w * t / hbar) * (q.conj().T @ v))
     tau = t / hbar
     c, r = op.propagation_interval()
     phase = np.exp(-1j * c * tau)
@@ -904,23 +868,26 @@ def _flat_translation_blocks(op, lattice, k):
     M_j[u, u + u_j] = a_j(u) from row x(u) = V (u, 0) of ``_slot_table``.
     The builders are real, so H_-theta = conj(H_theta): one block of each
     conjugate pair is solved and its values counted twice, and a theta with
-    2 theta = 0 gives a real block. ``np.linalg.eigvalsh`` runs over chunks
-    of about ``_BLOCK_ENTRIES`` block entries, keeping the lowest ``k``. Once
-    it holds k values, with mu the k-th plus 1e-10 of the chunk's norm (for
-    eigvalsh's rounding), it skips a block none of whose values could be
-    kept: one whose Gershgorin bound lies above mu, and then one for which
-    H_theta - mu' I has a Cholesky factor, so that every value of H_theta
-    lies above mu' by Sylvester's law of inertia. mu' exceeds mu by
-    s (s + 2) 2^-53 (|H_theta| + |mu|) for blocks of size s, which covers the
-    factor's backward error (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., SIAM 2002, Thm 10.3; s + 2 for complex arithmetic).
-    That step is 0.005-0.15 of the 1e-10 term at s = 64, 125 and 256 and
-    exceeds it from s near 1,000. The values solved, and so the ones kept,
-    are those of a run that solves every block, bit for bit. Each
-    kept value's vector phi, from ``np.linalg.eigh`` of its block, is lifted
-    to the unit psi(x) = phi(u(x)) omega^(theta . w(x)) (N^r / n)^(1/2), and
-    the second copy of a pair to conj psi, in the block of -theta. How they
-    were found counts the blocks solved and those each test cleared.
+    2 theta = 0 gives a real block. ``np.linalg.eigvalsh`` runs over chunks of
+    at most about ``_BLOCK_ENTRIES`` block entries, keeping the lowest ``k``:
+    until it holds k values, a chunk holds only the blocks whose values,
+    copies counted, make up the k, and then each chunk doubles the last, so
+    the k-th value falls early. Once it holds them, with mu the k-th plus
+    1e-10 of the chunk's norm (for eigvalsh's rounding), it skips a block none
+    of whose values could be kept (``_may_hold``): one whose Gershgorin bound
+    lies above mu, and then one for which H_theta - mu' I has a Cholesky
+    factor, so that every value of H_theta lies above mu' by Sylvester's law
+    of inertia. mu' exceeds mu by s (s + 2) 2^-53 (|H_theta| + |mu|) for
+    blocks of size s, which covers the factor's backward error (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+    Thm 10.3; s + 2 for complex arithmetic). That step is 0.005-0.15 of the
+    1e-10 term at s = 64, 125 and 256 and exceeds it from s near 1,000. The
+    values solved, and so the ones kept, are those of a run that solves every
+    block, bit for bit. Each kept value's vector phi, from ``np.linalg.eigh``
+    of its block, is lifted to the unit psi(x) = phi(u(x))
+    omega^(theta . w(x)) (N^r / n)^(1/2), and the second copy of a pair to
+    conj psi, in the block of -theta. How they were found counts the blocks
+    solved and those each test cleared.
     ``ValueError`` for an operator without the assembler's slot layout, and
     ``HilbertDimensionError`` when the arrays would not fit in memory.
     """
@@ -958,25 +925,18 @@ def _flat_translation_blocks(op, lattice, k):
     conj = (-thetas % n) @ n ** np.arange(links - r)
     ids = np.arange(len(thetas))
     low, keys = np.zeros(0), np.zeros(0, dtype=np.int64)  # keys: theta * size + index
-    total = solved = gershgorin = cholesky = 0
+    total = solved = gershgorin = cholesky = count = 0
     for reps, copies, dtype in ((np.flatnonzero(conj == ids), 1, float),
                                 (np.flatnonzero(conj > ids), 2, complex)):
         total += len(reps)
-        for start in range(0, len(reps), per_chunk):
-            chunk = reps[start:start + per_chunk]
+        while len(reps):
+            # the blocks that make up the values still missing, then chunks that double
+            missing = k - len(low)
+            count = min(per_chunk, -(-missing // (size * copies)) if missing else 2 * count)
+            chunk, reps = reps[:count], reps[count:]
             h = blocks(thetas[chunk], dtype)
-            if len(low) == k:  # Gershgorin bounds: each row's diagonal less its other moduli
-                moduli, d = np.abs(h).sum(axis=2), np.einsum("tii->ti", h).real
-                norm = moduli.max()  # bounds every block's 2-norm
-                mu = low[-1] + 1e-10 * norm  # 1e-10 of the norm: rounding
-                needed = np.flatnonzero((d + np.abs(d) - moduli).min(axis=1) <= mu)
-                # a factor of H_theta - mu' I puts every value above mu, with mu' - mu
-                # the factor's backward error
-                shifted = h[needed]
-                mu += size * (size + 2) * 2.0 ** -53 * (norm + abs(mu))
-                shifted.reshape(len(needed), size * size)[:, ::size + 1] -= mu
-                left = needed[~_positive_definite(shifted)]
-                del shifted
+            if len(low) == k:
+                needed, left = _may_hold(h, low[-1])
                 gershgorin += len(chunk) - len(needed)
                 cholesky += len(needed) - len(left)
                 chunk, h = chunk[left], h[left]
@@ -1012,6 +972,22 @@ def _flat_translation_blocks(op, lattice, k):
                 np.conjugate(psi, out=psi)
     return low, vectors, (f"from flat-translation blocks of {size}: {solved} of {total} solved, "
                           f"{gershgorin} cleared by Gershgorin, {cholesky} by Cholesky")
+
+
+def _may_hold(h, kth):
+    """Indices of the blocks of the stack ``h`` that may hold a value at or below ``kth``
+    by their Gershgorin bound, and of those that may by a Cholesky factor too."""
+    # Gershgorin bounds: each row's diagonal less its other moduli
+    moduli, d = np.abs(h).sum(axis=2), np.einsum("tii->ti", h).real
+    norm, size = moduli.max(), h.shape[1]  # the norm bounds every block's 2-norm
+    mu = kth + 1e-10 * norm  # 1e-10 of the norm: rounding
+    needed = np.flatnonzero((d + np.abs(d) - moduli).min(axis=1) <= mu)
+    # a factor of H_theta - mu' I puts every value above mu, with mu' - mu
+    # the factor's backward error
+    shifted = h[needed]
+    mu += size * (size + 2) * 2.0 ** -53 * (norm + abs(mu))
+    shifted.reshape(len(needed), size * size)[:, ::size + 1] -= mu
+    return needed, needed[~_positive_definite(shifted)]
 
 
 def _positive_definite(stack):

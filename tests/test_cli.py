@@ -321,15 +321,18 @@ def test_bundled_evolve_config(tmp_path):
     assert (tmp_path / "out" / "final_state.csv").exists()
 
 
-@pytest.mark.parametrize("tolerance, code", [("0.1", 0), ("1e-3", 1)])
-def test_evolve_builds_with_the_run_tolerance(tmp_path, capsys, tolerance, code):
+@pytest.mark.parametrize("tolerance, dims", [("0.1", 128), ("0.1", 4096), ("1e-3", 128)])
+def test_evolve_builds_with_the_run_tolerance(tmp_path, capsys, tolerance, dims):
     # the perturbed kernel's hermiticity defect, 5.7e-3, lies between the two
+    # tolerances: at 1e-3 the operator is refused, at 0.1 it builds, and the
+    # series applies that non-Hermitian H, whose norm drifts, at every size
+    error = "exceeds 1.0e-03" if tolerance == "1e-3" else "norm drift"
     text = Path(bundled_config_path("evolve_demo.cfg")).read_text()
     text = text.replace("seed = 1", f"seed = 1\ntolerance = {tolerance}")
+    text = text.replace("dims = 128", f"dims = {dims}")
     cfg = write(tmp_path, text.replace("mass = 1.0", "mass = 1.0\nperturb = true"))
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == code
-    if code:
-        assert "exceeds 1.0e-03" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert error in capsys.readouterr().err
 
 
 def test_validate_refused_build_is_a_runtime_error(tmp_path, monkeypatch, capsys):

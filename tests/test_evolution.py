@@ -108,7 +108,7 @@ def test_evolve_eigenvector_phase_rotation():
     grid = LatticeGrid((10,), 1.0)
     kernel = HoppingKernel.nearest_neighbor(grid, mass=1.0)
     op = build_particle_hamiltonian(kernel)
-    w, q = op.dense_eig()
+    w, q = np.linalg.eigh(op.matrix.toarray())
     psi0 = LatticeWavefunction(grid, q[:, 2].reshape(grid.shape))
     out = evolve(op, psi0, dt=0.11, steps=7).psi
     expected = np.exp(-1j * w[2] * 0.77) * psi0.values

@@ -126,7 +126,7 @@ def test_single_link_circulant_spectrum():
     for n in (3, 5, 8):
         lat = single_link(n)
         op = build_gauge_hamiltonian(lat, MaxwellPreset(electric=1.0, magnetic=0.0))
-        w = np.linalg.eigvalsh(op.to_dense())
+        w = np.linalg.eigvalsh(op.matrix.toarray())
         expected = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
         assert np.abs(np.sort(w) - expected).max() < 1e-12
 
@@ -147,7 +147,7 @@ def test_electric_only_is_kronecker_sum_of_link_circulants():
         for m in mats[1:]:
             term = np.kron(m, term)  # little-endian: link 0 varies fastest
         expected += term
-    assert np.abs(op.to_dense() - expected).max() < 1e-12
+    assert np.abs(op.matrix.toarray() - expected).max() < 1e-12
 
 
 def test_zero_spec_gives_zero_operator():
@@ -260,8 +260,8 @@ def test_link_move_builders_match_configuration_oracle():
         hop, ref = _link_move_oracle(lat, 1.3, 0.8)
         op_hop = build_gauge_hamiltonian(lat, MaxwellPreset(1.3, 0.8))
         op_ref = reference_ks_hamiltonian(lat, 1.3, 0.8)
-        assert np.abs(op_hop.to_dense() - hop).max() <= 1e-12
-        assert np.abs(op_ref.to_dense() - ref).max() <= 1e-12
+        assert np.abs(op_hop.matrix.toarray() - hop).max() <= 1e-12
+        assert np.abs(op_ref.matrix.toarray() - ref).max() <= 1e-12
 
 
 def _coo_oracle(lat, link_amplitudes, diagonal=None):
@@ -742,11 +742,11 @@ def test_spectrum_matches_dense_eigvalsh_at_dim_1296():
     assert lat.hilbert_dim == 1296
     op = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
     result = spectrum(op, 10)
-    assert np.abs(result.values - np.linalg.eigvalsh(op.to_dense())[:10]).max() < 1e-10
+    assert np.abs(result.values - np.linalg.eigvalsh(op.matrix.toarray())[:10]).max() < 1e-10
     assert np.sum(np.abs(result.gaps - result.gaps[0]) < 1e-8) == 8
     # every value, of both builders: at N=6 complex pairs of blocks sit beside real ones
     for op in (op, reference_ks_hamiltonian(lat, 1.3, 0.8)):
-        want = np.linalg.eigvalsh(op.to_dense())
+        want = np.linalg.eigvalsh(op.matrix.toarray())
         assert np.abs(spectrum(op, op.dimension).values - want).max() < 1e-12
 
 
@@ -800,7 +800,7 @@ def test_flat_block_union_is_the_full_spectrum():
     # a dense solve takes about 4 s at dimension 4,096, so there one builder is checked
     ops = _both_builders("2x2-periodic-2")[1] + _both_builders("3x2-periodic-2")[1][:1]
     for op in ops:
-        want = np.linalg.eigvalsh(op.to_dense())
+        want = np.linalg.eigvalsh(op.matrix.toarray())
         assert np.abs(spectrum(op, op.dimension).values - want).max() < 1e-12
 
 
@@ -832,9 +832,9 @@ def _never_definite(stack):
 
 
 def test_cholesky_clears_the_blocks_gershgorin_cannot(monkeypatch):
-    # at 2x2x2 open N=2 (128 blocks of 32, 64 to a chunk) no Gershgorin bound
-    # lies above the sixth value; a factor of H_theta - mu I clears most blocks
-    # after the first chunk, which is solved before six values are held
+    # at 2x2x2 open N=2 (128 blocks of 32, up to 64 to a chunk) no Gershgorin
+    # bound lies above the sixth value; a factor of H_theta - mu I clears most
+    # blocks once six values are held
     solved = _eigvalsh_spy(monkeypatch)
     for op in _both_builders("2x2x2-open-2")[1]:
         solved.clear()
@@ -845,7 +845,7 @@ def test_cholesky_clears_the_blocks_gershgorin_cannot(monkeypatch):
             solved.clear()
             want = linop.eigs_extremal(op, 6)
         assert sum(solved) == 128  # Gershgorin alone
-        assert cleared < 64 + 64 // 10  # 67 for both builders
+        assert cleared < 64 + 64 // 10  # 19 for both builders, 67 with a first chunk of 64
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -863,6 +863,34 @@ def test_cholesky_clearing_keeps_values_and_vectors_through_a_degenerate_level(m
         assert np.abs(values[1:] + 10.68057479).max(initial=0.0) < 1e-8
         assert values.tobytes() == want_values.tobytes()
         assert vectors.tobytes() == want_vectors.tobytes()
+
+
+def _clear_nothing(h, kth):
+    return (np.arange(len(h)),) * 2
+
+
+@pytest.mark.parametrize("dims, n, boundary, blocks, most", [
+    ((3, 3), 2, "open", 256, 64), ((3, 2), 3, "open", 122, 30), ((2, 2), 5, "open", 63, 15),
+    ((2, 2), 4, "periodic", 528, 31)])
+def test_first_chunk_holds_just_the_blocks_of_the_kept_values(monkeypatch, dims, n, boundary,
+                                                              blocks, most):
+    # the blocks of the three open lattices all fit one chunk, which a first
+    # chunk solved whole before six values were held, so no test cleared a
+    # block; 2x2 open N=5 is the bundled plaquette_spectrum lattice. At 2x2
+    # periodic N=4 a first chunk of 16 blocks of 64 left 31 of 528 solved
+    lat = LinkLattice(dims, n, boundary=boundary)
+    solved = _eigvalsh_spy(monkeypatch)
+    for op in (build_gauge_hamiltonian(lat, MaxwellPreset(1.3, 0.8)),
+               reference_ks_hamiltonian(lat, 1.3, 0.8)):
+        solved.clear()
+        got = linop.eigs_extremal(op, 6)
+        fewer = sum(solved)
+        with monkeypatch.context() as m:
+            m.setattr(linop, "_may_hold", _clear_nothing)
+            solved.clear()
+            want = linop.eigs_extremal(op, 6)
+        assert sum(solved) == blocks and fewer <= most
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_convergence_error_counts_the_blocks_each_test_cleared(monkeypatch):
@@ -930,7 +958,7 @@ def test_spectrum_solves_any_operator_and_refuses_a_bad_count_or_layout():
     particle = build_particle_hamiltonian(HoppingKernel.free(grid, {(0,): 1.0, (1,): -0.5,
                                                                     (-1,): -0.5}))
     result = spectrum(particle, 2)
-    assert np.abs(result.values - np.linalg.eigvalsh(particle.to_dense())[:2]).max() < 1e-10
+    assert np.abs(result.values - np.linalg.eigvalsh(particle.matrix.toarray())[:2]).max() < 1e-10
     # the builder's matrix with its rows sorted, whose representative rows are out of order
     h = op.matrix.copy()
     h.sort_indices()
@@ -956,7 +984,7 @@ def test_reference_electric_only_shifted_circulants():
     n = 5
     lat = single_link(n)
     op = reference_ks_hamiltonian(lat, 1.0, 0.0)
-    w = np.linalg.eigvalsh(op.to_dense())
+    w = np.linalg.eigvalsh(op.matrix.toarray())
     expected = np.sort(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
     assert np.abs(np.sort(w) - expected).max() < 1e-12
 
@@ -981,8 +1009,8 @@ def test_compare_single_plaquette_dense_oracle():
     hop = build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
     ref = reference_ks_hamiltonian(lat, 1.0, 1.0)
     comp = compare_to_reference(hop, ref, 5)
-    wh = np.linalg.eigvalsh(hop.to_dense())
-    wk = np.linalg.eigvalsh(ref.to_dense())
+    wh = np.linalg.eigvalsh(hop.matrix.toarray())
+    wk = np.linalg.eigvalsh(ref.matrix.toarray())
     gaps_h = wh[1:6] - wh[0]
     gaps_k = wk[1:6] - wk[0]
     expected = np.abs(gaps_h - gaps_k) / np.abs(gaps_k).max()

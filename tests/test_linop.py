@@ -9,10 +9,14 @@ from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from hopquant import (
     LatticeGrid,
+    LatticeWavefunction,
     LinkLattice,
     MaxwellPreset,
     build_gauge_hamiltonian,
     build_particle_hamiltonian,
+    evolution,
+    harmonic_problem,
+    kernel_from_potentials,
     linop,
     random_unitary_kernel,
     reference_ks_hamiltonian,
@@ -38,6 +42,12 @@ def random_hermitian(n, rng, density=0.1):
     return from_matrix(a + a.conj().T)
 
 
+def _eigh_propagate(op, v, t):
+    """exp(-i H t) v through the eigendecomposition of the dense H, an oracle."""
+    w, q = np.linalg.eigh(op.matrix.toarray())
+    return q @ (np.exp(-1j * w * t) * (q.conj().T @ v))
+
+
 def test_identity_matvec():
     op = from_matrix(sp.identity(7, format="csr"))
     v = np.arange(7, dtype=complex)
@@ -54,7 +64,7 @@ def test_matvec_against_dense():
     for n in (8, 33, 120):
         op = random_hermitian(n, rng)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        dense = op.to_dense() @ v
+        dense = op.matrix.toarray() @ v
         assert np.abs(op.matvec(v) - dense).max() < 1e-13 * max(1.0, np.abs(dense).max())
 
 
@@ -86,32 +96,26 @@ def test_propagate_t0_is_identity():
     assert np.array_equal(propagate(op, v, 0.0), v)
 
 
-def test_propagate_eigenvector_phase(monkeypatch):
+def test_propagate_eigenvector_phase():
     rng = np.random.default_rng(6)
     op = random_hermitian(24, rng)
-    w, q = op.dense_eig()
+    w, q = np.linalg.eigh(op.matrix.toarray())
     v = q[:, 3]
-    for dense_cutoff in (op.dimension, 0):
-        monkeypatch.setattr(linop, "DENSE_CUTOFF", dense_cutoff)
-        out = propagate(op, v, 1.7)
-        assert np.abs(out - np.exp(-1j * w[3] * 1.7) * v).max() < 1e-12
+    out = propagate(op, v, 1.7)
+    assert np.abs(out - np.exp(-1j * w[3] * 1.7) * v).max() < 1e-12
 
 
-def test_propagate_matches_expm(monkeypatch):
+def test_propagate_matches_expm():
     rng = np.random.default_rng(7)
     op = random_hermitian(30, rng, density=0.3)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    # a cutoff below the dimension takes the Chebyshev series
     for vec in (v, np.zeros(30)):
-        expected = expm(-1j * 0.9 * op.to_dense()) @ vec
-        for dense_cutoff in (op.dimension, 0, 10):
-            monkeypatch.setattr(linop, "DENSE_CUTOFF", dense_cutoff)
-            out = propagate(op, vec, 0.9)
-            assert np.linalg.norm(out - expected) < 1e-10
+        expected = expm(-1j * 0.9 * op.matrix.toarray()) @ vec
+        out = propagate(op, vec, 0.9)
+        assert np.linalg.norm(out - expected) < 1e-10
 
 
-def test_propagate_matches_expm_at_large_argument(monkeypatch):
-    monkeypatch.setattr(linop, "DENSE_CUTOFF", 0)  # the Chebyshev series
+def test_propagate_matches_expm_at_large_argument():
     # z = r*|t| in the hundreds: the series runs to hundreds of terms
     rng = np.random.default_rng(13)
     for complex_data in (True, False):
@@ -124,13 +128,27 @@ def test_propagate_matches_expm_at_large_argument(monkeypatch):
         lo, hi = op.spectral_interval()
         t = 400.0 / (hi - lo)
         assert 150.0 < (hi - lo) / 2.0 * t < 250.0
-        expected = expm(-1j * t * op.to_dense()) @ v
+        expected = expm(-1j * t * op.matrix.toarray()) @ v
         out = propagate(op, v, t)
         assert np.linalg.norm(out - expected) < 1e-10 * np.linalg.norm(v)
 
 
-def test_propagate_negative_time_undoes_positive(monkeypatch):
-    monkeypatch.setattr(linop, "DENSE_CUTOFF", 0)  # the Chebyshev series
+def test_propagate_matches_eigh_over_ten_thousand_terms():
+    # the finest grid of the bundled harmonic_period config: 641 open sites
+    # over one period, a stiff operator whose series runs to 10,391 terms
+    problem = harmonic_problem()
+    grid = evolution._grid_for(problem, 0.025)
+    op = build_particle_hamiltonian(kernel_from_potentials(
+        problem.vector_potential, problem.scalar_potential, problem.mass, grid))
+    t = problem.duration
+    assert op.dimension == 641 and t == 2.0 * np.pi
+    assert len(linop._bessel_series(op.propagation_interval()[1] * t)) > 10_000
+    v = LatticeWavefunction.from_callable(
+        grid, lambda x: problem.solution(x, 0.0)).normalized().values.ravel()
+    assert np.linalg.norm(propagate(op, v, t) - _eigh_propagate(op, v, t)) < 1e-11
+
+
+def test_propagate_negative_time_undoes_positive():
     rng = np.random.default_rng(14)
     op = random_hermitian(50, rng, density=0.2)
     v = rng.standard_normal(50) + 1j * rng.standard_normal(50)
@@ -140,19 +158,17 @@ def test_propagate_negative_time_undoes_positive(monkeypatch):
     assert np.linalg.norm(back - v) < 1e-12 * np.linalg.norm(v)
 
 
-def test_propagate_real_operator_on_strided_vector(monkeypatch):
-    monkeypatch.setattr(linop, "DENSE_CUTOFF", 0)  # the Chebyshev series
+def test_propagate_real_operator_on_strided_vector():
     # scipy casts a real H's data to complex for a complex, strided v
     a = sp.random(30, 30, density=0.3, random_state=np.random.RandomState(18))
     op = from_matrix(a + a.T)
     wide = np.random.default_rng(18).standard_normal(60) + 1j
     v = wide[::2]
-    expected = expm(-1.3j * op.to_dense()) @ v
+    expected = expm(-1.3j * op.matrix.toarray()) @ v
     assert np.linalg.norm(propagate(op, v, 1.3) - expected) < 1e-12
 
 
-def test_propagate_multiple_of_identity_is_a_phase(monkeypatch):
-    monkeypatch.setattr(linop, "DENSE_CUTOFF", 0)  # the Chebyshev series
+def test_propagate_multiple_of_identity_is_a_phase():
     # the Gershgorin interval of c*I has radius 0, which the series cannot scale by;
     # the propagation interval keeps it, with no warning on the way
     v = np.arange(9) + 1j
@@ -167,16 +183,14 @@ def test_propagate_multiple_of_identity_is_a_phase(monkeypatch):
 
 @pytest.mark.parametrize("t, hbar", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
                                      (1.0, 0.0), (1.0, np.nan), (1.0, np.inf), (0.0, 0.0)])
-def test_propagate_rejects_non_finite_time_and_bad_hbar(monkeypatch, t, hbar):
-    # the parent returned NaN on the dense path, and the series raised
-    # ValueError, OverflowError or ZeroDivisionError from deep inside
+def test_propagate_rejects_non_finite_time_and_bad_hbar(t, hbar):
+    # unchecked, the series raised ValueError, OverflowError or
+    # ZeroDivisionError from deep inside
     rng = np.random.default_rng(19)
     op = random_hermitian(20, rng)
     v = rng.standard_normal(20) + 0j
-    for dense_cutoff in (op.dimension, 0):
-        monkeypatch.setattr(linop, "DENSE_CUTOFF", dense_cutoff)
-        with pytest.raises(ValueError, match="finite t and a finite, nonzero hbar"):
-            propagate(op, v, t, hbar=hbar)
+    with pytest.raises(ValueError, match="finite t and a finite, nonzero hbar"):
+        propagate(op, v, t, hbar=hbar)
 
 
 def _assert_intervals_hold(op, eigenvalues, slack=0.0):
@@ -204,9 +218,10 @@ def test_gershgorin_interval_contains_spectrum():
            from_matrix(shifted + shifted.T + 100.0 * sp.identity(50)),
            from_matrix(ring)]
     for op in ops[:3]:
-        _assert_intervals_hold(op, np.linalg.eigvalsh(op.to_dense()))
+        _assert_intervals_hold(op, np.linalg.eigvalsh(op.matrix.toarray()))
     # the ring's top eigenvalue is 2, which eigvalsh may round up by an ulp
-    _assert_intervals_hold(ops[3], np.linalg.eigvalsh(ops[3].to_dense()), slack=2.0 ** -45 * 2.0)
+    _assert_intervals_hold(ops[3], np.linalg.eigvalsh(ops[3].matrix.toarray()),
+                           slack=2.0 ** -45 * 2.0)
     assert ops[3].propagation_interval() == (0.0, 2.0)
     # off the strongly shifted diagonal, the refined radius is well inside Gershgorin's
     lo, hi = ops[2].spectral_interval()
@@ -237,8 +252,7 @@ def test_gershgorin_interval_matches_row_sums_across_blocks():
     _assert_intervals_hold(op, np.concatenate(ends))
 
 
-def test_propagate_reuses_cached_interval(monkeypatch):
-    monkeypatch.setattr(linop, "DENSE_CUTOFF", 0)  # the Chebyshev series
+def test_propagate_reuses_cached_interval():
     rng = np.random.default_rng(17)
     op = random_hermitian(30, rng)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
@@ -301,7 +315,7 @@ def test_add_product_matches_scipy_bit_for_bit():
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
-def test_propagate_series_on_kernel_operator(monkeypatch, boundary):
+def test_propagate_series_on_kernel_operator(boundary):
     # the free kernel's rows all sum alike, so only a random kernel tests the refinement
     rng = np.random.default_rng(21)
     grid = LatticeGrid((10, 10, 10), 1.0, boundary=boundary)
@@ -309,12 +323,9 @@ def test_propagate_series_on_kernel_operator(monkeypatch, boundary):
         grid, rng, representatives=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]))
     v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     kept = v.copy()
-    monkeypatch.setattr(linop, "DENSE_CUTOFF", 0)
     series = propagate(op, v, 0.5)
     assert np.array_equal(v, kept)
-    monkeypatch.undo()
-    dense = propagate(op, v, 0.5)
-    assert np.linalg.norm(series - dense) < 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(series - _eigh_propagate(op, v, 0.5)) < 1e-12 * np.linalg.norm(v)
     lo, hi = op.spectral_interval()
     terms = len(linop._bessel_series(op.propagation_interval()[1] * 0.5))
     assert terms < len(linop._bessel_series((hi - lo) / 2.0 * 0.5))
@@ -389,10 +400,10 @@ def test_propagate_holds_three_vectors_and_one_row_block():
 
 
 def test_propagate_under_a_real_operator_holds_no_complex_copy_of_data():
-    # 2x2 periodic N=3, dim 6,561, above DENSE_CUTOFF: the Chebyshev series
+    # 2x2 periodic N=3, dim 6,561
     op = build_gauge_hamiltonian(LinkLattice((2, 2), 3, boundary="periodic"),
                                  MaxwellPreset(1.0, 1.0))
-    assert op.dimension > linop.DENSE_CUTOFF and op.data.dtype == float
+    assert op.data.dtype == float
     rng = np.random.default_rng(25)
     v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     propagate(op, v, 0.5)  # caches the interval and loads the kernels
@@ -495,28 +506,24 @@ def test_bessel_series_matches_scipy_and_truncates():
         assert 2.0 * np.abs(reference[len(j) - 1:]).sum() >= 2.0 ** -53 or len(j) == 2
 
 
-def test_propagate_unitary_and_semigroup(monkeypatch):
+def test_propagate_unitary_and_semigroup():
     rng = np.random.default_rng(8)
     op = random_hermitian(40, rng)
     v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     v /= np.linalg.norm(v)
-    for dense_cutoff in (op.dimension, 0):
-        monkeypatch.setattr(linop, "DENSE_CUTOFF", dense_cutoff)
-        out = propagate(op, v, 2.3)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
-        two_step = propagate(op, propagate(op, v, 0.7), 1.6)
-        assert np.linalg.norm(two_step - out) < 1e-9
+    out = propagate(op, v, 2.3)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+    two_step = propagate(op, propagate(op, v, 0.7), 1.6)
+    assert np.linalg.norm(two_step - out) < 1e-9
 
 
-def test_propagate_hbar_scaling(monkeypatch):
+def test_propagate_hbar_scaling():
     rng = np.random.default_rng(9)
     op = random_hermitian(16, rng)
     v = rng.standard_normal(16) + 0j
-    for dense_cutoff in (op.dimension, 0):
-        monkeypatch.setattr(linop, "DENSE_CUTOFF", dense_cutoff)
-        a = propagate(op, v, 1.0, hbar=2.0)
-        b = propagate(op, v, 0.5, hbar=1.0)
-        assert np.linalg.norm(a - b) < 1e-12
+    a = propagate(op, v, 1.0, hbar=2.0)
+    b = propagate(op, v, 0.5, hbar=1.0)
+    assert np.linalg.norm(a - b) < 1e-12
 
 
 def test_eigs_circulant_closed_form():
@@ -534,7 +541,7 @@ def test_eigs_full_spectrum_matches_dense():
     rng = np.random.default_rng(10)
     op = random_hermitian(60, rng, density=0.4)
     w, v = eigs_extremal(op, 60)
-    dense = np.linalg.eigvalsh(op.to_dense())
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
     assert np.abs(w - dense).max() < 1e-10
     assert np.all(np.diff(w) >= -1e-12)
 
@@ -543,7 +550,7 @@ def test_eigs_sparse_path_matches_dense():
     rng = np.random.default_rng(12)
     op = random_hermitian(300, rng, density=0.05)
     w_sparse, v_sparse = eigs_extremal(op, 5)
-    w_dense = np.linalg.eigvalsh(op.to_dense())[:5]
+    w_dense = np.linalg.eigvalsh(op.matrix.toarray())[:5]
     assert np.abs(w_sparse - w_dense).max() < 1e-9
     resid = np.linalg.norm(op.matrix @ v_sparse - v_sparse * w_sparse, axis=0)
     assert resid.max() < 1e-8
@@ -610,7 +617,7 @@ def test_eigs_iterative_resolves_degenerate_gauge_levels(monkeypatch, count, wid
     widths = _record_block_widths(monkeypatch)
     w, v = eigs_extremal(op, count)
     assert max(widths) == width
-    assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:count]).max() < 1e-10
+    assert np.abs(w - np.linalg.eigvalsh(op.matrix.toarray())[:count]).max() < 1e-10
     levels, copies = np.unique(np.round(w, 8), return_counts=True)
     want = {-12.0: 1, -9.0: 8, -6.0: count - 9}
     assert dict(zip(levels.tolist(), copies.tolist())) == {e: c for e, c in want.items() if c}
@@ -632,7 +639,7 @@ def test_eigs_iterative_complex_degenerate_operator_matches_dense():
     op = from_matrix(hop + hop.conj().T)
     assert np.iscomplexobj(op.matrix.data)
     w, v = eigs_extremal(op, 12)
-    assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:12]).max() < 1e-10
+    assert np.abs(w - np.linalg.eigvalsh(op.matrix.toarray())[:12]).max() < 1e-10
     assert np.unique(np.round(w, 8), return_counts=True)[1].min() >= 4
     assert np.abs(v.conj().T @ v - np.eye(12)).max() < 1e-10
 
@@ -646,7 +653,7 @@ def test_eigs_iterative_level_far_below_the_rest():
     ring[0, 0] = -1000.0
     op = from_matrix(ring.tocsr())
     w, _ = eigs_extremal(op, 4)
-    assert np.abs(w - np.linalg.eigvalsh(op.to_dense())[:4]).max() < 1e-10
+    assert np.abs(w - np.linalg.eigvalsh(op.matrix.toarray())[:4]).max() < 1e-10
 
 
 def test_eigs_pass_cap_raises_with_residuals(monkeypatch):
@@ -757,7 +764,7 @@ kernels = linop._kernels()
 importlib.util.find_spec = find_spec
 print(kernels is sys.modules["scipy.sparse._sparsetools"],
       (op.matrix @ x).tobytes() == op.matvec(x).tobytes(),
-      np.abs(op.matvec(x) - op.to_dense() @ x).max() < 1e-12)
+      np.abs(op.matvec(x) - op.matrix.toarray() @ x).max() < 1e-12)
 """
     assert _python(code) == ["True True True"]
 
@@ -808,7 +815,5 @@ def test_dense_diagonal_and_interval_match_scipy_bit_for_bit():
     assert not dup.has_canonical_format
     for op in [*_built_operators(), from_matrix(dup, tol=np.inf)]:
         m = op.matrix
-        dense = op.to_dense()
-        assert dense.dtype == m.dtype and dense.tobytes() == m.toarray().tobytes()
         assert op.diagonal().tobytes() == m.diagonal().tobytes()
         assert op.spectral_interval() == _scipy_interval(m)

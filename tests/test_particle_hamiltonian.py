@@ -24,7 +24,7 @@ def test_ring_circulant_eigenvalues():
     grid = LatticeGrid((4,), 1.0)
     kernel = HoppingKernel.free(grid, {(0,): 1.0, (1,): -0.5, (-1,): -0.5})
     op = build_particle_hamiltonian(kernel)
-    w = np.linalg.eigvalsh(op.to_dense())
+    w = np.linalg.eigvalsh(op.matrix.toarray())
     expected = np.sort([1.0 + 2 * (-0.5) * np.cos(2 * np.pi * k / 4) for k in range(4)])
     assert np.abs(np.sort(w) - expected).max() < 1e-12
 
@@ -33,7 +33,7 @@ def test_open_two_site_matrix():
     grid = LatticeGrid((2,), 1.0, boundary="open")
     kernel = HoppingKernel.free(grid, {(0,): 1.0, (1,): -0.5, (-1,): -0.5})
     op = build_particle_hamiltonian(kernel)
-    assert np.abs(op.to_dense() - np.array([[1.0, -0.5], [-0.5, 1.0]])).max() == 0.0
+    assert np.abs(op.matrix.toarray() - np.array([[1.0, -0.5], [-0.5, 1.0]])).max() == 0.0
 
 
 def test_constraint_equivalent_to_hermiticity_both_directions():
@@ -202,8 +202,8 @@ def test_gauge_shift_preserves_spectrum():
         lambda x: 0.1 * np.cos(2 * np.pi * x / 5.0), 1.0, grid)
     chi = rng.standard_normal(grid.shape)
     shifted = gauge_shift_kernel(kernel, chi)
-    w0 = np.linalg.eigvalsh(build_particle_hamiltonian(kernel).to_dense())
-    w1 = np.linalg.eigvalsh(build_particle_hamiltonian(shifted).to_dense())
+    w0 = np.linalg.eigvalsh(build_particle_hamiltonian(kernel).matrix.toarray())
+    w1 = np.linalg.eigvalsh(build_particle_hamiltonian(shifted).matrix.toarray())
     assert np.abs(w0 - w1).max() < 1e-10
 
 
