@@ -10,7 +10,7 @@
 # differ and 2 when a run fails.
 #
 # No bundled report depends on the BLAS thread count (the workflow's
-# thread-count step checks it), but a base tree may: older trees' dense
+# bundled-config step checks it), but a base tree may: older trees' dense
 # propagation gave some reports other last digits with the machine's default
 # OpenBLAS threads than with one. So, as a guard, both trees run with
 # OPENBLAS_NUM_THREADS=1 unless the caller sets it.

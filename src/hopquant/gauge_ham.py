@@ -18,13 +18,11 @@ from .errors import (
     ChargeConjugationError,
     GroundStateSignError,
     HermiticityError,
-    HilbertDimensionError,
     HopquantError,
     ReflectionSymmetryError,
 )
 from .evolution import fit_order
 
-DIMENSION_CAP = 2 ** 24
 # relative size of an odd or mixed flux response that counts as a violation
 DETECTION_TOL = 1e-10
 
@@ -106,14 +104,10 @@ def _link_moves(lattice, amplitudes, diagonal=False, tol=linop.HERMITICITY_TOL):
     callable alone, so they are freed before its hermiticity pass.
 
     The operator records ``lattice`` as its attribute ``lattice``, from which
-    ``linop.eigs_extremal`` solves it by its flat-translation blocks. Raises ``HilbertDimensionError`` above
-    ``DIMENSION_CAP``, or when the assembly and the plaquette values together
-    would not fit in memory.
+    ``linop.eigs_extremal`` solves it by its flat-translation blocks. Raises
+    ``HilbertDimensionError`` when the assembly and the plaquette values
+    together would not fit in memory.
     """
-    if lattice.hilbert_dim > DIMENSION_CAP:
-        raise HilbertDimensionError(
-            f"configuration space of dimension {lattice.hilbert_dim} "
-            f"exceeds cap {DIMENSION_CAP}")
     plaq_bytes = (len(lattice.plaquettes) * lattice.hilbert_dim
                   * _plaquette_dtype(lattice.n).itemsize)
     # the defaults are made with the lambda, once per build, and only the assembler holds it

@@ -111,7 +111,7 @@ class SparseHermitianOperator:
         self.data, self.indices, self.indptr = data, indices, indptr
         self.hermiticity_defect = defect
         self.slot_offsets = None  # the hopping assembler's record, see _slot_table
-        self._interval = self._propagation_interval = None
+        self._propagation_interval = None
 
     @property
     def dimension(self):
@@ -218,8 +218,12 @@ class SparseHermitianOperator:
         Each is the sum, from zero and in storage order, of row i's entries
         in column i (``indices == row``), read a block of rows at a time.
         """
+        return self._diagonal_sum(hit for _, hit in self._diagonal_entries())
+
+    def _diagonal_sum(self, hits):
+        """``diagonal`` from the positions of the diagonal entries, a block at a time."""
         diag = np.zeros(self.dimension, dtype=self.data.dtype)
-        for _, hit in self._diagonal_entries():
+        for hit in hits:
             np.add.at(diag, self.indices[hit], self.data[hit])
         return diag
 
@@ -233,27 +237,12 @@ class SparseHermitianOperator:
             block[full] = np.add.reduceat(entry_values(start, ptr), ptr[:-1][full] - ptr[0])
         return sums
 
-    def spectral_interval(self):
-        """Cached Gershgorin interval [min(d_i - R_i), max(d_i + R_i)].
-
-        d_i is the real part of H_ii and R_i = sum_j |H_ij| - |d_i| bounds
-        row i's off-diagonal absolute sum from above, so the interval holds
-        every eigenvalue. It is read from the CSR arrays a block of rows at a
-        time, without a copy of H.
-        """
-        if self._interval is None:
-            diag = np.real(self.diagonal())
-            radius = self._row_sums(lambda start, ptr: np.abs(self.data[ptr[0]:ptr[-1]]))
-            radius -= np.abs(diag)
-            # min() and max() of an array, unlike the builtins, carry a NaN entry
-            self._interval = (float((diag - radius).min(initial=math.inf)),
-                              float((diag + radius).max(initial=-math.inf)))
-        return self._interval
-
     def propagation_interval(self):
         """Cached centre c and radius rho with |lambda - c| <= rho for every eigenvalue.
 
-        c is the centre of ``spectral_interval()``. For any vector w > 0 the
+        c is the centre of the Gershgorin interval [min(d_i - R_i), max(d_i + R_i)],
+        where d_i is the real part of H_ii and R_i = sum_j |H_ij| - |d_i| bounds
+        row i's off-diagonal absolute sum from above. For any vector w > 0 the
         Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, Thms 8.1.18
         and 8.1.26) gives, with |.| taken entry by entry,
 
@@ -265,17 +254,24 @@ class SparseHermitianOperator:
         which covers the rounding of rows of fewer than 2^12 entries, and at
         most the Gershgorin radius. Off the diagonal each stored entry counts
         with its absolute value, which bounds the summed duplicates' from
-        above; the diagonal counts as |d_i - c|, d_i as in ``spectral_interval``.
-        |H - cI| w is read from the CSR arrays a block of rows at a time,
-        without a copy of H. Returning c and rho, not c - rho and c + rho,
-        lets ``propagate`` scale H by the very numbers the bound was proven for.
+        above; the diagonal counts as |d_i - c|. The diagonal entries are found
+        once, and every row sum is read from the CSR arrays a block of rows at
+        a time, without a copy of H. Returning c and rho, not c - rho and
+        c + rho, lets ``propagate`` scale H by the very numbers the bound was
+        proven for.
         """
         if self._propagation_interval is None:
-            lo, hi = self.spectral_interval()
+            hits = dict(self._diagonal_entries())
+            diag = np.real(self._diagonal_sum(hits.values()))
+            gershgorin = self._row_sums(lambda start, ptr: np.abs(self.data[ptr[0]:ptr[-1]]))
+            gershgorin -= np.abs(diag)
+            # min() and max() of an array, unlike the builtins, carry a NaN entry
+            lo = float((diag - gershgorin).min(initial=math.inf))
+            hi = float((diag + gershgorin).max(initial=-math.inf))
             c, radius = (hi + lo) / 2.0, (hi - lo) / 2.0
             if radius > 0.0:
-                shift = np.abs(np.real(self.diagonal()) - c)
-                hits = dict(self._diagonal_entries())
+                shift = np.abs(diag - c)
+                del diag, gershgorin
                 w, bounds = np.ones(self.dimension), []
 
                 def off_diagonal(start, ptr):
@@ -720,7 +716,7 @@ def _filtered_subspace_iteration(op, k):
     below ``RESIDUAL_TOL``. Otherwise the degree-``EIGS_FILTER_DEGREE``
     Chebyshev polynomial that is bounded by 1 on [theta_m, hi] filters the
     block, which is then orthonormalized. theta_m is the largest Ritz value and
-    hi the top of the operator's cached Gershgorin interval, so every copy of a
+    hi the top of the operator's cached propagation interval, so every copy of a
     level below theta_m grows against the rest of the spectrum at the same rate.
     Pairs converged from the lowest up are locked: the filter projects them out.
     m starts at min(n, max(2k, k + 16)), so at n <= k + 16 the first
@@ -751,7 +747,8 @@ def _filtered_subspace_iteration(op, k):
                         f"eigensolve of dimension {n}, {columns} columns")
 
     require_workspace(m)
-    lo, hi = op.spectral_interval()
+    centre, rho = op.propagation_interval()
+    hi = centre + rho
     rng = np.random.default_rng(EIGS_SEED)
 
     def random_block(columns):
@@ -772,7 +769,7 @@ def _filtered_subspace_iteration(op, k):
             return theta[:k], x[:, :k], f"after {passes} passes of filtered subspace iteration"
         # T_d((H - c)/r) is bounded by 1 on [theta_m, hi]; a floor on the
         # width of that interval keeps T_d finite below it.
-        a = min(theta[-1], hi - (hi - lo) * 2.0 ** -20)
+        a = min(theta[-1], hi - rho * 2.0 ** -19)
         c, r = (hi + a) / 2.0, (hi - a) / 2.0
         # Ritz values k and m coincide when the filter lifts the k-th by less
         # than a factor 2 above [theta_m, hi]: the wanted level's cluster then

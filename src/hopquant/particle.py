@@ -9,14 +9,13 @@ e enters only through the product eA, so it is a choice of units for A.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateKernelError, KernelSymmetryError, MassRequiredError
 from .linop import HERMITICITY_TOL, _assemble_hopping
-
-MAX_SUPPORT_RADIUS = 4
 
 
 class LatticeGrid:
@@ -127,8 +126,8 @@ class HoppingKernel:
     ``kappa0`` holds the homogeneous part (offset -> scalar), ``kappa1`` the
     site-dependent deviation (offset -> complex array of grid shape).
     ``free_symmetric`` declares that kappa0 is inversion symmetric and real,
-    which the cubic symmetry of a free particle forces. Offsets must lie
-    within ``MAX_SUPPORT_RADIUS`` and fit within the grid.
+    which the cubic symmetry of a free particle forces. Offsets must fit
+    within the grid: |n_i| below the grid's length along every axis i.
     """
 
     def __init__(self, grid, kappa0=None, kappa1=None, free_symmetric=False):
@@ -146,9 +145,6 @@ class HoppingKernel:
                 raise ValueError(f"kappa1 field for offset {n} has shape "
                                  f"{v.shape}, expected {grid.shape}")
         self.free_symmetric = bool(free_symmetric)
-        if self.radius > MAX_SUPPORT_RADIUS:
-            raise ValueError(f"support radius {self.radius} exceeds maximum "
-                             f"{MAX_SUPPORT_RADIUS}")
         for n in self.support:
             if any(abs(c) >= L for c, L in zip(n, grid.dims)):
                 raise ValueError(f"offset {n} does not fit within grid {grid.dims}")
@@ -166,10 +162,6 @@ class HoppingKernel:
     def support(self):
         """All offsets carrying amplitude."""
         return sorted(set(self.kappa0).union(self._kappa1))
-
-    @property
-    def radius(self):
-        return max((max(abs(c) for c in n) for n in self.support), default=0)
 
     def kappa0_value(self, n):
         return self.kappa0.get(_normalize_offset(n, self.grid.ndim), 0.0 + 0.0j)
@@ -255,77 +247,71 @@ class UnitarityReport:
     skipped_pairs: int
 
 
-def _open_valid_slices(shape, n):
-    """Source and shifted index slices such that both s and s-n are in range."""
-    src, shifted = [], []
-    for L, c in zip(shape, n):
-        lo, hi = max(0, c), L + min(0, c)
-        src.append(slice(lo, hi))
-        shifted.append(slice(lo - c, hi - c))
-    return tuple(src), tuple(shifted)
+def _pieces(grid, n):
+    """(sites x, partner sites x + n) slice pairs of ``grid``: on a periodic
+    grid, along each axis the sites whose partner does not wrap and, unless n
+    is zero there, those whose partner does, 2^d pieces at most that tile the
+    grid; on an open grid the one piece of sites whose partner is in it."""
+    periodic = grid.boundary == "periodic"
+    axes = []
+    for length, c in zip(grid.shape, n):
+        c = c % length if periodic else c
+        lo, hi = max(0, -c), length - max(0, c)
+        axes.append([(slice(lo, hi), slice(lo + c, hi + c))]
+                    + ([(slice(hi, length), slice(0, c))] if periodic and c else []))
+    for piece in itertools.product(*axes):
+        yield tuple(x for x, _ in piece), tuple(y for _, y in piece)
 
 
 def validate_kernel_unitarity(kernel, tol=HERMITICITY_TOL):
     """Check the probability-conservation constraint at every site and offset.
 
-    On open grids, (site, offset) pairs whose partner site falls outside the
-    lattice are skipped and counted separately.
+    The checks of n and -n see the same values |kappa(x, n) - conj(kappa(x +
+    a*n, -n))|, so each pair +-n is read once, a piece of sites at a time
+    (``_pieces``), and counted for both offsets. On open grids, (site,
+    offset) pairs whose partner site falls outside the lattice are skipped
+    and counted separately.
     """
     grid = kernel.grid
     offsets = set(kernel.support)
     offsets.update(_neg(n) for n in kernel.support)
     max_violation = 0.0
-    checked = skipped = 0
+    checked = 0
+
+    def field(n, sites):
+        k1 = kernel._kappa1.get(n)
+        return kernel.kappa0_value(n) + (0j if k1 is None else k1[sites])
+
     for n in sorted(offsets):
-        fwd = kernel.field(n)
-        bwd = np.conj(kernel.field(_neg(n)))
-        if grid.boundary == "periodic":
-            diff = np.abs(np.roll(fwd, shift=n, axis=range(grid.ndim)) - bwd)
-            checked += diff.size
-        else:
-            src, shifted = _open_valid_slices(grid.shape, n)
-            diff = np.abs(fwd[shifted] - bwd[src])
-            checked += diff.size
-            skipped += grid.n_sites - diff.size
-        if diff.size:
+        m = _neg(n)
+        if m < n:
+            continue  # read with -n
+        for x, y in _pieces(grid, n):
+            checked += (1 if n == m else 2) * math.prod(s.stop - s.start for s in x)
+            diff = np.abs(field(n, x) - np.conj(field(m, y)))
             # np.maximum, unlike max(), carries a NaN amplitude into the result
-            max_violation = float(np.maximum(max_violation, diff.max()))
+            max_violation = float(np.maximum(max_violation, np.max(diff)))
     return UnitarityReport(max_violation=max_violation,
                            passed=max_violation <= tol,
                            tolerance=tol,
                            checked_pairs=checked,
-                           skipped_pairs=skipped)
-
-
-def _wrap_pieces(shape, n):
-    """(sites x, partner sites x + n mod shape) slice pairs that tile a periodic
-    grid: along each axis the sites whose partner does not wrap and, unless n
-    is zero there, those whose partner does, 2^d pieces at most."""
-    axes = []
-    for length, c in zip(shape, n):
-        c %= length
-        axes.append([(slice(0, length - c), slice(c, length))]
-                    + ([(slice(length - c, length), slice(0, c))] if c else []))
-    for piece in itertools.product(*axes):
-        yield tuple(x for x, _ in piece), tuple(y for _, y in piece)
+                           # every offset has a partner or a skip at every site
+                           skipped_pairs=len(offsets) * grid.n_sites - checked)
 
 
 def apply_kernel(kernel, values):
     """(H psi)(x) = sum_n kappa(x, n) psi(x + a*n) without building H.
 
     Each offset's products kappa(x, n) psi(x + a*n) are made in one buffer
-    and added to the result a piece of sites at a time, through slices
-    (``_wrap_pieces`` on a periodic grid, the sites whose partner stays in
-    an open one), with kappa0(n) + kappa1(x, n) read piece by piece.
+    and added to the result a piece of sites at a time, through the slices
+    of ``_pieces``, with kappa0(n) + kappa1(x, n) read piece by piece.
     """
     grid = kernel.grid
     out = np.zeros(grid.shape, dtype=complex)
     product = np.empty(grid.shape, dtype=complex)
     for n in kernel.support:
         k0, k1 = kernel.kappa0_value(n), kernel._kappa1.get(n)
-        pieces = (_wrap_pieces(grid.shape, n) if grid.boundary == "periodic"
-                  else [_open_valid_slices(grid.shape, _neg(n))])
-        for x, y in pieces:
+        for x, y in _pieces(grid, n):
             if k1 is None:
                 np.multiply(k0 + 0j, values[y], out=product[x])
             else:

@@ -491,6 +491,27 @@ k0(-2) = -0.05
     assert main(["run", cfg, "--out", out]) == 0
 
 
+def test_tabulated_kernel_of_radius_five_runs(tmp_path):
+    # an offset is bounded only by its grid: k0(5) fits 16 sites
+    text = """
+[run]
+experiment = particle-validate
+
+[grid]
+dims = 16
+spacing = 1.0
+
+[kernel]
+preset = tabulated
+k0(0) = 0.5
+k0(5) = -0.25
+k0(-5) = -0.25
+"""
+    cfg = write(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
+
+
 def test_random_kernel_config_passes_validation(tmp_path):
     text = """
 [run]

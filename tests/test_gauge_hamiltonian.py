@@ -196,12 +196,22 @@ def test_complex_response_refused():
         build_gauge_hamiltonian(single_plaquette(3), spec)
 
 
-def test_dimension_cap_enforced():
-    # 9^8 > 2^24 = DIMENSION_CAP; the cap, not the memory check, must raise
+def test_large_configuration_space_refused_by_memory_check(monkeypatch):
+    # 9^8 = 43M configurations: the memory check is the one bound on a build,
+    # and it refuses both builders before they allocate
     lat = LinkLattice((2, 2), 9, boundary="periodic")
-    assert lat.hilbert_dim > gauge_ham.DIMENSION_CAP
-    with pytest.raises(HilbertDimensionError, match="exceeds cap"):
-        build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+    assert lat.hilbert_dim == 9 ** 8 > 2 ** 24
+    monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 2 ** 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HilbertDimensionError, match="GiB"):
+            build_gauge_hamiltonian(lat, MaxwellPreset(1.0, 1.0))
+        with pytest.raises(HilbertDimensionError, match="GiB"):
+            reference_ks_hamiltonian(lat, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_hermiticity_certificate_exact_for_preset():
@@ -386,8 +396,7 @@ def test_pairing_defect_equals_generic_defect():
 
 
 def test_oversize_assembly_fails_before_allocating(monkeypatch):
-    lat = LinkLattice((2, 2), 7, boundary="periodic")  # 7^8 = 5.8M, under the cap
-    assert lat.hilbert_dim < gauge_ham.DIMENSION_CAP
+    lat = LinkLattice((2, 2), 7, boundary="periodic")  # 7^8 = 5.8M configurations
     kernel = HoppingKernel.nearest_neighbor(LatticeGrid((190, 190, 190), 1.0), 1.0)
     monkeypatch.setattr(linop, "_available_memory_bytes", lambda: 2 ** 30)
     tracemalloc.start()

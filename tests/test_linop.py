@@ -125,7 +125,7 @@ def test_propagate_matches_expm_at_large_argument():
                                    random_state=np.random.RandomState(rng.integers(2**31)))
         op = from_matrix(a + a.conj().T)
         v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        lo, hi = op.spectral_interval()
+        lo, hi = _scipy_interval(op.matrix)
         t = 400.0 / (hi - lo)
         assert 150.0 < (hi - lo) / 2.0 * t < 250.0
         expected = expm(-1j * t * op.matrix.toarray()) @ v
@@ -174,7 +174,7 @@ def test_propagate_multiple_of_identity_is_a_phase():
     v = np.arange(9) + 1j
     for op, c in ((from_matrix(2.5 * sp.identity(9, format="csr")), 2.5),
                   (from_matrix(sp.csr_matrix((9, 9))), 0.0)):
-        assert op.spectral_interval() == (c, c)
+        assert _scipy_interval(op.matrix) == (c, c)
         assert op.propagation_interval() == (c, 0.0)
         out = propagate(op, v, 0.7)
         assert np.abs(out - np.exp(-1j * c * 0.7) * v).max() < 1e-15
@@ -194,12 +194,13 @@ def test_propagate_rejects_non_finite_time_and_bad_hbar(t, hbar):
 
 
 def _assert_intervals_hold(op, eigenvalues, slack=0.0):
-    """Both intervals hold the spectrum; the propagation one lies inside Gershgorin's.
+    """The propagation interval and Gershgorin's, from the scipy oracle, hold
+    the spectrum; the first is centred on the second and lies inside it.
 
     ``slack`` allows for the rounding of eigenvalues computed densely where
     an interval is tight, as both are on a ring; elsewhere it is 0.
     """
-    lo, hi = op.spectral_interval()
+    lo, hi = _scipy_interval(op.matrix)
     c, r = op.propagation_interval()
     assert c == (hi + lo) / 2.0 and 0.0 <= r <= (hi - lo) / 2.0
     assert np.abs(eigenvalues - c).max() <= r + slack
@@ -224,7 +225,7 @@ def test_gershgorin_interval_contains_spectrum():
                            slack=2.0 ** -45 * 2.0)
     assert ops[3].propagation_interval() == (0.0, 2.0)
     # off the strongly shifted diagonal, the refined radius is well inside Gershgorin's
-    lo, hi = ops[2].spectral_interval()
+    lo, hi = _scipy_interval(ops[2].matrix)
     assert ops[2].propagation_interval()[1] < 0.9 * (hi - lo) / 2.0
 
 
@@ -243,7 +244,7 @@ def test_gershgorin_interval_matches_row_sums_across_blocks():
     op = from_matrix(h)
     assert op.matrix.nnz > 2 ** 17
     radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
-    lo, hi = op.spectral_interval()
+    lo, hi = _scipy_interval(op.matrix)
     assert lo == pytest.approx((diag - radius).min(), abs=1e-12)
     assert hi == pytest.approx((diag + radius).max(), abs=1e-12)
     # a Hermitian tridiagonal has the spectrum of the real one with |off|
@@ -256,15 +257,18 @@ def test_propagate_reuses_cached_interval():
     rng = np.random.default_rng(17)
     op = random_hermitian(30, rng)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    assert op._interval is None and op._propagation_interval is None
+    assert op._propagation_interval is None
+    # the first propagation finds the diagonal entries once, for the interval
+    calls, find = [], op._diagonal_entries
+    op._diagonal_entries = lambda: calls.append(1) or find()
     first = propagate(op, v, 0.8)
-    interval, propagation = op.spectral_interval(), op.propagation_interval()
+    assert len(calls) == 1
+    propagation = op.propagation_interval()
 
     def recompute(*args):
         raise AssertionError("an interval was computed again")
 
     op.diagonal = op._row_sums = op._diagonal_entries = recompute
-    assert op.spectral_interval() is interval
     assert op.propagation_interval() is propagation
     assert np.array_equal(propagate(op, v, 0.8), first)
 
@@ -326,7 +330,7 @@ def test_propagate_series_on_kernel_operator(boundary):
     series = propagate(op, v, 0.5)
     assert np.array_equal(v, kept)
     assert np.linalg.norm(series - _eigh_propagate(op, v, 0.5)) < 1e-12 * np.linalg.norm(v)
-    lo, hi = op.spectral_interval()
+    lo, hi = _scipy_interval(op.matrix)
     terms = len(linop._bessel_series(op.propagation_interval()[1] * 0.5))
     assert terms < len(linop._bessel_series((hi - lo) / 2.0 * 0.5))
 
@@ -366,7 +370,7 @@ def test_chebyshev_terms_by_row_block_match_the_unblocked_formula(case, gauge_n4
         cur, prev, total = (rng.standard_normal((3, op.dimension))
                             + 1j * rng.standard_normal((3, op.dimension)))
     assert len(list(op._row_blocks())) > 1
-    lo, hi = op.spectral_interval()
+    lo, hi = _scipy_interval(op.matrix)
     c, r = (hi + lo) / 2.0, (hi - lo) / 2.0
     tmp = np.empty((op._block_rows(),) + cur.shape[1:], dtype=cur.dtype)
     # each block's rows of the product are the whole product's, bit for bit
@@ -816,4 +820,7 @@ def test_dense_diagonal_and_interval_match_scipy_bit_for_bit():
     for op in [*_built_operators(), from_matrix(dup, tol=np.inf)]:
         m = op.matrix
         assert op.diagonal().tobytes() == m.diagonal().tobytes()
-        assert op.spectral_interval() == _scipy_interval(m)
+        # the propagation interval is centred on Gershgorin's and no wider
+        lo, hi = _scipy_interval(m)
+        c, r = op.propagation_interval()
+        assert c == (hi + lo) / 2.0 and r <= (hi - lo) / 2.0

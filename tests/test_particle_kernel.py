@@ -6,6 +6,7 @@ import pytest
 from hopquant import (
     HoppingKernel,
     LatticeGrid,
+    build_particle_hamiltonian,
     kernel_from_potentials,
     mass_from_kernel,
     perturb_kernel,
@@ -21,6 +22,7 @@ from hopquant.errors import (
     MassRequiredError,
 )
 from hopquant.particle import second_moment_matrix
+from sparse_oracle import coo_hopping
 
 
 def grid1d(n=16, a=1.0, boundary="periodic"):
@@ -73,16 +75,74 @@ def test_validate_open_boundary_counts_skipped_pairs():
     assert report.checked_pairs == 8 + 7 + 7
 
 
+def _brute_force_unitarity(kernel):
+    """(max violation, checked, skipped) of kappa(x - a*n, n) = conj(kappa(x, -n)),
+    site by site over every offset of the support and its negation."""
+    grid = kernel.grid
+    offsets = sorted(set(kernel.support) | {tuple(-c for c in n) for n in kernel.support})
+    worst, checked, skipped = 0.0, 0, 0
+    for n in offsets:
+        fwd, bwd = kernel.field(n), kernel.field(tuple(-c for c in n))
+        for x in np.ndindex(grid.shape):
+            y = tuple(xi - c for xi, c in zip(x, n))
+            if grid.boundary == "periodic":
+                y = tuple(yi % length for yi, length in zip(y, grid.shape))
+            elif any(not 0 <= yi < length for yi, length in zip(y, grid.shape)):
+                skipped += 1
+                continue
+            checked += 1
+            worst = float(np.maximum(worst, abs(fwd[y] - np.conj(bwd[x]))))
+    return worst, checked, skipped
+
+
+def _nan_kernel():
+    grid = LatticeGrid((5, 4), 1.0, boundary="open")
+    kernel = random_unitary_kernel(grid, np.random.default_rng(4),
+                                   representatives=[(1, 0), (0, 1)])
+    kernel._kappa1[(0, 1)][2, 1] = np.nan
+    return kernel
+
+
+@pytest.mark.parametrize("make", [
+    # +-2 coincide mod 4, and each still checks against its own partner
+    lambda: HoppingKernel(grid1d(4), kappa0={(1,): -0.5, (-1,): -0.5 + 1e-3j,
+                                             (2,): 0.25, (-2,): 0.25j}),
+    lambda: HoppingKernel(LatticeGrid((5, 4), 1.0, boundary="open"), kappa0={(0, 0): 1.0},
+                          kappa1={(1, 0): np.full((5, 4), 0.5j), (2, 1): np.ones((5, 4)),
+                                  (0, -3): np.arange(20.0).reshape(5, 4)}),
+    lambda: perturb_kernel(random_unitary_kernel(
+        LatticeGrid((4, 3, 5), 1.0), np.random.default_rng(6),
+        representatives=[(1, 0, 0), (0, 1, 0), (1, 1, -2)]), np.random.default_rng(7), 1e-3),
+    _nan_kernel,
+], ids=["1d-periodic-coinciding", "2d-open-one-sided", "3d-periodic-random", "nan"])
+def test_validation_matches_site_by_site_oracle(make):
+    kernel = make()
+    report = validate_kernel_unitarity(kernel)
+    worst, checked, skipped = _brute_force_unitarity(kernel)
+    assert float.hex(report.max_violation) == float.hex(worst)
+    assert (report.checked_pairs, report.skipped_pairs) == (checked, skipped)
+
+
 @pytest.mark.parametrize("n_sites, kappa0, kappa1, error, message", [
-    (16, {(5,): 1.0}, None, ValueError, "exceeds maximum"),
-    (16, None, {(5,): np.ones(16)}, ValueError, "exceeds maximum"),
     (3, {(3,): 1.0}, None, ValueError, "does not fit within grid"),
     (16, None, {(1,): np.ones(15)}, ValueError, "has shape"),
     (16, None, lambda t: {}, TypeError, "time-dependent kernels were removed"),
-], ids=["radius-kappa0", "radius-kappa1", "grid-fit", "field-shape", "callable"])
+], ids=["grid-fit", "field-shape", "callable"])
 def test_kernel_rejects_oversized_support(n_sites, kappa0, kappa1, error, message):
     with pytest.raises(error, match=message):
         HoppingKernel(grid1d(n_sites), kappa0=kappa0, kappa1=kappa1)
+
+
+def test_kernel_of_radius_five_that_fits_its_grid_builds():
+    # the grid-fit check is the one bound on an offset
+    kernel = HoppingKernel.free(grid1d(16), {(0,): 0.5, (5,): -0.25, (-5,): -0.25})
+    assert validate_kernel_unitarity(kernel).passed
+    want = coo_hopping((16,), True, kernel.support,
+                       [kernel.field(n) for n in kernel.support], dtype=complex)
+    got = build_particle_hamiltonian(kernel).matrix.copy()
+    got.sort_indices()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # --- mass ---------------------------------------------------------------------
